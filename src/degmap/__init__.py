@@ -21,7 +21,6 @@ from .catalog import (
     reverse_orientation,
 )
 from .degsets import (
-    DegreeAnswer,
     DegreeSetReport,
     DominanceReport,
     SelfmapReport,
@@ -74,7 +73,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ANTISYMMETRIC",
     "DegmapError",
-    "DegreeAnswer",
     "DegreeSetReport",
     "DominanceReport",
     "IntMatrix",

@@ -255,7 +255,7 @@ def manifold_from_doc(doc: dict) -> ManifoldModel:
     from .homotopy import element_from_doc, model_from_doc
     from .intform import infer_symmetry, matrix_from_doc
 
-    matrix, symmetry = matrix_from_doc(doc["matrix"])
+    matrix, symmetry = matrix_from_doc(doc.get("matrix"))
     if symmetry is None:
         symmetry = infer_symmetry(matrix)
     form = make_form(matrix, symmetry)

@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
@@ -34,7 +35,7 @@ from .degsets import (
     dominated_candidates,
     selfmap_square,
 )
-from .errors import DegmapError, UnknownPreset
+from .errors import DegmapError, ShapeMismatch, UnknownPreset
 from .homotopy import model_from_doc
 from .intform import (
     IntersectionForm,
@@ -45,7 +46,7 @@ from .intform import (
     matrix_to_doc,
     parse_matrix_text,
 )
-from .solver import SearchConfig, congruence_solve
+from .solver import SearchConfig, Verdict, congruence_solve
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -53,7 +54,13 @@ EXIT_UNKNOWN = 2
 
 
 def _load_doc(path: str) -> dict:
-    return json.loads(Path(path).read_text())
+    try:
+        doc = json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise ShapeMismatch(f"{path} is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ShapeMismatch(f"{path} must hold a JSON object")
+    return doc
 
 
 def _load_form(spec: str) -> IntersectionForm:
@@ -95,6 +102,27 @@ def _emit(args, doc: dict, lines: list) -> None:
             print(line)
 
 
+def _matrix_lines(title: str, matrix) -> list:
+    return [f"{title}:"] + ["  " + ln for ln in str(matrix).splitlines()]
+
+
+def _emit_verdict(args, verdict: Verdict, complement: IntersectionForm | None = None) -> int:
+    """Print one verdict and return its exit code.
+
+    The text shows the complement form when one is given, else the witness.
+    """
+    doc = verdict.to_doc()
+    doc["verdict"] = doc.pop("kind")
+    lines = [str(verdict)]
+    if complement is not None:
+        doc["complement"] = matrix_to_doc(complement.matrix, complement.symmetry)
+        lines += _matrix_lines("complement form", complement.matrix)
+    elif verdict.witness is not None:
+        lines += _matrix_lines("witness", verdict.witness)
+    _emit(args, doc, lines)
+    return EXIT_UNKNOWN if verdict.is_unknown else EXIT_OK
+
+
 def _add_search_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--radius", type=int, default=8, help="max |entry| for indefinite searches")
     p.add_argument("--budget", type=int, default=10_000_000, help="backtracking node budget")
@@ -128,54 +156,27 @@ def _cmd_form_info(args) -> int:
         doc["parity"] = form.parity
         lines.append(f"signature   {form.signature}")
         lines.append(f"parity      {form.parity}")
-    lines.append("matrix:")
-    lines.extend("  " + ln for ln in str(form.matrix).splitlines())
+    lines += _matrix_lines("matrix", form.matrix)
     _emit(args, doc, lines)
     return EXIT_OK
 
 
 def _cmd_form_iso(args) -> int:
-    f = _load_form(args.f)
-    g = _load_form(args.g)
-    verdict = isomorphic(f, g)
-    doc = {"verdict": verdict.kind}
-    lines = [str(verdict)]
-    if verdict.witness is not None:
-        doc["witness"] = matrix_to_doc(verdict.witness)
-        lines.append("witness:")
-        lines.extend("  " + ln for ln in str(verdict.witness).splitlines())
-    if verdict.reason:
-        doc["reason"] = verdict.reason
-    _emit(args, doc, lines)
-    return EXIT_OK
+    return _emit_verdict(args, isomorphic(_load_form(args.f), _load_form(args.g)))
 
 
 def _cmd_solve(args) -> int:
     a = _load_form(args.A)
     b = _load_form(args.B)
     verdict = congruence_solve(a, b, args.k, _config(args))
-    doc = {"verdict": verdict.kind, "k": args.k}
-    lines = [str(verdict)]
-    if verdict.witness is not None:
-        doc["witness"] = matrix_to_doc(verdict.witness)
-        lines.append("witness:")
-        lines.extend("  " + ln for ln in str(verdict.witness).splitlines())
-    if verdict.reason:
-        doc["reason"] = verdict.reason
-    if verdict.radius is not None:
-        doc["radius"] = verdict.radius
-    _emit(args, doc, lines)
-    return EXIT_UNKNOWN if verdict.is_unknown else EXIT_OK
+    return _emit_verdict(args, replace(verdict, k=args.k))
 
 
 def _cmd_degset(args) -> int:
     source = _load_manifold(args.M)
     target = _load_manifold(args.L)
-    report = degree_set(source, target, args.range, _config(args), workers=args.workers)
-    doc = report.to_doc()
-    if args.workers > 1:
-        doc["workers"] = args.workers
-    _emit(args, doc, report.table_lines())
+    report = degree_set(source, target, args.range, _config(args))
+    _emit(args, report.to_doc(), report.table_lines())
     return EXIT_UNKNOWN if report.unknown_set else EXIT_OK
 
 
@@ -183,18 +184,7 @@ def _cmd_deg1(args) -> int:
     source = _load_manifold(args.M)
     target = _load_manifold(args.L)
     answer, comp = degree_one_summand(source, target, _config(args))
-    doc = {"verdict": answer.kind}
-    lines = [answer.describe()]
-    if answer.witness is not None:
-        doc["witness"] = matrix_to_doc(answer.witness)
-    if answer.reason:
-        doc["reason"] = answer.reason
-    if comp is not None:
-        doc["complement"] = matrix_to_doc(comp.matrix, comp.symmetry)
-        lines.append("complement form:")
-        lines.extend("  " + ln for ln in str(comp.matrix).splitlines())
-    _emit(args, doc, lines)
-    return EXIT_UNKNOWN if answer.kind == "unknown" else EXIT_OK
+    return _emit_verdict(args, answer, comp)
 
 
 def _cmd_selfmap(args) -> int:
@@ -290,7 +280,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--M", required=True, help="source manifold: preset or @path")
     p.add_argument("--L", required=True, help="target manifold: preset or @path")
     p.add_argument("--range", type=int, default=4)
-    p.add_argument("--workers", type=int, default=1)
     _add_search_flags(p)
     p.set_defaults(func=_cmd_degset)
 

@@ -22,8 +22,7 @@ Which criterion applies depends on the hypotheses:
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable
 
 from .catalog import ManifoldModel
@@ -31,6 +30,7 @@ from .errors import (
     ConditionNotMet,
     DimensionMismatch,
     NotApplicable,
+    ShapeMismatch,
     WitnessRejected,
 )
 from .homotopy import (
@@ -58,49 +58,6 @@ REGIME_NECESSARY = "necessary-only"
 REASON_HOMOTOPY = "HomotopyObstruction"
 
 
-@dataclass(frozen=True)
-class DegreeAnswer:
-    """Verdict for one degree, tagged with the regime that produced it."""
-
-    k: int
-    kind: str  # yes | no | unknown | necessary_pass
-    regime: str
-    witness: IntMatrix | None = None
-    reason: str | None = None
-    radius: int | None = None
-
-    @property
-    def is_yes(self) -> bool:
-        return self.kind == "yes"
-
-    def describe(self) -> str:
-        if self.kind == "yes":
-            return "Yes"
-        if self.kind == "necessary_pass":
-            return "NecessaryConditionsPass"
-        if self.kind == "no":
-            return f"No ({self.reason})"
-        return f"Unknown (radius {self.radius})"
-
-    def short_verdict(self) -> str:
-        return {
-            "yes": "Yes",
-            "no": "No",
-            "unknown": "Unknown",
-            "necessary_pass": "NecessaryConditionsPass",
-        }[self.kind]
-
-    def to_doc(self) -> dict:
-        doc = {"k": self.k, "kind": self.kind, "regime": self.regime}
-        if self.witness is not None:
-            doc["witness"] = matrix_to_doc(self.witness)
-        if self.reason is not None:
-            doc["reason"] = self.reason
-        if self.radius is not None:
-            doc["radius"] = self.radius
-        return doc
-
-
 def _regime(source: ManifoldModel, target: ManifoldModel) -> str:
     if source.n != target.n:
         raise DimensionMismatch(
@@ -119,34 +76,40 @@ def _regime(source: ManifoldModel, target: ManifoldModel) -> str:
     return REGIME_NECESSARY
 
 
-def _from_verdict(k: int, regime: str, v: Verdict) -> DegreeAnswer:
-    kind = v.kind
-    if kind == "yes" and regime == REGIME_NECESSARY:
-        kind = "necessary_pass"
-    return DegreeAnswer(k, kind, regime, v.witness, v.reason, v.radius)
-
-
 def degree_realizable(
     source: ManifoldModel,
     target: ManifoldModel,
     k: int,
     cfg: SearchConfig | None = None,
-) -> DegreeAnswer:
-    """Decide whether some map from source to target has degree k."""
+) -> Verdict:
+    """Decide whether some map from source to target has degree k.
+
+    The verdict carries k and the regime whose criterion decided it.
+    """
     cfg = cfg or DEFAULT_CONFIG
     regime = _regime(source, target)
     if k == 0:
         # the constant map
         zero = IntMatrix.zeros(source.form.rank, target.form.rank)
-        return DegreeAnswer(0, "yes", REGIME_CONSTANT, zero)
-    if regime != REGIME_HOMOTOPY:
+        return Verdict("yes", witness=zero, k=0, regime=REGIME_CONSTANT)
+    if regime == REGIME_HOMOTOPY:
+        verdict = _homotopy_verdict(source, target, k, cfg)
+    else:
         verdict = solver.congruence_solve(source.form, target.form, k, cfg)
-        return _from_verdict(k, regime, verdict)
+        if verdict.is_yes and regime == REGIME_NECESSARY:
+            verdict = replace(verdict, kind="necessary_pass")
+    return replace(verdict, k=k, regime=regime)
+
+
+def _homotopy_verdict(
+    source: ManifoldModel, target: ManifoldModel, k: int, cfg: SearchConfig
+) -> Verdict:
+    """First congruence witness that also passes the homotopy check."""
     if source.pi != target.pi:
         raise NotApplicable("source and target carry different homotopy models")
     filter_verdict, stream, outcome = solver.open_search(source.form, target.form, k, cfg)
     if filter_verdict is not None:
-        return _from_verdict(k, regime, filter_verdict)
+        return filter_verdict
     saw_witness = False
     for witness in stream:
         saw_witness = True
@@ -156,14 +119,9 @@ def degree_realizable(
             witness, k,
         )
         if report.ok:
-            solver.verify_witness(source.form, target.form, k, witness)
-            return DegreeAnswer(k, "yes", regime, witness)
-    if outcome.budget_exhausted:
-        return DegreeAnswer(k, "unknown", regime, radius=0)
-    if outcome.complete:
-        reason = REASON_HOMOTOPY if saw_witness else solver.REASON_EXHAUSTIVE
-        return DegreeAnswer(k, "no", regime, reason=reason)
-    return DegreeAnswer(k, "unknown", regime, radius=cfg.radius)
+            return Verdict.yes_checked(source.form, target.form, k, witness)
+    reason = REASON_HOMOTOPY if saw_witness else solver.REASON_EXHAUSTIVE
+    return outcome.verdict(cfg.radius, reason)
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +162,7 @@ class DegreeSetReport:
     def necessary_pass_set(self) -> set:
         return self._ks("necessary_pass")
 
-    def answer_for(self, k: int) -> DegreeAnswer:
+    def answer_for(self, k: int) -> Verdict:
         for a in self.answers:
             if a.k == k:
                 return a
@@ -227,14 +185,10 @@ class DegreeSetReport:
         lines.append(f"{'k':>4}  {'verdict':<24} detail")
         lines.append(f"{'0':>4}  {'Yes':<24} constant map")
         for a in self.answers:
-            detail = ""
-            if a.kind in ("yes", "necessary_pass") and a.witness is not None:
+            detail = a.detail or ""
+            if a.witness is not None:
                 detail = f"P = {_witness_digest(a.witness)}"
-            elif a.kind == "no":
-                detail = a.reason or ""
-            elif a.kind == "unknown":
-                detail = f"searched max-norm {a.radius}"
-            lines.append(f"{a.k:>4}  {a.short_verdict():<24} {detail}".rstrip())
+            lines.append(f"{a.k:>4}  {a.label:<24} {detail}".rstrip())
         return lines
 
 
@@ -250,21 +204,16 @@ def degree_set(
     target: ManifoldModel,
     bound: int,
     cfg: SearchConfig | None = None,
-    workers: int = 1,
 ) -> DegreeSetReport:
-    """degree_realizable for every k in [-bound, bound] except 0.
-
-    Worker parallelism only batches independent k queries; the assembled
-    report is ordered by k and identical for any worker count.
-    """
-    ks = [k for k in range(-bound, bound + 1) if k != 0]
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            answers = list(pool.map(lambda k: degree_realizable(source, target, k, cfg), ks))
-    else:
-        answers = [degree_realizable(source, target, k, cfg) for k in ks]
-    answers.sort(key=lambda a: a.k)
-    return DegreeSetReport(source.name, target.name, bound, tuple(answers))
+    """degree_realizable for every k in [-bound, bound] except 0, ordered by k."""
+    if bound < 0:
+        raise ShapeMismatch(f"degree range bound {bound} is negative")
+    answers = tuple(
+        degree_realizable(source, target, k, cfg)
+        for k in range(-bound, bound + 1)
+        if k != 0
+    )
+    return DegreeSetReport(source.name, target.name, bound, answers)
 
 
 # ---------------------------------------------------------------------------

@@ -611,11 +611,15 @@ def parse_matrix_text(text: str) -> IntMatrix:
     header = lines[0].split()
     if len(header) != 2:
         raise ShapeMismatch("header must be 'rows cols'")
-    r, c = int(header[0]), int(header[1])
     body = " ".join(lines[1:]).split()
+    try:
+        r, c = int(header[0]), int(header[1])
+        entries = [int(x) for x in body]
+    except ValueError as exc:
+        raise ShapeMismatch(f"matrix entries must be integers: {exc}") from exc
     if len(body) != r * c:
         raise ShapeMismatch(f"expected {r * c} entries, got {len(body)}")
-    return IntMatrix(r, c, [int(x) for x in body])
+    return IntMatrix(r, c, entries)
 
 
 def format_matrix_text(m: IntMatrix) -> str:
@@ -633,5 +637,11 @@ def matrix_to_doc(m: IntMatrix, symmetry: str | None = None) -> dict:
 
 
 def matrix_from_doc(doc: dict) -> tuple:
-    m = IntMatrix(int(doc["rows"]), int(doc["cols"]), [int(x) for x in doc["entries"]])
-    return m, doc.get("symmetry")
+    try:
+        rows, cols = int(doc["rows"]), int(doc["cols"])
+        entries = [int(x) for x in doc["entries"]]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ShapeMismatch(
+            f"a matrix document needs integer 'rows', 'cols' and 'entries' ({exc!r})"
+        ) from exc
+    return IntMatrix(rows, cols, entries), doc.get("symmetry")

@@ -6,7 +6,8 @@
   before the verdict is constructed;
 * No, with the name of a complete argument (an invariant filter, a small
   modulus with no solutions, or an exhausted complete enumeration);
-* Unknown, with the max-norm radius up to which the search is exhaustive.
+* Unknown, with the max-norm radius up to which the search is exhaustive,
+  or the note that the node budget ran out first.
 
 Columns of P are chosen one at a time.  When A (or -A) is positive
 definite the candidate vectors for each column form the finite solution
@@ -20,8 +21,7 @@ The filters are each complete arguments, never heuristics:
 * rank: a target of larger rank cannot be hit;
 * signature: the sublattice spanned by the columns of P carries k * B, and
   a subspace cannot have more positive (or negative) directions than the
-  ambient space (validated against the brute-force oracle in the tests
-  before being switched on here);
+  ambient space (validated against the brute-force oracle in the tests);
 * parity: an even source pairing makes every diagonal of P.T A P even, so
   an odd target needs even k;
 * determinant: in the square case det(P)^2 * det(A) = k^rank * det(B)
@@ -45,7 +45,7 @@ from .errors import (
     WitnessRejected,
     ZeroK,
 )
-from .intform import SYMMETRIC, IntersectionForm, IntMatrix
+from .intform import SYMMETRIC, IntersectionForm, IntMatrix, matrix_to_doc
 
 REASON_RANK = "RankFilter"
 REASON_SIGNATURE = "SignatureFilter"
@@ -86,15 +86,33 @@ class SearchConfig:
 DEFAULT_CONFIG = SearchConfig()
 
 
+_LABELS = {
+    "yes": "Yes",
+    "no": "No",
+    "unknown": "Unknown",
+    "necessary_pass": "NecessaryConditionsPass",
+    "no_within_bound": "NoWithinBound",
+}
+
+
 @dataclass(frozen=True)
 class Verdict:
-    """Three-valued solver answer; the oracle adds the bounded fourth kind."""
+    """Answer to one congruence or degree query.
+
+    ``kind`` is yes, no or unknown from the solver, necessary_pass when a
+    manifold query can only certify necessary conditions, and
+    no_within_bound from the oracle.  An Unknown carries either the
+    max-norm ``radius`` it exhausted or ``budget_exhausted``.  Manifold
+    queries also record the degree ``k`` and the ``regime`` that decided it.
+    """
 
     kind: str
     witness: IntMatrix | None = None
     reason: str | None = None
     radius: int | None = None
     budget_exhausted: bool = False
+    k: int | None = None
+    regime: str | None = None
 
     @property
     def is_yes(self) -> bool:
@@ -117,19 +135,42 @@ class Verdict:
     def no(cls, reason: str):
         return cls("no", reason=reason)
 
-    @classmethod
-    def unknown(cls, radius: int, budget_exhausted: bool = False):
-        return cls("unknown", radius=radius, budget_exhausted=budget_exhausted)
+    @property
+    def label(self) -> str:
+        return _LABELS[self.kind]
+
+    @property
+    def detail(self) -> str | None:
+        """The argument behind a No or the bound that stopped a search."""
+        if self.is_no:
+            return self.reason
+        if self.budget_exhausted:
+            return "node budget exhausted"
+        if self.is_unknown:
+            return f"exhausted max-norm {self.radius}"
+        if self.kind == "no_within_bound":
+            return f"|entries| <= {self.radius}"
+        return None
 
     def __str__(self) -> str:
-        if self.is_yes:
-            return "Yes"
-        if self.is_no:
-            return f"No ({self.reason})"
-        if self.kind == "no_within_bound":
-            return f"NoWithinBound (|entries| <= {self.radius})"
-        tail = ", node budget exhausted" if self.budget_exhausted else ""
-        return f"Unknown (exhausted max-norm {self.radius}{tail})"
+        detail = self.detail
+        return self.label if detail is None else f"{self.label} ({detail})"
+
+    def to_doc(self) -> dict:
+        doc = {"kind": self.kind}
+        if self.k is not None:
+            doc["k"] = self.k
+        if self.regime is not None:
+            doc["regime"] = self.regime
+        if self.witness is not None:
+            doc["witness"] = matrix_to_doc(self.witness)
+        if self.reason is not None:
+            doc["reason"] = self.reason
+        if self.radius is not None:
+            doc["radius"] = self.radius
+        if self.budget_exhausted:
+            doc["budget_exhausted"] = True
+        return doc
 
 
 def verify_witness(a: IntersectionForm, b: IntersectionForm, k: int, witness: IntMatrix):
@@ -166,11 +207,6 @@ def _is_perfect_square(v: int) -> bool:
 # Filters
 # ---------------------------------------------------------------------------
 
-# Flipped to True once test_solver.py::test_signature_filter_agrees_with_oracle
-# has validated the subspace-signature argument against brute force.
-SIGNATURE_FILTER_ENABLED = True
-
-
 def _signature_obstructed(a: IntersectionForm, b: IntersectionForm, k: int) -> bool:
     pos_a, neg_a, _ = a.signature
     pos_b, neg_b, _ = b.signature
@@ -204,42 +240,32 @@ def _modq_unsolvable(a: IntMatrix, b: IntMatrix, k: int, q: int) -> bool:
         return False
     arows = [tuple(x % q for x in a.row(i)) for i in range(m)]
     targets = [[(k * b[i, j]) % q for j in range(l)] for i in range(l)]
-    candidates = list(itertools.product(range(q), repeat=m))
+    vectors = list(itertools.product(range(q), repeat=m))
     qvals = [
         sum(x[i] * arows[i][j] * x[j] for i in range(m) for j in range(m)) % q
-        for x in candidates
+        for x in vectors
     ]
-    nodes = 0
-    placed: list = []  # (vector, pairing row mod q)
+    budget = _Budget(_MODQ_NODE_CAP)
 
-    def rec(col: int) -> bool:
-        nonlocal nodes
-        if col == l:
-            return True
+    def candidates(col: int, lin: list) -> Iterator[tuple]:
         want = targets[col][col]
-        cross = [(crow, targets[j][col]) for j, (_, crow) in enumerate(placed)]
-        for cand, qv in zip(candidates, qvals):
-            nodes += 1
-            if nodes > _MODQ_NODE_CAP:
-                raise _OutOfBudget
+        for cand, qv in zip(vectors, qvals):
+            budget.spend()
             if qv != want:
                 continue
             if any(
-                sum(c * v for c, v in zip(crow, cand)) % q != t for crow, t in cross
+                sum(c * v for c, v in zip(crow, cand)) % q != t for crow, t in lin
             ):
                 continue
-            crow_new = tuple(
-                sum(cand[s] * arows[s][t] for s in range(m)) % q for t in range(m)
-            )
-            placed.append((cand, crow_new))
-            if rec(col + 1):
-                placed.pop()
-                return True
-            placed.pop()
-        return False
+            yield cand
+
+    def pairing_row(vec: tuple) -> tuple:
+        return tuple(
+            sum(vec[s] * arows[s][t] for s in range(m)) % q for t in range(m)
+        )
 
     try:
-        return not rec(0)
+        return next(_backtrack(range(l), targets, candidates, pairing_row), None) is None
     except _OutOfBudget:
         return False
 
@@ -248,7 +274,7 @@ def _prefilter(a: IntersectionForm, b: IntersectionForm, k: int) -> Verdict | No
     if b.rank > a.rank:
         return Verdict.no(REASON_RANK)
     if a.symmetry == SYMMETRIC:
-        if SIGNATURE_FILTER_ENABLED and _signature_obstructed(a, b, k):
+        if _signature_obstructed(a, b, k):
             return Verdict.no(REASON_SIGNATURE)
         if _parity_obstructed(a, b, k):
             return Verdict.no(REASON_PARITY)
@@ -438,15 +464,50 @@ def _box_candidates(
 # ---------------------------------------------------------------------------
 
 
+def _backtrack(order: Sequence[int], target: list, candidates, pairing_row) -> Iterator[list]:
+    """Every list of columns x_j with x_i . A x_j == target[i][j] for all i, j.
+
+    Columns are filled in ``order``.  ``candidates(col, lin)`` yields the
+    vectors allowed in column ``col`` that meet c . x == t for every (c, t)
+    in ``lin``, the pairing rows of the columns already placed paired with
+    their targets; ``pairing_row(x)`` is the row x.T A.  The search is
+    complete exactly when every candidate source is.  The yielded list
+    (in natural column order) is reused, so copy it before advancing.
+    """
+    columns: list = [None] * len(order)
+    placed: list = []  # (column index, pairing row)
+
+    def rec(idx: int) -> Iterator[list]:
+        if idx == len(order):
+            yield columns
+            return
+        col = order[idx]
+        lin = [(crow, target[oc][col]) for oc, crow in placed]
+        for cand in candidates(col, lin):
+            columns[col] = cand
+            placed.append((col, pairing_row(cand)))
+            yield from rec(idx + 1)
+            placed.pop()
+
+    yield from rec(0)
+
+
 class _Outcome:
-    """Mutable holder describing how a witness stream ended."""
+    """How a witness stream ended, once it has."""
 
-    __slots__ = ("complete", "budget_exhausted", "finished")
+    __slots__ = ("complete", "budget_exhausted")
 
-    def __init__(self):
-        self.complete = False
+    def __init__(self, complete: bool = False):
+        self.complete = complete
         self.budget_exhausted = False
-        self.finished = False
+
+    def verdict(self, radius: int, no_reason: str = REASON_EXHAUSTIVE) -> Verdict:
+        """The verdict when the stream offered no acceptable witness."""
+        if self.budget_exhausted:
+            return Verdict("unknown", budget_exhausted=True)
+        if self.complete:
+            return Verdict.no(no_reason)
+        return Verdict("unknown", radius=radius)
 
 
 def _column_order(b: IntMatrix) -> list:
@@ -462,7 +523,7 @@ def _witness_stream(
 ) -> Iterator[IntMatrix]:
     m, l = a.rank, b.rank
     arows = [list(a.matrix.row(i)) for i in range(m)]
-    brows = b.matrix.to_rows()
+    target = [[k * x for x in row] for row in b.matrix.to_rows()]
     symmetric = a.symmetry == SYMMETRIC
     sign = 0
     if symmetric and a.rank > 0:
@@ -473,59 +534,38 @@ def _witness_stream(
             sign = -1
     definite = sign != 0 and m <= cfg.definite_cap
     budget = _Budget(cfg.node_budget)
-    order = _column_order(b.matrix)
 
-    definite_cache: dict = {}
-    chol = None
     if definite:
         grows = arows if sign == 1 else [[-x for x in row] for row in arows]
-        chol = _ldl(grows)
+        d, u = _ldl(grows)
+        definite_cache: dict = {}
 
-    def definite_candidates(value: int) -> list:
-        if value not in definite_cache:
-            d, u = chol
-            definite_cache[value] = _definite_solutions(d, u, sign * value)
-        return definite_cache[value]
+        def candidates(col: int, lin: list) -> Iterator[tuple]:
+            value = target[col][col]
+            if value not in definite_cache:
+                definite_cache[value] = _definite_solutions(d, u, sign * value)
+            for cand in definite_cache[value]:
+                budget.spend()
+                if any(sum(c * v for c, v in zip(crow, cand)) != t for crow, t in lin):
+                    continue
+                yield cand
+    else:
 
-    placed: list = []  # (original column index, vector, pairing row vector)
+        def candidates(col: int, lin: list) -> Iterator[tuple]:
+            return _box_candidates(arows, symmetric, cfg.radius, target[col][col], lin, budget)
 
     def pairing_row(vec: tuple) -> tuple:
         return tuple(
             sum(vec[s] * arows[s][t] for s in range(m)) for t in range(m)
         )
 
-    def rec(idx: int) -> Iterator[IntMatrix]:
-        if idx == l:
-            cols = {oc: vec for oc, vec, _ in placed}
-            yield IntMatrix.from_columns([cols[j] for j in range(l)], nrows=m)
-            return
-        col = order[idx]
-        quad_target = k * brows[col][col]
-        lin = [(crow, k * brows[oc][col]) for oc, _, crow in placed]
-        if definite:
-            for cand in definite_candidates(quad_target):
-                budget.spend()
-                if any(
-                    sum(c * v for c, v in zip(crow, cand)) != t for crow, t in lin
-                ):
-                    continue
-                placed.append((col, cand, pairing_row(cand)))
-                yield from rec(idx + 1)
-                placed.pop()
-        else:
-            for cand in _box_candidates(arows, symmetric, cfg.radius, quad_target, lin, budget):
-                placed.append((col, cand, pairing_row(cand)))
-                yield from rec(idx + 1)
-                placed.pop()
-
     try:
-        yield from rec(0)
+        for columns in _backtrack(_column_order(b.matrix), target, candidates, pairing_row):
+            yield IntMatrix.from_columns(columns, nrows=m)
     except _OutOfBudget:
         outcome.budget_exhausted = True
     else:
         outcome.complete = definite
-    finally:
-        outcome.finished = True
 
 
 def open_search(
@@ -534,7 +574,8 @@ def open_search(
     """Validate inputs, run the filters, and expose the witness stream.
 
     Returns (filter_verdict, stream, outcome); filter_verdict is a No
-    verdict when a complete filter fired (stream is then empty).
+    verdict when a complete filter fired (stream is then empty).  Once the
+    stream is exhausted, ``outcome.verdict`` maps how it ended to a verdict.
     """
     cfg = cfg or DEFAULT_CONFIG
     if a.symmetry != b.symmetry:
@@ -542,16 +583,11 @@ def open_search(
     if k == 0:
         raise ZeroK("degree 0 is the constant map; query nonzero k")
     if b.rank == 0:
-        outcome = _Outcome()
-        outcome.complete = True
-        outcome.finished = True
-        return None, iter([IntMatrix.zeros(a.rank, 0)]), outcome
+        return None, iter([IntMatrix.zeros(a.rank, 0)]), _Outcome(complete=True)
     verdict = _prefilter(a, b, k)
-    outcome = _Outcome()
     if verdict is not None:
-        outcome.complete = True
-        outcome.finished = True
-        return verdict, iter(()), outcome
+        return verdict, iter(()), _Outcome(complete=True)
+    outcome = _Outcome()
     return None, _witness_stream(a, b, k, cfg, outcome), outcome
 
 
@@ -569,11 +605,7 @@ def congruence_solve(
     witness = next(stream, None)
     if witness is not None:
         return Verdict.yes_checked(a, b, k, witness)
-    if outcome.budget_exhausted:
-        return Verdict.unknown(0, budget_exhausted=True)
-    if outcome.complete:
-        return Verdict.no(REASON_EXHAUSTIVE)
-    return Verdict.unknown(cfg.radius)
+    return outcome.verdict(cfg.radius)
 
 
 # ---------------------------------------------------------------------------

@@ -124,13 +124,6 @@ def test_degset_reruns_are_byte_identical(capsys):
     assert first == second
 
 
-def test_degset_workers_output_identical(capsys):
-    args = ["degset", "--M", "CP2#(-CP2)", "--L", "S2xS2", "--range", "3"]
-    _, one, _ = run(capsys, *args, "--workers", "1")
-    _, three, _ = run(capsys, *args, "--workers", "3")
-    assert one == three
-
-
 def test_degset_necessary_pass_column(capsys):
     code, out, _ = run(capsys, "degset", "--M", "S2xS2", "--L", "FsxFr(0,1)", "--range", "1")
     assert code == 0
@@ -164,6 +157,31 @@ def test_form_info_validation_error_names_invariant(capsys, tmp_path):
     code, _, err = run(capsys, "form-info", "--f", f"@{bad}")
     assert code == 1
     assert "NotUnimodular" in err
+
+
+MALFORMED = [
+    ("form-info", "rows.json", '{"rows": 2}'),
+    ("form-info", "entry.mat", "2 2\n1 x\n0 1\n"),
+    ("form-info", "broken.json", '{"rows": 2,'),
+    ("degset", "manifold.json", '{"name": "m"}'),
+]
+
+
+@pytest.mark.parametrize("command,name,content", MALFORMED, ids=[m[1] for m in MALFORMED])
+def test_malformed_input_is_a_clean_error(capsys, tmp_path, command, name, content):
+    path = tmp_path / name
+    path.write_text(content)
+    flag = "--f" if command == "form-info" else "--M"
+    argv = [command, flag, f"@{path}"] + (["--L", "CP2"] if command == "degset" else [])
+    code, _, err = run(capsys, *argv)
+    assert code == 1
+    assert err.startswith("error: ShapeMismatch:")
+
+
+def test_negative_range_is_a_clean_error(capsys):
+    code, out, err = run(capsys, "degset", "--M", "CP2", "--L", "CP2", "--range", "-3")
+    assert code == 1 and out == ""
+    assert err.startswith("error: ShapeMismatch:")
 
 
 def test_form_iso_parity_no(capsys):
@@ -305,3 +323,14 @@ def test_unknown_verdict_exit_code(capsys):
     )
     assert code == 2
     assert out.startswith("Unknown")
+
+
+def test_budget_stopped_unknown_claims_no_radius(capsys):
+    args = ["solve", "--A", f"@{FIXTURES}/A3.mat", "--B", f"@{FIXTURES}/A3.mat",
+            "--k", "5", "--budget", "10"]
+    code, out, _ = run(capsys, *args)
+    assert code == 2
+    assert out == "Unknown (node budget exhausted)\n"
+    code, raw, _ = run(capsys, *args, "--json")
+    assert code == 2
+    assert json.loads(raw) == {"verdict": "unknown", "k": 5, "budget_exhausted": True}

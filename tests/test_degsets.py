@@ -100,12 +100,6 @@ def test_self_degree_set_contains_squares():
     assert {1, 4, 9} <= rep.yes_set
 
 
-def test_degree_set_workers_agree():
-    one = degree_set(preset("CP2#(-CP2)"), preset("S2xS2"), 4, CFG, workers=1)
-    two = degree_set(preset("CP2#(-CP2)"), preset("S2xS2"), 4, CFG, workers=3)
-    assert one == two
-
-
 def test_orientation_law():
     src = preset("CP2#(-CP2)")
     tgt = preset("S2xS2")
@@ -278,6 +272,18 @@ def test_homotopy_regime_budget_exhaustion_is_unknown():
     src = manifold("s", 4, h, True, True, model, data)
     ans = degree_realizable(src, src, 1, SearchConfig(node_budget=2))
     assert ans.kind == "unknown"
+    assert ans.budget_exhausted and ans.radius is None
+
+
+def test_budget_stopped_degree_set_row_names_the_budget():
+    rep = degree_set(preset("T4"), preset("T4"), 1, SearchConfig(node_budget=10))
+    assert rep.unknown_set == {-1, 1}
+    rows = rep.table_lines()[3:]
+    assert rows == [
+        "  -1  Unknown                  node budget exhausted",
+        "   1  Unknown                  node budget exhausted",
+    ]
+    assert all(a["budget_exhausted"] and "radius" not in a for a in rep.to_doc()["answers"])
 
 
 def test_surface_product_family_degrees():

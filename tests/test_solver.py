@@ -171,6 +171,8 @@ def test_budget_exhaustion_is_reported():
     cfg = SearchConfig(radius=8, node_budget=10)
     v = congruence_solve(A3, A3, 5, cfg)
     assert v.is_unknown and v.budget_exhausted
+    assert v.radius is None
+    assert str(v) == "Unknown (node budget exhausted)"
 
 
 def test_solver_is_deterministic():
