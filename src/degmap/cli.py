@@ -1,9 +1,9 @@
 """Command-line surface.
 
 Each subcommand answers one query and exits 0 on a decisive answer
-(Yes or No), 2 when the verdict is Unknown at the configured search
-radius, and 1 on usage or validation errors.  ``--json`` switches from
-the human-readable table to a structured document with the same fields.
+(Yes or No), 2 when a verdict is Unknown, and 1 on usage or validation
+errors, malformed input files included.  ``--json`` switches from the
+human-readable table to a structured document with the same fields.
 
 Matrices are given as preset names or as ``@path`` arguments.  A ``.json``
 path holds a structured document; any other path holds the plain text

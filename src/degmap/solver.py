@@ -521,7 +521,7 @@ def _witness_stream(
     cfg: SearchConfig,
     outcome: _Outcome,
 ) -> Iterator[IntMatrix]:
-    m, l = a.rank, b.rank
+    m = a.rank
     arows = [list(a.matrix.row(i)) for i in range(m)]
     target = [[k * x for x in row] for row in b.matrix.to_rows()]
     symmetric = a.symmetry == SYMMETRIC
