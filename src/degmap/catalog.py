@@ -252,26 +252,25 @@ def manifold_to_doc(m: ManifoldModel) -> dict:
 
 
 def manifold_from_doc(doc: dict) -> ManifoldModel:
-    from .homotopy import element_from_doc, model_from_doc
+    from .homotopy import elements_from_doc, model_from_doc
     from .intform import infer_symmetry, matrix_from_doc
 
     matrix, symmetry = matrix_from_doc(doc.get("matrix"))
     if symmetry is None:
         symmetry = infer_symmetry(matrix)
     form = make_form(matrix, symmetry)
-    n = int(doc.get("n", 2))
+    try:
+        n = int(doc.get("n", 2))
+    except (TypeError, ValueError) as exc:
+        raise ShapeMismatch(f"a manifold document needs an integer 'n' ({exc!r})") from exc
     pi = model_from_doc(doc["pi"]) if "pi" in doc else None
     data = None
     if "homotopy_data" in doc:
         if pi is None:
             raise InvalidManifold("homotopy_data needs a pi model")
-        data = [element_from_doc(pi, e) for e in doc["homotopy_data"]]
-    return manifold(
-        str(doc.get("name", "manifold")),
-        n,
-        form,
-        bool(doc.get("simply_connected", n == 2)),
-        bool(doc.get("highly_connected", False)),
-        pi,
-        data,
-    )
+        data = elements_from_doc(pi, doc["homotopy_data"])
+    simply = doc.get("simply_connected", n == 2)
+    highly = doc.get("highly_connected", False)
+    if not isinstance(simply, bool) or not isinstance(highly, bool):
+        raise ShapeMismatch("'simply_connected' and 'highly_connected' must be true or false")
+    return manifold(str(doc.get("name", "manifold")), n, form, simply, highly, pi, data)

@@ -35,8 +35,8 @@ from .degsets import (
     dominated_candidates,
     selfmap_square,
 )
-from .errors import DegmapError, ShapeMismatch, UnknownPreset
-from .homotopy import model_from_doc
+from .errors import DegmapError, ShapeMismatch
+from .homotopy import elements_from_doc, model_from_doc
 from .intform import (
     IntersectionForm,
     infer_symmetry,
@@ -87,11 +87,7 @@ def _load_manifold(spec: str) -> ManifoldModel:
 
 
 def _config(args) -> SearchConfig:
-    return SearchConfig(
-        radius=args.radius,
-        definite_cap=args.definite_cap,
-        node_budget=args.budget,
-    )
+    return SearchConfig(radius=args.radius, node_budget=args.budget)
 
 
 def _emit(args, doc: dict, lines: list) -> None:
@@ -126,10 +122,6 @@ def _emit_verdict(args, verdict: Verdict, complement: IntersectionForm | None = 
 def _add_search_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--radius", type=int, default=8, help="max |entry| for indefinite searches")
     p.add_argument("--budget", type=int, default=10_000_000, help="backtracking node budget")
-    p.add_argument(
-        "--definite-cap", type=int, default=12, dest="definite_cap",
-        help="max rank for complete definite enumeration",
-    )
     p.add_argument("--json", action="store_true", help="structured output")
 
 
@@ -194,9 +186,7 @@ def _cmd_selfmap(args) -> int:
         model = model_from_doc(doc.get("pi", doc))
         data = None
         if "homotopy_data" in doc:
-            from .homotopy import element_from_doc
-
-            data = [element_from_doc(model, e) for e in doc["homotopy_data"]]
+            data = elements_from_doc(model, doc["homotopy_data"])
         m = manifold(m.name, model.n, m.form, True, True, model, data)
     report = selfmap_square(m, args.k)
     lines = [
@@ -321,9 +311,6 @@ def main(argv=None) -> int:
         return EXIT_ERROR if code else EXIT_OK
     try:
         return args.func(args)
-    except UnknownPreset as exc:
-        print(f"error: UnknownPreset: {exc}", file=sys.stderr)
-        return EXIT_ERROR
     except DegmapError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_ERROR

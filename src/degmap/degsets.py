@@ -21,7 +21,6 @@ Which criterion applies depends on the hypotheses:
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
 from typing import Iterable
 
@@ -176,9 +175,6 @@ class DegreeSetReport:
             "always_contains_zero": self.always_contains_zero,
             "answers": [a.to_doc() for a in self.answers],
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_doc(), indent=2, sort_keys=True)
 
     def table_lines(self) -> list:
         lines = [f"D({self.source}, {self.target}) over [-{self.bound}, {self.bound}]"]

@@ -276,10 +276,20 @@ def model_to_doc(model: PiModel) -> dict:
     }
 
 
+# what a malformed document raises on the way to a model or an element
+_DOC_ERRORS = (AttributeError, KeyError, TypeError, ValueError)
+
+
 def model_from_doc(doc: dict) -> PiModel:
-    wh = doc.get("whitehead") or {}
-    model = pi_model(int(doc["n"]), doc.get("torsion_orders", ()), wh.get("torsion"))
-    if "nu" in wh and int(wh["nu"]) != model.whitehead.nu:
+    try:
+        wh = doc.get("whitehead") or {}
+        model = pi_model(int(doc["n"]), doc.get("torsion_orders", ()), wh.get("torsion"))
+        nu = int(wh["nu"]) if "nu" in wh else model.whitehead.nu
+    except _DOC_ERRORS as exc:
+        raise ShapeMismatch(
+            f"a pi model document needs an integer 'n' and integer torsion lists ({exc!r})"
+        ) from exc
+    if nu != model.whitehead.nu:
         raise ModelMismatch(
             f"whitehead nu-coefficient must be {model.whitehead.nu} for n={model.n}"
         )
@@ -291,4 +301,16 @@ def element_to_doc(e: PiElement) -> dict:
 
 
 def element_from_doc(model: PiModel, doc: dict) -> PiElement:
-    return element(model, int(doc.get("nu", 0)), doc.get("torsion"))
+    try:
+        return element(model, int(doc.get("nu", 0)), doc.get("torsion"))
+    except _DOC_ERRORS as exc:
+        raise ShapeMismatch(
+            f"a pi element document needs an integer 'nu' and a torsion list ({exc!r})"
+        ) from exc
+
+
+def elements_from_doc(model: PiModel, docs: list) -> list:
+    """The homotopy data of a manifold document, one element per basis vector."""
+    if not isinstance(docs, list):
+        raise ShapeMismatch("homotopy_data must be a list of pi element documents")
+    return [element_from_doc(model, e) for e in docs]

@@ -4,9 +4,10 @@ A closed oriented 2n-manifold pairs its middle-dimensional (co)homology by
 a unimodular bilinear form: symmetric when n is even, antisymmetric when n
 is odd.  This module represents such forms as dense integer matrices and
 computes their invariants (rank, signature, parity) and isomorphism
-witnesses with exact arithmetic only.  Entries are Python ints, rational
-intermediate work uses ``fractions.Fraction``, and nothing here touches a
-float.
+witnesses with exact arithmetic only.  Entries are Python ints.
+Signatures come from the fraction-free ``symmetric_elimination``, which
+the solver's definite enumeration shares; only ``inverse_unimodular``
+works over ``fractions.Fraction``, and nothing here touches a float.
 
 >>> f = make_form(IntMatrix.from_rows([[0, 1], [1, 0]]), SYMMETRIC)
 >>> f.parity, f.signature
@@ -116,10 +117,6 @@ class IntMatrix:
             self.rows,
             [self._entries[i * self.cols + j] for j in range(self.cols) for i in range(self.rows)],
         )
-
-    @property
-    def T(self) -> "IntMatrix":
-        return self.transpose()
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
@@ -290,16 +287,24 @@ class IntersectionForm:
         return f"<form {', '.join(bits)}>"
 
 
-def _signature_of_symmetric(rows: list) -> tuple:
-    """Signature by exact symmetric congruence diagonalization over Q.
+def symmetric_elimination(rows: list) -> list:
+    """Fraction-free (Bareiss) elimination of a nondegenerate symmetric matrix.
 
-    Row/column operations are applied in mirrored pairs so every step is a
-    change of basis; the counts of positive, negative and zero diagonal
-    entries of the result are basis independent.
+    Returns the eliminated integer matrix ``tri``: each pivot
+    p_i = tri[i][i] is the leading minor of order i+1, tri[i][j] for j > i
+    is the pivot row, and the entries below the diagonal are 0.  With
+    p_{-1} = 1 and s_i = sum_{j>i} tri[i][j] * x_j the quadratic form is
+
+        Q(x) = sum_i (p_i * x_i + s_i)^2 / (p_{i-1} * p_i).
+
+    A zero pivot is replaced by a later nonzero diagonal entry (mirrored
+    row and column swap) or, when every remaining diagonal entry is 0, by
+    adding a partner row and column.  Both are changes of basis, so the
+    minors are those of the changed basis; a definite matrix never pivots.
     """
-    a = [[Fraction(x) for x in row] for row in rows]
+    a = [list(row) for row in rows]
     n = len(a)
-    pos = neg = zero = 0
+    prev = 1
     for i in range(n):
         if a[i][i] == 0:
             piv = next((t for t in range(i + 1, n) if a[t][t] != 0), None)
@@ -310,26 +315,19 @@ def _signature_of_symmetric(rows: list) -> tuple:
             else:
                 j = next((t for t in range(i + 1, n) if a[i][t] != 0), None)
                 if j is None:
-                    zero += 1
-                    continue
+                    raise NotUnimodular("the form is degenerate")
                 # all remaining diagonal entries vanish, so this produces 2*a[i][j] != 0
                 for t in range(n):
                     a[i][t] += a[j][t]
                 for t in range(n):
                     a[t][i] += a[t][j]
-        d = a[i][i]
-        if d > 0:
-            pos += 1
-        else:
-            neg += 1
+        p = a[i][i]
         for r in range(i + 1, n):
-            if a[r][i] != 0:
-                f = a[r][i] / d
-                for c in range(i, n):
-                    a[r][c] -= f * a[i][c]
-                for c in range(i, n):
-                    a[c][r] -= f * a[c][i]
-    return (pos, neg, zero)
+            for c in range(i + 1, n):
+                a[r][c] = (a[r][c] * p - a[r][i] * a[i][c]) // prev
+            a[r][i] = 0
+        prev = p
+    return a
 
 
 def make_form(matrix: IntMatrix, symmetry: str) -> IntersectionForm:
@@ -354,8 +352,11 @@ def make_form(matrix: IntMatrix, symmetry: str) -> IntersectionForm:
         if rank % 2 != 0:
             raise NotUnimodular("antisymmetric unimodular forms have even rank")
         return IntersectionForm(matrix, symmetry, rank, None, None)
-    sig = _signature_of_symmetric(matrix.to_rows())
-    assert sig[2] == 0, "unimodular forms are nondegenerate"
+    tri = symmetric_elimination(matrix.to_rows())
+    # each sign change in 1, p_0, p_1, ... is a negative direction
+    pivots = [1] + [tri[i][i] for i in range(rank)]
+    neg = sum(1 for p, q in zip(pivots, pivots[1:]) if (p > 0) != (q > 0))
+    sig = (rank - neg, neg, 0)
     par = PARITY_EVEN if all(matrix[i, i] % 2 == 0 for i in range(rank)) else PARITY_ODD
     return IntersectionForm(matrix, symmetry, rank, sig, par)
 
@@ -434,12 +435,11 @@ def isomorphic(f: IntersectionForm, g: IntersectionForm):
         )
         witness = probe.witness if probe.kind == "yes" else None
         return solver.Verdict("yes", witness, None, None)
-    cfg = solver.SearchConfig()
-    if f.rank > cfg.definite_cap:
+    if f.rank > solver.DEFINITE_CAP:
         raise CapExceeded(
-            f"complete definite enumeration is capped at rank {cfg.definite_cap}"
+            f"complete definite enumeration is capped at rank {solver.DEFINITE_CAP}"
         )
-    verdict = solver.congruence_solve(f, g, 1, cfg)
+    verdict = solver.congruence_solve(f, g, 1)
     assert not verdict.is_unknown, "definite enumeration is complete"
     return verdict
 

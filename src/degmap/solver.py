@@ -10,11 +10,12 @@
   or the note that the node budget ran out first.
 
 Columns of P are chosen one at a time.  When A (or -A) is positive
-definite the candidate vectors for each column form the finite solution
-set of a definite quadratic equation, enumerated completely by exact
-rational Cholesky bounds, so running out of candidates proves No.  In the
-indefinite case candidates range over a max-norm box and exhaustion only
-proves the absence of small witnesses, hence Unknown.
+definite, of rank at most ``DEFINITE_CAP``, the candidate vectors for each
+column form the finite solution set of a definite quadratic equation,
+enumerated completely by integer Fincke-Pohst bounds on the fraction-free
+``symmetric_elimination`` of A, so running out of candidates proves No.
+In the indefinite case candidates range over a max-norm box and
+exhaustion only proves the absence of small witnesses, hence Unknown.
 
 The filters are each complete arguments, never heuristics:
 
@@ -34,8 +35,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
 from typing import Iterator, Sequence
 
 from .errors import (
@@ -45,7 +45,13 @@ from .errors import (
     WitnessRejected,
     ZeroK,
 )
-from .intform import SYMMETRIC, IntersectionForm, IntMatrix, matrix_to_doc
+from .intform import (
+    SYMMETRIC,
+    IntersectionForm,
+    IntMatrix,
+    matrix_to_doc,
+    symmetric_elimination,
+)
 
 REASON_RANK = "RankFilter"
 REASON_SIGNATURE = "SignatureFilter"
@@ -70,16 +76,19 @@ COMPLETE_REASONS = frozenset(
 )
 
 
+# Highest rank whose definite forms get the complete enumeration.
+DEFINITE_CAP = 12
+
+
 @dataclass(frozen=True)
 class SearchConfig:
     """Budgets for the backtracking search."""
 
     radius: int = 8
-    definite_cap: int = 12
     node_budget: int = 10_000_000
 
     def __post_init__(self):
-        if self.radius <= 0 or self.definite_cap <= 0 or self.node_budget <= 0:
+        if self.radius <= 0 or self.node_budget <= 0:
             raise ShapeMismatch("search budgets must be positive")
 
 
@@ -292,28 +301,6 @@ def _prefilter(a: IntersectionForm, b: IntersectionForm, k: int) -> Verdict | No
 # ---------------------------------------------------------------------------
 
 
-def _ldl(rows: list) -> tuple:
-    """LDL decomposition of a positive definite symmetric matrix over Q.
-
-    Returns (d, u) with Q(x) = sum_i d[i] * (x_i + sum_{j>i} u[i][j] x_j)^2.
-    """
-    m = len(rows)
-    a = [[Fraction(x) for x in row] for row in rows]
-    d = [Fraction(0)] * m
-    u = [[Fraction(0)] * m for _ in range(m)]
-    for i in range(m):
-        d[i] = a[i][i]
-        if d[i] <= 0:
-            raise ShapeMismatch("matrix is not positive definite")
-        for j in range(i + 1, m):
-            u[i][j] = a[i][j] / d[i]
-        for r in range(i + 1, m):
-            for c in range(r, m):
-                a[r][c] -= a[i][r] * a[i][c] / d[i]
-                a[c][r] = a[r][c]
-    return d, u
-
-
 def _centered_rank(v: int) -> int:
     # 0, 1, -1, 2, -2, ... -> 0, 1, 2, 3, 4, ...
     return 2 * abs(v) - (1 if v > 0 else 0)
@@ -323,34 +310,37 @@ def _centered_key(vec: Sequence[int]) -> tuple:
     return tuple(_centered_rank(v) for v in vec)
 
 
-def _definite_solutions(d: list, u: list, value: int) -> list:
-    """All integer x with Q(x) == value for the decomposed definite Q.
+def _definite_solutions(tri: list, value: int) -> list:
+    """All integer x with Q(x) == value for a positive definite Q.
 
-    Complete by construction: each coordinate is confined to the exact
-    interval allowed by the remaining quadratic budget.
+    ``tri`` is Q's ``symmetric_elimination``, so that
+    Q(x) = sum_i (p_i x_i + s_i)^2 / (p_{i-1} p_i).  Scaled by the lcm of
+    those denominators every term has an integer weight, and each
+    coordinate is confined to the exact interval that an integer square
+    root of the remaining budget allows: complete by construction.
     """
-    m = len(d)
+    m = len(tri)
     if value < 0:
         return []
     if m == 0:
         return [()] if value == 0 else []
+    pivots = [tri[i][i] for i in range(m)]
+    if min(pivots) <= 0:
+        raise ShapeMismatch("matrix is not positive definite")
+    denominators = [p * q for p, q in zip([1] + pivots, pivots)]
+    scale = lcm(*denominators)
+    weights = [scale // den for den in denominators]
     out = []
     x = [0] * m
 
-    def rec(i: int, rem: Fraction):
-        c = sum(u[i][j] * x[j] for j in range(i + 1, m)) if i < m - 1 else Fraction(0)
-        bound2 = rem / d[i]
-        # integer range with (x_i + c)^2 <= bound2, in exact arithmetic:
-        # with c = p/s the condition reads (s*x_i + p)^2 <= bound2 * s^2
-        s = c.denominator
-        p = c.numerator
-        ymax = isqrt((bound2.numerator * s * s) // bound2.denominator)
-        lo = -((ymax + p) // s)  # ceil((-ymax - p) / s)
-        hi = (ymax - p) // s
-        for xi in range(lo, hi + 1):
-            term = d[i] * (xi + c) ** 2
-            if term > rem:
-                continue
+    def rec(i: int, rem: int):
+        p, w, row = pivots[i], weights[i], tri[i]
+        s = sum(row[j] * x[j] for j in range(i + 1, m))
+        # integer x_i with w * (p * x_i + s)^2 <= rem
+        ymax = isqrt(rem // w)
+        for xi in range(-((ymax + s) // p), (ymax - s) // p + 1):
+            y = p * xi + s
+            term = w * y * y
             x[i] = xi
             if i == 0:
                 if term == rem:
@@ -359,7 +349,7 @@ def _definite_solutions(d: list, u: list, value: int) -> list:
                 rec(i - 1, rem - term)
         x[i] = 0
 
-    rec(m - 1, Fraction(value))
+    rec(m - 1, scale * value)
     out.sort(key=_centered_key)
     return out
 
@@ -525,25 +515,18 @@ def _witness_stream(
     arows = [list(a.matrix.row(i)) for i in range(m)]
     target = [[k * x for x in row] for row in b.matrix.to_rows()]
     symmetric = a.symmetry == SYMMETRIC
-    sign = 0
-    if symmetric and a.rank > 0:
-        pos, neg, _ = a.signature
-        if neg == 0:
-            sign = 1
-        elif pos == 0:
-            sign = -1
-    definite = sign != 0 and m <= cfg.definite_cap
+    definite = a.is_definite() and m <= DEFINITE_CAP
     budget = _Budget(cfg.node_budget)
 
     if definite:
-        grows = arows if sign == 1 else [[-x for x in row] for row in arows]
-        d, u = _ldl(grows)
+        sign = 1 if a.signature[1] == 0 else -1
+        tri = symmetric_elimination([[sign * x for x in row] for row in arows])
         definite_cache: dict = {}
 
         def candidates(col: int, lin: list) -> Iterator[tuple]:
             value = target[col][col]
             if value not in definite_cache:
-                definite_cache[value] = _definite_solutions(d, u, sign * value)
+                definite_cache[value] = _definite_solutions(tri, sign * value)
             for cand in definite_cache[value]:
                 budget.spend()
                 if any(sum(c * v for c, v in zip(crow, cand)) != t for crow, t in lin):

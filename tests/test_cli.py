@@ -159,20 +159,39 @@ def test_form_info_validation_error_names_invariant(capsys, tmp_path):
     assert "NotUnimodular" in err
 
 
+CP2_MATRIX = {"rows": 1, "cols": 1, "entries": [1]}
+PI6 = {"n": 6, "torsion_orders": [2]}
+
+
+def manifold_json(**fields):
+    return json.dumps({"matrix": CP2_MATRIX, **fields})
+
+
 MALFORMED = [
     ("form-info", "rows.json", '{"rows": 2}'),
     ("form-info", "entry.mat", "2 2\n1 x\n0 1\n"),
     ("form-info", "broken.json", '{"rows": 2,'),
     ("degset", "manifold.json", '{"name": "m"}'),
+    ("degset", "pi-without-n.json", manifold_json(pi={})),
+    ("degset", "non-integer-n.json", manifold_json(n="x")),
+    ("degset", "non-integer-nu.json", manifold_json(n=6, pi=PI6, homotopy_data=[{"nu": "a"}])),
+    ("degset", "data-not-a-list.json", manifold_json(n=6, pi=PI6, homotopy_data=5)),
+    ("degset", "string-flag.json", manifold_json(simply_connected="false")),
+    ("selfmap", "pi-n.json", json.dumps({"pi": {"n": "q"}})),
 ]
+# where each command takes the malformed file
+MALFORMED_ARGV = {
+    "form-info": ["--f", "{}"],
+    "degset": ["--M", "{}", "--L", "CP2"],
+    "selfmap": ["--M", "CP2", "--k", "2", "--pi", "{}"],
+}
 
 
 @pytest.mark.parametrize("command,name,content", MALFORMED, ids=[m[1] for m in MALFORMED])
 def test_malformed_input_is_a_clean_error(capsys, tmp_path, command, name, content):
     path = tmp_path / name
     path.write_text(content)
-    flag = "--f" if command == "form-info" else "--M"
-    argv = [command, flag, f"@{path}"] + (["--L", "CP2"] if command == "degset" else [])
+    argv = [command] + [a.format(f"@{path}") for a in MALFORMED_ARGV[command]]
     code, _, err = run(capsys, *argv)
     assert code == 1
     assert err.startswith("error: ShapeMismatch:")

@@ -27,6 +27,7 @@ from degmap.intform import (
     parity,
     parse_matrix_text,
     signature,
+    symmetric_elimination,
     symplectic_basis_transform,
     transform_form,
 )
@@ -149,6 +150,32 @@ def test_signature_is_basis_invariant(rng):
         f = random_symmetric_form(rng, rank)
         u = random_unimodular(rng, rank)
         assert transform_form(f, u).signature == f.signature
+
+
+# [[0, 1], [1, 1]] needs a pivot swap, every H^a the partner-row addition
+SWAP_SEED = IntMatrix.from_rows([[0, 1], [1, 1]])
+SIGNED_BLOCKS = [
+    (IntMatrix.identity(1), 1, 0),
+    (IntMatrix.diagonal([-1]), 0, 1),
+    (HYPER, 1, 1),
+    (SWAP_SEED, 1, 1),
+]
+
+
+def test_symmetric_elimination_pivots_give_det_and_signature(rng):
+    cases = [(SWAP_SEED, 1, 1), (hyper_form(3).matrix, 3, 3)]
+    for _ in range(40):
+        m, pos, neg = IntMatrix.zeros(0, 0), 0, 0
+        for _ in range(rng.randrange(1, 5)):
+            block, p, n = rng.choice(SIGNED_BLOCKS)
+            m, pos, neg = block_diagonal(m, block), pos + p, neg + n
+        cases.append((m.transform_by(random_unimodular(rng, m.rows)), pos, neg))
+    for m, pos, neg in cases:
+        tri = symmetric_elimination(m.to_rows())
+        pivots = [1] + [tri[i][i] for i in range(m.rows)]
+        changes = sum(1 for p, q in zip(pivots, pivots[1:]) if p * q < 0)
+        assert tri[-1][-1] == m.det()
+        assert (m.rows - changes, changes) == (pos, neg)
 
 
 def test_parity_worked_values():

@@ -14,6 +14,7 @@ from degmap.intform import (
     SYMMETRIC,
     IntMatrix,
     make_form,
+    symmetric_elimination,
 )
 from degmap.solver import (
     SearchConfig,
@@ -22,7 +23,7 @@ from degmap.solver import (
     congruence_solve,
     verify_witness,
 )
-from degmap.solver import _definite_solutions, _ldl, _signature_obstructed
+from degmap.solver import _definite_solutions, _signature_obstructed
 
 from conftest import random_symmetric_form, random_antisymmetric_form
 
@@ -200,8 +201,8 @@ def test_definite_solutions_match_box_enumeration(rng):
         rank = rng.randrange(1, 4)
         gram = random_posdef(rng, rank)
         value = rng.randrange(0, 12)
-        d, u = _ldl(gram.to_rows())
-        got = set(_definite_solutions(d, u, value))
+        tri = symmetric_elimination(gram.to_rows())
+        got = set(_definite_solutions(tri, value))
         for x in got:
             q = sum(x[i] * gram[i, j] * x[j] for i in range(rank) for j in range(rank))
             assert q == value
@@ -211,6 +212,25 @@ def test_definite_solutions_match_box_enumeration(rng):
             if q == value:
                 box.add(x)
         assert box <= got
+
+
+E8_CARTAN = [
+    [2, -1, 0, 0, 0, 0, 0, 0],
+    [-1, 2, -1, 0, 0, 0, 0, 0],
+    [0, -1, 2, -1, 0, 0, 0, 0],
+    [0, 0, -1, 2, -1, 0, 0, 0],
+    [0, 0, 0, -1, 2, -1, 0, -1],
+    [0, 0, 0, 0, -1, 2, -1, 0],
+    [0, 0, 0, 0, 0, -1, 2, 0],
+    [0, 0, 0, 0, -1, 0, 0, 2],
+]
+
+
+def test_definite_solutions_give_the_e8_theta_series():
+    # theta_E8 = 1 + 240 q + 2160 q^2 + 6720 q^3 + 17520 q^4 + ..., q counting x.T A x / 2
+    tri = symmetric_elimination(E8_CARTAN)
+    counts = [len(_definite_solutions(tri, value)) for value in range(9)]
+    assert counts == [1, 0, 240, 0, 2160, 0, 6720, 0, 17520]
 
 
 # ---------------------------------------------------------------------------
