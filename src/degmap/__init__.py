@@ -23,7 +23,6 @@ from .catalog import (
 from .degsets import (
     DegreeSetReport,
     DominanceReport,
-    SelfmapReport,
     degree_one_summand,
     degree_realizable,
     degree_set,
@@ -82,7 +81,6 @@ __all__ = [
     "PiModel",
     "SYMMETRIC",
     "SearchConfig",
-    "SelfmapReport",
     "Verdict",
     "brute_force_oracle",
     "check_homotopy_condition",

@@ -145,17 +145,6 @@ def hyperbolic_scaling_matrix(copies: int, k: int) -> IntMatrix:
 _FSFR = re.compile(r"^FsxFr\((\d+),(\d+)\)$")
 _SUM = re.compile(r"^#(\d+)\(S2xS2\)$")
 
-PRESET_NAMES = (
-    "CP2",
-    "minusCP2",
-    "S2xS2",
-    "CP2#CP2",
-    "CP2#(-CP2)",
-    "T4",
-    "FsxFr(s,r)",
-    "#q(S2xS2)",
-)
-
 
 def preset(name: str) -> ManifoldModel:
     """Build a preset manifold; parameterized families parse their arguments."""

@@ -44,7 +44,6 @@ from .intform import (
     hstack,
     integer_kernel,
     make_form,
-    matrix_to_doc,
 )
 from . import solver
 from .solver import DEFAULT_CONFIG, SearchConfig, Verdict
@@ -132,15 +131,13 @@ def _homotopy_verdict(
 class DegreeSetReport:
     """All answers over the symmetric range [-bound, bound].
 
-    Degree 0 always belongs to the set (the constant map) and is recorded
-    by the flag rather than an entry.
+    Degree 0 always belongs to the set (the constant map) and has no entry.
     """
 
     source: str
     target: str
     bound: int
     answers: tuple
-    always_contains_zero: bool = True
 
     def _ks(self, kind: str) -> set:
         return {a.k for a in self.answers if a.kind == kind}
@@ -166,33 +163,6 @@ class DegreeSetReport:
             if a.k == k:
                 return a
         raise KeyError(k)
-
-    def to_doc(self) -> dict:
-        return {
-            "source": self.source,
-            "target": self.target,
-            "bound": self.bound,
-            "always_contains_zero": self.always_contains_zero,
-            "answers": [a.to_doc() for a in self.answers],
-        }
-
-    def table_lines(self) -> list:
-        lines = [f"D({self.source}, {self.target}) over [-{self.bound}, {self.bound}]"]
-        lines.append(f"{'k':>4}  {'verdict':<24} detail")
-        lines.append(f"{'0':>4}  {'Yes':<24} constant map")
-        for a in self.answers:
-            detail = a.detail or ""
-            if a.witness is not None:
-                detail = f"P = {_witness_digest(a.witness)}"
-            lines.append(f"{a.k:>4}  {a.label:<24} {detail}".rstrip())
-        return lines
-
-
-def _witness_digest(p: IntMatrix) -> str:
-    if p.rows * p.cols <= 16:
-        return str(p.to_rows())
-    first = p.to_rows()[0]
-    return f"{p.rows}x{p.cols} matrix, first row {first}"
 
 
 def degree_set(
@@ -275,26 +245,11 @@ def degree_one_summand(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SelfmapReport:
-    manifold: str
-    k: int
-    degree: int
-    witness: IntMatrix
-    homotopy_checked: bool
+def selfmap_square(m: ManifoldModel, k: int) -> Verdict:
+    """A verified self-map of degree k*k, realized by k times the identity.
 
-    def to_doc(self) -> dict:
-        return {
-            "manifold": self.manifold,
-            "k": self.k,
-            "degree": self.degree,
-            "witness": matrix_to_doc(self.witness),
-            "homotopy_checked": self.homotopy_checked,
-        }
-
-
-def selfmap_square(m: ManifoldModel, k: int) -> SelfmapReport:
-    """A verified self-map witness of degree k*k, realized by k times the identity.
+    Returns a Yes whose ``k`` is the degree k*k; the witness has passed both
+    the congruence and the homotopy check.
 
     Requires m highly connected and k a multiple of 2T (T even) or T
     (T odd) where T is the torsion order of the homotopy model; for n = 2
@@ -312,20 +267,20 @@ def selfmap_square(m: ManifoldModel, k: int) -> SelfmapReport:
         data = m.homotopy_data
     rank = m.form.rank
     if k == 0:
-        return SelfmapReport(m.name, 0, 0, IntMatrix.zeros(rank, rank), True)
+        return Verdict("yes", witness=IntMatrix.zeros(rank, rank), k=0)
     needed = required_multiple(model)
     if k % needed != 0:
         raise ConditionNotMet(
             f"k = {k} is not a multiple of {needed} required by the torsion order"
         )
     witness = IntMatrix.identity(rank).scaled(k)
-    solver.verify_witness(m.form, m.form, k * k, witness)
+    verdict = Verdict.yes_checked(m.form, m.form, k * k, witness)
     report = check_homotopy_condition(m.form, data, m.form, data, witness, k * k)
     if not report.ok:
         raise WitnessRejected(
             f"scaled identity failed the homotopy check at indices {report.failing_indices}"
         )
-    return SelfmapReport(m.name, k, k * k, witness, True)
+    return replace(verdict, k=k * k)
 
 
 # ---------------------------------------------------------------------------
@@ -341,26 +296,6 @@ class DominanceReport:
     necessary_only: tuple  # (name, k)
     excluded_by_rank: tuple  # names
     undecided: tuple  # names
-
-    def to_doc(self) -> dict:
-        return {
-            "source": self.source,
-            "bound": self.bound,
-            "dominated": [
-                {"target": n, "k": k, "witness": matrix_to_doc(w)}
-                for n, k, w in self.dominated
-            ],
-            "necessary_only": [{"target": n, "k": k} for n, k in self.necessary_only],
-            "excluded_by_rank": list(self.excluded_by_rank),
-            "undecided": list(self.undecided),
-        }
-
-    def to_dot(self) -> str:
-        lines = ["digraph dominance {"]
-        for name, k, _ in self.dominated:
-            lines.append(f'  "{self.source}" -> "{name}" [label="deg {k}"];')
-        lines.append("}")
-        return "\n".join(lines)
 
 
 def dominated_candidates(

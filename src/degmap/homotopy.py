@@ -107,9 +107,6 @@ class PiElement:
             0 <= r < d for r, d in zip(self.torsion, self.model.torsion_orders)
         ), "torsion residues must be reduced"
 
-    def is_zero(self) -> bool:
-        return self.nu == 0 and all(r == 0 for r in self.torsion)
-
     def __str__(self) -> str:
         return f"{self.nu}*nu + {list(self.torsion)}"
 
@@ -223,9 +220,6 @@ class ConditionReport:
 
     ok: bool
     failing_indices: tuple
-
-    def __bool__(self) -> bool:
-        return self.ok
 
 
 def check_homotopy_condition(

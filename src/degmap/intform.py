@@ -133,11 +133,6 @@ class IntMatrix:
     def __neg__(self) -> "IntMatrix":
         return IntMatrix(self.rows, self.cols, [-x for x in self._entries])
 
-    def __add__(self, other: "IntMatrix") -> "IntMatrix":
-        if self.shape != other.shape:
-            raise ShapeMismatch("shape mismatch in addition")
-        return IntMatrix(self.rows, self.cols, [x + y for x, y in zip(self._entries, other._entries)])
-
     def scaled(self, c: int) -> "IntMatrix":
         return IntMatrix(self.rows, self.cols, [c * x for x in self._entries])
 
@@ -412,14 +407,14 @@ def isomorphic(f: IntersectionForm, g: IntersectionForm):
     from . import solver  # local import: solver depends on this module
 
     if f.symmetry != g.symmetry:
-        return solver.Verdict.no("SymmetryFilter")
+        return solver.Verdict.no(solver.REASON_SYMMETRY)
     if f.rank != g.rank:
-        return solver.Verdict.no("RankFilter")
+        return solver.Verdict.no(solver.REASON_RANK)
     if f.symmetry == SYMMETRIC:
         if f.parity != g.parity:
-            return solver.Verdict.no("ParityFilter")
+            return solver.Verdict.no(solver.REASON_PARITY)
         if f.signature != g.signature:
-            return solver.Verdict.no("SignatureFilter")
+            return solver.Verdict.no(solver.REASON_SIGNATURE)
     if f.matrix == g.matrix:
         return solver.Verdict.yes_checked(f, g, 1, IntMatrix.identity(f.rank))
     if f.symmetry == ANTISYMMETRIC:

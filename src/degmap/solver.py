@@ -27,8 +27,12 @@ The filters are each complete arguments, never heuristics:
   an odd target needs even k;
 * determinant: in the square case det(P)^2 * det(A) = k^rank * det(B)
   forces k^rank * det(B) * det(A) to be a perfect square;
-* small moduli: the congruence must also hold mod 2 and mod 4, which is
-  checked by exhaustive search when the shape is small enough.
+* mod 2: for odd k, P mod 2 embeds B's form isometrically into A's.  Over
+  F_2 a nondegenerate symmetric form is classified by its rank and by
+  whether it is alternating (Milnor-Husemoller, ch. I), so beyond rank and
+  parity the only obstruction is an even B of the same rank as an odd A;
+* mod 4: the congruence must also hold mod 4, which is checked by
+  exhaustive search when the shape is small enough.
 """
 
 from __future__ import annotations
@@ -49,10 +53,10 @@ from .intform import (
     SYMMETRIC,
     IntersectionForm,
     IntMatrix,
-    matrix_to_doc,
     symmetric_elimination,
 )
 
+REASON_SYMMETRY = "SymmetryFilter"
 REASON_RANK = "RankFilter"
 REASON_SIGNATURE = "SignatureFilter"
 REASON_PARITY = "ParityFilter"
@@ -71,7 +75,7 @@ COMPLETE_REASONS = frozenset(
         REASON_MOD2,
         REASON_MOD4,
         REASON_EXHAUSTIVE,
-        "SymmetryFilter",
+        REASON_SYMMETRY,
     }
 )
 
@@ -93,15 +97,6 @@ class SearchConfig:
 
 
 DEFAULT_CONFIG = SearchConfig()
-
-
-_LABELS = {
-    "yes": "Yes",
-    "no": "No",
-    "unknown": "Unknown",
-    "necessary_pass": "NecessaryConditionsPass",
-    "no_within_bound": "NoWithinBound",
-}
 
 
 @dataclass(frozen=True)
@@ -143,43 +138,6 @@ class Verdict:
     @classmethod
     def no(cls, reason: str):
         return cls("no", reason=reason)
-
-    @property
-    def label(self) -> str:
-        return _LABELS[self.kind]
-
-    @property
-    def detail(self) -> str | None:
-        """The argument behind a No or the bound that stopped a search."""
-        if self.is_no:
-            return self.reason
-        if self.budget_exhausted:
-            return "node budget exhausted"
-        if self.is_unknown:
-            return f"exhausted max-norm {self.radius}"
-        if self.kind == "no_within_bound":
-            return f"|entries| <= {self.radius}"
-        return None
-
-    def __str__(self) -> str:
-        detail = self.detail
-        return self.label if detail is None else f"{self.label} ({detail})"
-
-    def to_doc(self) -> dict:
-        doc = {"kind": self.kind}
-        if self.k is not None:
-            doc["k"] = self.k
-        if self.regime is not None:
-            doc["regime"] = self.regime
-        if self.witness is not None:
-            doc["witness"] = matrix_to_doc(self.witness)
-        if self.reason is not None:
-            doc["reason"] = self.reason
-        if self.radius is not None:
-            doc["radius"] = self.radius
-        if self.budget_exhausted:
-            doc["budget_exhausted"] = True
-        return doc
 
 
 def verify_witness(a: IntersectionForm, b: IntersectionForm, k: int, witness: IntMatrix):
@@ -226,6 +184,14 @@ def _signature_obstructed(a: IntersectionForm, b: IntersectionForm, k: int) -> b
 
 def _parity_obstructed(a: IntersectionForm, b: IntersectionForm, k: int) -> bool:
     return a.parity == "even" and b.parity == "odd" and k % 2 != 0
+
+
+def _mod2_obstructed(a: IntersectionForm, b: IntersectionForm, k: int) -> bool:
+    # an alternating F_2 form of rank r embeds into a non-alternating one
+    # only of rank > r; antisymmetric forms are alternating on both sides
+    return (
+        a.parity == "odd" and b.parity == "even" and a.rank == b.rank and k % 2 != 0
+    )
 
 
 def _determinant_obstructed(a: IntersectionForm, b: IntersectionForm, k: int) -> bool:
@@ -289,7 +255,7 @@ def _prefilter(a: IntersectionForm, b: IntersectionForm, k: int) -> Verdict | No
             return Verdict.no(REASON_PARITY)
     if _determinant_obstructed(a, b, k):
         return Verdict.no(REASON_DETERMINANT)
-    if _modq_unsolvable(a.matrix, b.matrix, k, 2):
+    if _mod2_obstructed(a, b, k):
         return Verdict.no(REASON_MOD2)
     if _modq_unsolvable(a.matrix, b.matrix, k, 4):
         return Verdict.no(REASON_MOD4)

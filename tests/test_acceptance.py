@@ -21,6 +21,7 @@ from degmap.degsets import (
     selfmap_square,
 )
 from degmap.homotopy import (
+    check_homotopy_condition,
     compose_disjoint,
     element,
     hopf,
@@ -124,8 +125,8 @@ def test_criterion_5_square_selfmaps():
         degrees = set()
         for k in (1, 2, 3):
             rep = selfmap_square(preset(name), k)
-            verify_witness(preset(name).form, preset(name).form, rep.degree, rep.witness)
-            degrees.add(rep.degree)
+            verify_witness(preset(name).form, preset(name).form, rep.k, rep.witness)
+            degrees.add(rep.k)
         ok = ok and degrees == {1, 4, 9}
     model = pi_model(6, [2], [1])
     data = (element(model, 0, [0]), element(model, 0, [1]))
@@ -133,7 +134,8 @@ def test_criterion_5_square_selfmaps():
         "generic", 6, make_form(hyperbolic_matrix(1), SYMMETRIC), True, True, model, data
     )
     rep = selfmap_square(m12, 4)
-    ok = ok and rep.degree == 16 and rep.homotopy_checked
+    checked = check_homotopy_condition(m12.form, data, m12.form, data, rep.witness, rep.k)
+    ok = ok and rep.k == 16 and checked.ok
     _report(5, ok, "square self-map degrees {1,4,9} on the presets and 16 on the "
                    "torsion-two model")
 

@@ -14,6 +14,7 @@ from degmap.degsets import (
     dominated_candidates,
     selfmap_square,
 )
+from degmap.cli import _degset_doc, _degset_lines, _dominance_dot
 from degmap.errors import (
     ConditionNotMet,
     DimensionMismatch,
@@ -77,7 +78,7 @@ def test_degree_set_partitions_the_range():
     buckets = rep.yes_set | rep.no_set | rep.unknown_set | rep.necessary_pass_set
     assert buckets == ks
     assert rep.yes_set.isdisjoint(rep.no_set)
-    assert rep.always_contains_zero
+    assert _degset_doc(rep)["always_contains_zero"]
 
 
 def test_degree_set_two_z():
@@ -191,7 +192,7 @@ def test_selfmap_squares_on_presets():
     for name in ("CP2", "S2xS2", "CP2#CP2"):
         for k in (1, 2, 3):
             rep = selfmap_square(preset(name), k)
-            assert rep.degree == k * k
+            assert rep.k == k * k
             assert rep.witness == IntMatrix.identity(preset(name).form.rank).scaled(k)
 
 
@@ -202,7 +203,7 @@ def test_selfmap_rejects_non_highly_connected():
 
 def test_selfmap_zero_degree():
     rep = selfmap_square(preset("CP2"), 0)
-    assert rep.degree == 0
+    assert rep.k == 0
 
 
 def test_selfmap_generic_model_multiplicity():
@@ -210,7 +211,7 @@ def test_selfmap_generic_model_multiplicity():
     data = (element(model, 0, [0]), element(model, 0, [1]))
     m = manifold("twelve", 6, make_form(hyperbolic_matrix(1), SYMMETRIC), True, True, model, data)
     rep = selfmap_square(m, 4)
-    assert rep.degree == 16
+    assert rep.k == 16
     with pytest.raises(ConditionNotMet):
         selfmap_square(m, 2)
     with pytest.raises(ConditionNotMet):
@@ -222,7 +223,7 @@ def test_selfmap_odd_torsion_model():
     data = (element(model, 1, [0]),)
     m = manifold("eight", 4, make_form(IntMatrix.identity(1), SYMMETRIC), True, True, model, data)
     rep = selfmap_square(m, 3)
-    assert rep.degree == 9
+    assert rep.k == 9
     with pytest.raises(ConditionNotMet):
         selfmap_square(m, 2)
 
@@ -278,12 +279,12 @@ def test_homotopy_regime_budget_exhaustion_is_unknown():
 def test_budget_stopped_degree_set_row_names_the_budget():
     rep = degree_set(preset("T4"), preset("T4"), 1, SearchConfig(node_budget=10))
     assert rep.unknown_set == {-1, 1}
-    rows = rep.table_lines()[3:]
+    rows = _degset_lines(rep)[3:]
     assert rows == [
         "  -1  Unknown                  node budget exhausted",
         "   1  Unknown                  node budget exhausted",
     ]
-    assert all(a["budget_exhausted"] and "radius" not in a for a in rep.to_doc()["answers"])
+    assert all(a["budget_exhausted"] and "radius" not in a for a in _degset_doc(rep)["answers"])
 
 
 def test_surface_product_family_degrees():
@@ -331,5 +332,5 @@ def test_rank_zero_source_dominates_only_rank_zero():
 
 def test_dominance_dot_output():
     rep = dominated_candidates(preset("CP2"), [preset("CP2")])
-    dot = rep.to_dot()
+    dot = _dominance_dot(rep)
     assert dot.startswith("digraph") and '"CP2" -> "CP2"' in dot

@@ -2,7 +2,15 @@ import itertools
 
 import pytest
 
-from degmap.catalog import hyperbolic_matrix, hyperbolic_scaling_matrix, preset
+from degmap import solver
+from degmap.catalog import (
+    diag_form,
+    hyperbolic_form,
+    hyperbolic_matrix,
+    hyperbolic_scaling_matrix,
+    preset,
+)
+from degmap.cli import _verdict_text
 from degmap.errors import (
     BudgetExceeded,
     SymmetryMismatch,
@@ -13,6 +21,7 @@ from degmap.intform import (
     ANTISYMMETRIC,
     SYMMETRIC,
     IntMatrix,
+    block_diagonal,
     make_form,
     symmetric_elimination,
 )
@@ -23,9 +32,15 @@ from degmap.solver import (
     congruence_solve,
     verify_witness,
 )
-from degmap.solver import _definite_solutions, _signature_obstructed
+from degmap.solver import (
+    _definite_solutions,
+    _mod2_obstructed,
+    _modq_unsolvable,
+    _parity_obstructed,
+    _signature_obstructed,
+)
 
-from conftest import random_symmetric_form, random_antisymmetric_form
+from conftest import random_antisymmetric_form, random_symmetric_form, random_unimodular
 
 I1 = make_form(IntMatrix.identity(1), SYMMETRIC)
 I2 = make_form(IntMatrix.identity(2), SYMMETRIC)
@@ -130,6 +145,50 @@ def test_mod4_filter_catches_twice_a_square_gap():
     assert o.kind == "no_within_bound"
 
 
+def _block_sum_form(rng, rank):
+    # a scrambled orthogonal sum of [1], [-1] and hyperbolic planes; even
+    # ranks are all hyperbolic half of the time, so both parities occur
+    even = rank % 2 == 0 and rng.random() < 0.5
+    m = IntMatrix.zeros(0, 0)
+    while m.rows < rank:
+        blocks = [] if even else [[[1]], [[-1]]]
+        blocks += [[[0, 1], [1, 0]]] if rank - m.rows >= 2 else []
+        m = block_diagonal(m, IntMatrix.from_rows(rng.choice(blocks)))
+    return make_form(m.transform_by(random_unimodular(rng, rank)), SYMMETRIC)
+
+
+def test_mod2_classification_matches_exhaustive_search(rng, monkeypatch):
+    # over F_2 a nondegenerate form is classified by rank and parity, so
+    # the closed-form mod-2 filters decide exactly what the search decides
+    monkeypatch.setattr(solver, "_MODQ_NODE_CAP", 10**9)
+    obstructed = {"parity": 0, "mod2": 0, "none": 0}
+    for _ in range(300):
+        m = rng.randint(1, 5)
+        l = m if rng.random() < 0.5 else rng.randint(1, m)
+        if rng.random() < 0.2 and l % 2 == 0 and m % 2 == 0:
+            a = random_antisymmetric_form(rng, m // 2)
+            b = random_antisymmetric_form(rng, l // 2)
+        else:
+            a, b = _block_sum_form(rng, m), _block_sum_form(rng, l)
+        k = rng.choice([-3, -2, -1, 1, 2, 3])
+        parity, mod2 = _parity_obstructed(a, b, k), _mod2_obstructed(a, b, k)
+        assert (parity or mod2) == _modq_unsolvable(a.matrix, b.matrix, k, 2), (
+            a.matrix.to_rows(), b.matrix.to_rows(), k
+        )
+        obstructed["parity" if parity else "mod2" if mod2 else "none"] += 1
+    assert min(obstructed.values()) >= 5, obstructed
+
+
+@pytest.mark.parametrize("k", [1, 3])
+@pytest.mark.parametrize("planes", [3, 4])
+def test_mod2_filter_decides_odd_into_even_of_equal_rank(planes, k):
+    # CP2#...#(-CP2) with `planes` of each sign has the rank and signature
+    # of #planes(S2xS2); the exhaustive mod-2 search gave up on both shapes
+    a = diag_form([1] * planes + [-1] * planes)
+    v = congruence_solve(a, hyperbolic_form(planes), k, SearchConfig(node_budget=1_000_000))
+    assert v.is_no and v.reason == "Mod2Filter"
+
+
 def test_antisymmetric_solve():
     j1 = make_form(IntMatrix.from_rows([[0, 1], [-1, 0]]), ANTISYMMETRIC)
     v = congruence_solve(j1, j1, 3)
@@ -173,7 +232,7 @@ def test_budget_exhaustion_is_reported():
     v = congruence_solve(A3, A3, 5, cfg)
     assert v.is_unknown and v.budget_exhausted
     assert v.radius is None
-    assert str(v) == "Unknown (node budget exhausted)"
+    assert _verdict_text(v) == "Unknown (node budget exhausted)"
 
 
 def test_solver_is_deterministic():
