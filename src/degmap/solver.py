@@ -31,8 +31,12 @@ The filters are each complete arguments, never heuristics:
   F_2 a nondegenerate symmetric form is classified by its rank and by
   whether it is alternating (Milnor-Husemoller, ch. I), so beyond rank and
   parity the only obstruction is an even B of the same rank as an odd A;
-* mod 4: the congruence must also hold mod 4, which is checked by
-  exhaustive search when the shape is small enough.
+* mod 4: the congruence must also hold mod 4.  When 4^m <= 5000 and
+  m * l <= 48 a column search over (Z/4)^m decides it exhaustively, with
+  every per-candidate test a table lookup: the vectors are bucketed by
+  quadratic value and each pairing with a placed column is read from its
+  dot table.  A search that examines more than ``_MODQ_NODE_CAP`` vectors
+  claims nothing.
 """
 
 from __future__ import annotations
@@ -207,37 +211,59 @@ _MODQ_NODE_CAP = 200_000
 def _modq_unsolvable(a: IntMatrix, b: IntMatrix, k: int, q: int) -> bool:
     """True when the congruence has no solution mod q, proven exhaustively.
 
+    The search is table driven.  Every vector x in (Z/q)^m is an index
+    into ``itertools.product`` order; for a vector c the dot table holds
+    c . x mod q for every index, built one coordinate at a time.  The
+    quadratic values Q(x) = sum_s x_s (A x)_s come from the coordinate
+    and column tables and bucket the indices, so a column scans only the
+    vectors of its diagonal target.  A placed vector's pairing row is the
+    dot table of x.T A, so each linear constraint on a later column is a
+    lookup per index.  The node cap still counts one unit per vector
+    examined in natural order, charged as the gap up to each hit and the
+    rest at the end of the scan, so it stops where a scan testing every
+    vector in turn would.
+
     Conservative: returns False (no obstruction claimed) when the shape is
-    too large for the exhaustive check or the node cap is hit.
+    too large for the exhaustive check (q^m > 5000 or m * l > 48) or the
+    node cap is hit.
     """
     m, l = a.rows, b.rows
     if q ** m > 5000 or m * l > 48:
         return False
-    arows = [tuple(x % q for x in a.row(i)) for i in range(m)]
+    arows = [[x % q for x in a.row(i)] for i in range(m)]
     targets = [[(k * b[i, j]) % q for j in range(l)] for i in range(l)]
-    vectors = list(itertools.product(range(q), repeat=m))
-    qvals = [
-        sum(x[i] * arows[i][j] * x[j] for i in range(m) for j in range(m)) % q
-        for x in vectors
-    ]
+
+    def dot_table(c: list) -> list:
+        table = [0]
+        for cs in c:
+            steps = [cs * d for d in range(q)]
+            table = [v + w for v in table for w in steps]
+        return [v % q for v in table]
+
+    coords = [dot_table([int(s == t) for t in range(m)]) for s in range(m)]
+    qvals = [0] * q ** m
+    for xs, row in zip(coords, arows):
+        qvals = [v + x * y for v, x, y in zip(qvals, xs, dot_table(row))]
+    buckets: list = [[] for _ in range(q)]
+    for i, v in enumerate(qvals):
+        buckets[v % q].append(i)
+    last = q ** m - 1
     budget = _Budget(_MODQ_NODE_CAP)
 
-    def candidates(col: int, lin: list) -> Iterator[tuple]:
-        want = targets[col][col]
-        for cand, qv in zip(vectors, qvals):
-            budget.spend()
-            if qv != want:
-                continue
-            if any(
-                sum(c * v for c, v in zip(crow, cand)) % q != t for crow, t in lin
-            ):
-                continue
-            yield cand
+    def candidates(col: int, lin: list) -> Iterator[int]:
+        hits = buckets[targets[col][col]]
+        for table, t in lin:
+            hits = [i for i in hits if table[i] == t]
+        prev = -1
+        for i in hits:
+            budget.spend(i - prev)
+            prev = i
+            yield i
+        budget.spend(last - prev)
 
-    def pairing_row(vec: tuple) -> tuple:
-        return tuple(
-            sum(vec[s] * arows[s][t] for s in range(m)) % q for t in range(m)
-        )
+    def pairing_row(i: int) -> list:
+        x = [xs[i] for xs in coords]
+        return dot_table([sum(v * row[t] for v, row in zip(x, arows)) for t in range(m)])
 
     try:
         return next(_backtrack(range(l), targets, candidates, pairing_row), None) is None
@@ -426,9 +452,11 @@ def _backtrack(order: Sequence[int], target: list, candidates, pairing_row) -> I
     Columns are filled in ``order``.  ``candidates(col, lin)`` yields the
     vectors allowed in column ``col`` that meet c . x == t for every (c, t)
     in ``lin``, the pairing rows of the columns already placed paired with
-    their targets; ``pairing_row(x)`` is the row x.T A.  The search is
-    complete exactly when every candidate source is.  The yielded list
-    (in natural column order) is reused, so copy it before advancing.
+    their targets; ``pairing_row(x)`` is the row x.T A, in whatever form
+    ``candidates`` reads (the mod-q search passes vector indices and dot
+    tables).  The search is complete exactly when every candidate source
+    is.  The yielded list (in natural column order) is reused, so copy it
+    before advancing.
     """
     columns: list = [None] * len(order)
     placed: list = []  # (column index, pairing row)

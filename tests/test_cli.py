@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import degmap
 from degmap.cli import main
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -353,3 +357,15 @@ def test_budget_stopped_unknown_claims_no_radius(capsys):
     code, raw, _ = run(capsys, *args, "--json")
     assert code == 2
     assert json.loads(raw) == {"verdict": "unknown", "k": 5, "budget_exhausted": True}
+
+
+def test_importing_the_cli_leaves_numpy_unloaded():
+    # numpy serves only brute_force_oracle; importing it with the CLI
+    # would add its start-up time and memory to every query
+    src = str(Path(degmap.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    probe = "import sys, degmap.cli; print('numpy' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out == "False\n"

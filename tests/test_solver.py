@@ -157,19 +157,23 @@ def _block_sum_form(rng, rank):
     return make_form(m.transform_by(random_unimodular(rng, rank)), SYMMETRIC)
 
 
+def _random_small_pair(rng):
+    # rank <= 5, symmetric block sums or (a fifth of the even shapes)
+    # antisymmetric forms
+    m = rng.randint(1, 5)
+    l = m if rng.random() < 0.5 else rng.randint(1, m)
+    if rng.random() < 0.2 and l % 2 == 0 and m % 2 == 0:
+        return random_antisymmetric_form(rng, m // 2), random_antisymmetric_form(rng, l // 2)
+    return _block_sum_form(rng, m), _block_sum_form(rng, l)
+
+
 def test_mod2_classification_matches_exhaustive_search(rng, monkeypatch):
     # over F_2 a nondegenerate form is classified by rank and parity, so
     # the closed-form mod-2 filters decide exactly what the search decides
     monkeypatch.setattr(solver, "_MODQ_NODE_CAP", 10**9)
     obstructed = {"parity": 0, "mod2": 0, "none": 0}
     for _ in range(300):
-        m = rng.randint(1, 5)
-        l = m if rng.random() < 0.5 else rng.randint(1, m)
-        if rng.random() < 0.2 and l % 2 == 0 and m % 2 == 0:
-            a = random_antisymmetric_form(rng, m // 2)
-            b = random_antisymmetric_form(rng, l // 2)
-        else:
-            a, b = _block_sum_form(rng, m), _block_sum_form(rng, l)
+        a, b = _random_small_pair(rng)
         k = rng.choice([-3, -2, -1, 1, 2, 3])
         parity, mod2 = _parity_obstructed(a, b, k), _mod2_obstructed(a, b, k)
         assert (parity or mod2) == _modq_unsolvable(a.matrix, b.matrix, k, 2), (
@@ -187,6 +191,83 @@ def test_mod2_filter_decides_odd_into_even_of_equal_rank(planes, k):
     a = diag_form([1] * planes + [-1] * planes)
     v = congruence_solve(a, hyperbolic_form(planes), k, SearchConfig(node_budget=1_000_000))
     assert v.is_no and v.reason == "Mod2Filter"
+
+
+def _reference_modq(a, b, k, q):
+    """The per-candidate mod-q scan: one node-cap unit per examined vector.
+
+    Returns (unsolvable, units spent); kept as the reference for the
+    table-driven ``_modq_unsolvable``.
+    """
+    m, l = a.rows, b.rows
+    if q ** m > 5000 or m * l > 48:
+        return False, 0
+    arows = [tuple(x % q for x in a.row(i)) for i in range(m)]
+    targets = [[(k * b[i, j]) % q for j in range(l)] for i in range(l)]
+    vectors = list(itertools.product(range(q), repeat=m))
+    qvals = [
+        sum(x[i] * arows[i][j] * x[j] for i in range(m) for j in range(m)) % q
+        for x in vectors
+    ]
+    cap = solver._MODQ_NODE_CAP
+    budget = solver._Budget(cap)
+
+    def candidates(col, lin):
+        want = targets[col][col]
+        for cand, qv in zip(vectors, qvals):
+            budget.spend()
+            if qv != want:
+                continue
+            if any(
+                sum(c * v for c, v in zip(crow, cand)) % q != t for crow, t in lin
+            ):
+                continue
+            yield cand
+
+    def pairing_row(vec):
+        return tuple(
+            sum(vec[s] * arows[s][t] for s in range(m)) % q for t in range(m)
+        )
+
+    try:
+        found = next(solver._backtrack(range(l), targets, candidates, pairing_row), None)
+    except solver._OutOfBudget:
+        return False, cap - budget.remaining
+    return found is None, cap - budget.remaining
+
+
+def test_table_driven_modq_matches_the_per_candidate_scan(rng, monkeypatch):
+    # caps that run out inside the first scan (1, 37), right after it
+    # (q^m), the default and none at all; a search that runs to the end
+    # must also fit a cap of exactly its units spent and not one less
+    seen = {True: 0, False: 0}
+    for _ in range(300):
+        a, b = _random_small_pair(rng)
+        k = rng.choice([-3, -2, -1, 1, 2, 3])
+        q = rng.choice([2, 3, 4])
+        for cap in (1, 37, q ** a.rank, 200_000, 10**9):
+            monkeypatch.setattr(solver, "_MODQ_NODE_CAP", cap)
+            unsolvable, spent = _reference_modq(a.matrix, b.matrix, k, q)
+            assert _modq_unsolvable(a.matrix, b.matrix, k, q) == unsolvable, (
+                a.matrix.to_rows(), b.matrix.to_rows(), k, q, cap
+            )
+            if spent > 200_000:
+                break  # a search past the default cap is too long to run out here
+        seen[unsolvable] += 1
+        if unsolvable:
+            for cap, expected in ((spent, True), (spent - 1, False)):
+                monkeypatch.setattr(solver, "_MODQ_NODE_CAP", cap)
+                assert _modq_unsolvable(a.matrix, b.matrix, k, q) == expected
+    assert min(seen.values()) >= 20, seen
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize(
+    "a", [diag_form([1, 1, 1, -1, -1, -1]), hyperbolic_form(3)], ids=["I(3,3)", "H^3"]
+)
+def test_table_driven_modq_matches_on_rank_six(a, k):
+    expected, _ = _reference_modq(a.matrix, a.matrix, k, 4)
+    assert _modq_unsolvable(a.matrix, a.matrix, k, 4) == expected
 
 
 def test_antisymmetric_solve():
