@@ -62,7 +62,6 @@ from .intform import (
 from .solver import (
     SearchConfig,
     Verdict,
-    brute_force_oracle,
     congruence_solve,
     verify_witness,
 )
@@ -82,7 +81,6 @@ __all__ = [
     "SYMMETRIC",
     "SearchConfig",
     "Verdict",
-    "brute_force_oracle",
     "check_homotopy_condition",
     "compose_disjoint",
     "congruence_solve",

@@ -2,8 +2,9 @@
 
 Each subcommand answers one query and exits 0 on a decisive answer
 (Yes or No), 2 when a verdict is Unknown, and 1 on usage or validation
-errors, malformed input files included.  ``--json`` switches from the
-human-readable table to a structured document with the same fields.
+errors, malformed or unreadable input files included.  ``--json``
+switches from the human-readable table to a structured document with
+the same fields.
 This module is the only place that renders results: the library returns
 plain data (``Verdict`` and the degree-set and dominance reports).
 
@@ -59,10 +60,18 @@ EXIT_ERROR = 1
 EXIT_UNKNOWN = 2
 
 
+def _read_text(path: str) -> str:
+    try:
+        return Path(path).read_text()
+    except UnicodeDecodeError as exc:
+        raise ShapeMismatch(f"{path} is not a text file: {exc}") from exc
+
+
 def _load_doc(path: str) -> dict:
     try:
-        doc = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
+        doc = json.loads(_read_text(path))
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers JSONDecodeError and over-long integer literals
         raise ShapeMismatch(f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ShapeMismatch(f"{path} must hold a JSON object")
@@ -76,7 +85,7 @@ def _load_form(spec: str) -> IntersectionForm:
             doc = _load_doc(path)
             matrix, symmetry = matrix_from_doc(doc.get("matrix", doc))
             return make_form(matrix, symmetry or infer_symmetry(matrix))
-        matrix = parse_matrix_text(Path(path).read_text())
+        matrix = parse_matrix_text(_read_text(path))
         return make_form(matrix, infer_symmetry(matrix))
     return preset(spec).form
 
@@ -86,7 +95,7 @@ def _load_manifold(spec: str) -> ManifoldModel:
         path = spec[1:]
         if path.endswith(".json"):
             return manifold_from_doc(_load_doc(path))
-        matrix = parse_matrix_text(Path(path).read_text())
+        matrix = parse_matrix_text(_read_text(path))
         form = make_form(matrix, infer_symmetry(matrix))
         return manifold(Path(path).stem, 2, form, True, True)
     return preset(spec)
@@ -113,7 +122,6 @@ _LABELS = {
     "no": "No",
     "unknown": "Unknown",
     "necessary_pass": "NecessaryConditionsPass",
-    "no_within_bound": "NoWithinBound",
 }
 
 
@@ -125,8 +133,6 @@ def _detail(v: Verdict) -> str | None:
         return "node budget exhausted"
     if v.is_unknown:
         return f"exhausted max-norm {v.radius}"
-    if v.kind == "no_within_bound":
-        return f"|entries| <= {v.radius}"
     return None
 
 
@@ -420,7 +426,7 @@ def main(argv=None) -> int:
     except DegmapError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

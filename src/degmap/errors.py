@@ -57,10 +57,6 @@ class ZeroK(DegmapError):
     pass
 
 
-class BudgetExceeded(DegmapError):
-    pass
-
-
 class ConditionNotMet(DegmapError):
     """The requested degree fails the multiplicity condition for self-maps."""
 

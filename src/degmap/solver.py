@@ -26,7 +26,10 @@ The filters are each complete arguments, never heuristics:
 * parity: an even source pairing makes every diagonal of P.T A P even, so
   an odd target needs even k;
 * determinant: in the square case det(P)^2 * det(A) = k^rank * det(B)
-  forces k^rank * det(B) * det(A) to be a perfect square;
+  forces k^rank * det(B) * det(A) to be a perfect square.  A unimodular
+  symmetric form has det = (-1)^(n_minus), so this is read off the
+  signatures; an antisymmetric one has det 1 and even rank, so the
+  filter never fires on it;
 * mod 2: for odd k, P mod 2 embeds B's form isometrically into A's.  Over
   F_2 a nondegenerate symmetric form is classified by its rank and by
   whether it is alternating (Milnor-Husemoller, ch. I), so beyond rank and
@@ -41,18 +44,11 @@ The filters are each complete arguments, never heuristics:
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from math import isqrt, lcm
 from typing import Iterator, Sequence
 
-from .errors import (
-    BudgetExceeded,
-    ShapeMismatch,
-    SymmetryMismatch,
-    WitnessRejected,
-    ZeroK,
-)
+from .errors import ShapeMismatch, SymmetryMismatch, WitnessRejected, ZeroK
 from .intform import (
     SYMMETRIC,
     IntersectionForm,
@@ -107,11 +103,11 @@ DEFAULT_CONFIG = SearchConfig()
 class Verdict:
     """Answer to one congruence or degree query.
 
-    ``kind`` is yes, no or unknown from the solver, necessary_pass when a
-    manifold query can only certify necessary conditions, and
-    no_within_bound from the oracle.  An Unknown carries either the
-    max-norm ``radius`` it exhausted or ``budget_exhausted``.  Manifold
-    queries also record the degree ``k`` and the ``regime`` that decided it.
+    ``kind`` is yes, no or unknown from the solver, or necessary_pass when
+    a manifold query can only certify necessary conditions.  An Unknown
+    carries either the max-norm ``radius`` it exhausted or
+    ``budget_exhausted``.  Manifold queries also record the degree ``k``
+    and the ``regime`` that decided it.
     """
 
     kind: str
@@ -201,7 +197,7 @@ def _mod2_obstructed(a: IntersectionForm, b: IntersectionForm, k: int) -> bool:
 def _determinant_obstructed(a: IntersectionForm, b: IntersectionForm, k: int) -> bool:
     if a.rank != b.rank:
         return False
-    v = k ** b.rank * a.matrix.det() * b.matrix.det()
+    v = k ** b.rank * (-1) ** (a.signature[1] + b.signature[1])
     return not _is_perfect_square(v)
 
 
@@ -279,8 +275,8 @@ def _prefilter(a: IntersectionForm, b: IntersectionForm, k: int) -> Verdict | No
             return Verdict.no(REASON_SIGNATURE)
         if _parity_obstructed(a, b, k):
             return Verdict.no(REASON_PARITY)
-    if _determinant_obstructed(a, b, k):
-        return Verdict.no(REASON_DETERMINANT)
+        if _determinant_obstructed(a, b, k):
+            return Verdict.no(REASON_DETERMINANT)
     if _mod2_obstructed(a, b, k):
         return Verdict.no(REASON_MOD2)
     if _modq_unsolvable(a.matrix, b.matrix, k, 4):
@@ -583,87 +579,3 @@ def congruence_solve(
     if witness is not None:
         return Verdict.yes_checked(a, b, k, witness)
     return outcome.verdict(cfg.radius)
-
-
-# ---------------------------------------------------------------------------
-# Independent brute-force oracle
-# ---------------------------------------------------------------------------
-
-_ORACLE_LIMIT = 10_000_000
-_ORACLE_CHUNK = 500_000
-
-
-def brute_force_oracle(
-    a: IntersectionForm, b: IntersectionForm, k: int, entry_bound: int
-) -> Verdict:
-    """Naive enumeration of every P with |entries| <= entry_bound.
-
-    Completely independent of the backtracking kernel: candidates are
-    generated as flat digit tuples and checked by plain matrix products
-    (vectorized when safely inside int64 range).  Returns Yes or
-    NoWithinBound; raises BudgetExceeded when the box is too large.
-    """
-    m, l = a.rank, b.rank
-    nvars = m * l
-    width = 2 * entry_bound + 1
-    total = width ** nvars
-    if total > _ORACLE_LIMIT:
-        raise BudgetExceeded(f"{total} candidate matrices exceed the oracle limit")
-    if nvars == 0:
-        zero = IntMatrix.zeros(m, l)
-        if zero.transpose() @ a.matrix @ zero == b.matrix.scaled(k):
-            return Verdict("yes", witness=zero)
-        return Verdict("no_within_bound", radius=entry_bound)
-
-    max_abs_a = max((abs(x) for x in a.matrix.entries()), default=0)
-    safe_int64 = max_abs_a * (entry_bound ** 2) * (m ** 2) < 2 ** 60
-
-    if safe_int64:
-        witness = _oracle_numpy(a.matrix, b.matrix, k, entry_bound, m, l)
-    else:
-        witness = _oracle_python(a.matrix, b.matrix, k, entry_bound, m, l)
-    if witness is None:
-        return Verdict("no_within_bound", radius=entry_bound)
-    return Verdict.yes_checked(a, b, k, witness)
-
-
-def _oracle_numpy(a: IntMatrix, b: IntMatrix, k: int, bound: int, m: int, l: int):
-    import numpy as np
-
-    nvars = m * l
-    vals = list(range(-bound, bound + 1))
-    width = len(vals)
-    # split digits so the enumerated tail chunk stays small
-    tail_vars = nvars
-    while width ** tail_vars > _ORACLE_CHUNK:
-        tail_vars -= 1
-    head_vars = nvars - tail_vars
-    grids = np.meshgrid(*([np.array(vals, dtype=np.int64)] * tail_vars), indexing="ij")
-    tail = np.stack([g.ravel() for g in grids], axis=-1) if tail_vars else np.zeros((1, 0), dtype=np.int64)
-    a_np = np.array(a.to_rows(), dtype=np.int64).reshape(m, m)
-    kb_np = k * np.array(b.to_rows(), dtype=np.int64).reshape(l, l)
-    n_tail = tail.shape[0]
-    head_iter = itertools.product(vals, repeat=head_vars) if head_vars else iter([()])
-    for head in head_iter:
-        flat = np.empty((n_tail, nvars), dtype=np.int64)
-        if head_vars:
-            flat[:, :head_vars] = np.array(head, dtype=np.int64)
-        flat[:, head_vars:] = tail
-        ps = flat.reshape(n_tail, m, l)
-        gram = np.matmul(np.matmul(ps.transpose(0, 2, 1), a_np), ps)
-        mask = (gram == kb_np).all(axis=(1, 2))
-        hits = np.flatnonzero(mask)
-        if hits.size:
-            entries = [int(x) for x in flat[hits[0]]]
-            return IntMatrix(m, l, entries)
-    return None
-
-
-def _oracle_python(a: IntMatrix, b: IntMatrix, k: int, bound: int, m: int, l: int):
-    vals = list(range(-bound, bound + 1))
-    kb = b.scaled(k)
-    for flat in itertools.product(vals, repeat=m * l):
-        p = IntMatrix(m, l, flat)
-        if p.transpose() @ a @ p == kb:
-            return p
-    return None

@@ -1,3 +1,6 @@
+import ast
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -5,6 +8,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import degmap
 from degmap.cli import main
@@ -182,6 +187,10 @@ MALFORMED = [
     ("degset", "data-not-a-list.json", manifold_json(n=6, pi=PI6, homotopy_data=5)),
     ("degset", "string-flag.json", manifold_json(simply_connected="false")),
     ("selfmap", "pi-n.json", json.dumps({"pi": {"n": "q"}})),
+    ("form-info", "bom.json", b"\xff\xfe"),
+    ("form-info", "bom.mat", b"\xff\xfe"),
+    ("form-info", "deep.json", "[" * 100_000),
+    ("form-info", "long-number.json", '{"rows": ' + "9" * 5000 + "}"),
 ]
 # where each command takes the malformed file
 MALFORMED_ARGV = {
@@ -194,7 +203,7 @@ MALFORMED_ARGV = {
 @pytest.mark.parametrize("command,name,content", MALFORMED, ids=[m[1] for m in MALFORMED])
 def test_malformed_input_is_a_clean_error(capsys, tmp_path, command, name, content):
     path = tmp_path / name
-    path.write_text(content)
+    path.write_bytes(content if isinstance(content, bytes) else content.encode())
     argv = [command] + [a.format(f"@{path}") for a in MALFORMED_ARGV[command]]
     code, _, err = run(capsys, *argv)
     assert code == 1
@@ -333,6 +342,15 @@ def test_missing_file(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize(
+    "argv", [["form-info", "--f"], ["selfmap", "--M", "CP2", "--k", "2", "--pi"]]
+)
+def test_directory_path_is_a_clean_error(capsys, tmp_path, argv):
+    code, out, err = run(capsys, *argv, f"@{tmp_path}")
+    assert code == 1 and out == ""
+    assert err.startswith("error:")
+
+
 def test_usage_error(capsys):
     code, _, _ = run(capsys, "solve", "--A", "CP2")
     assert code == 1
@@ -360,8 +378,8 @@ def test_budget_stopped_unknown_claims_no_radius(capsys):
 
 
 def test_importing_the_cli_leaves_numpy_unloaded():
-    # numpy serves only brute_force_oracle; importing it with the CLI
-    # would add its start-up time and memory to every query
+    # numpy is a test-only dependency (tests/oracle.py); importing it with
+    # the CLI would add its start-up time and memory to every query
     src = str(Path(degmap.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
     probe = "import sys, degmap.cli; print('numpy' in sys.modules)"
@@ -369,3 +387,66 @@ def test_importing_the_cli_leaves_numpy_unloaded():
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     ).stdout
     assert out == "False\n"
+
+
+def test_runtime_needs_only_the_standard_library():
+    tomllib = pytest.importorskip("tomllib")
+    root = Path(__file__).resolve().parents[1]
+    with open(root / "pyproject.toml", "rb") as f:
+        assert tomllib.load(f)["project"]["dependencies"] == []
+    numpy_imports = []
+    for path in sorted(Path(degmap.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            names = []
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                names = [node.module]
+            numpy_imports += [path.name for n in names if n.split(".")[0] == "numpy"]
+    assert numpy_imports == []
+
+
+# documents near the input formats, so that the fuzz gets past the parsers
+_DOC_KEYS = st.sampled_from([
+    "matrix", "rows", "cols", "entries", "symmetry", "name", "n", "pi", "torsion_orders",
+    "whitehead", "nu", "torsion", "homotopy_data", "simply_connected", "highly_connected",
+])
+_DOC_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 9), st.sampled_from(["symmetric", "x", ""])
+)
+_DOC_VALUES = st.recursive(
+    _DOC_SCALARS,
+    lambda inner: st.one_of(st.lists(inner, max_size=5), st.dictionaries(_DOC_KEYS, inner, max_size=5)),
+    max_leaves=16,
+)
+_MATRIX_TEXT = st.lists(st.lists(st.integers(-3, 3), max_size=5), max_size=5).map(
+    lambda rows: "\n".join(" ".join(map(str, row)) for row in rows)
+)
+_FILE_BYTES = st.one_of(
+    st.binary(max_size=40),
+    _DOC_VALUES.map(lambda v: json.dumps(v).encode()),
+    _MATRIX_TEXT.map(str.encode),
+)
+_LOADER_ARGV = [
+    ["form-info", "--f"],
+    ["degset", "--range", "1", "--L", "CP2", "--M"],
+    ["selfmap", "--M", "CP2", "--k", "2", "--pi"],
+]
+
+
+@settings(
+    max_examples=300,
+    derandomize=True,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(_FILE_BYTES, st.sampled_from([".mat", ".json"]), st.sampled_from(_LOADER_ARGV))
+def test_loaders_survive_arbitrary_files(tmp_path, content, suffix, argv):
+    path = tmp_path / f"doc{suffix}"
+    path.write_bytes(content)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv + [f"@{path}"])
+    assert code in (0, 1, 2)
+    if code == 1:
+        assert err.getvalue().startswith("error:"), err.getvalue()

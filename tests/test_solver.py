@@ -1,4 +1,6 @@
 import itertools
+import math
+import random
 
 import pytest
 
@@ -12,7 +14,6 @@ from degmap.catalog import (
 )
 from degmap.cli import _verdict_text
 from degmap.errors import (
-    BudgetExceeded,
     SymmetryMismatch,
     WitnessRejected,
     ZeroK,
@@ -28,12 +29,12 @@ from degmap.intform import (
 from degmap.solver import (
     SearchConfig,
     Verdict,
-    brute_force_oracle,
     congruence_solve,
     verify_witness,
 )
 from degmap.solver import (
     _definite_solutions,
+    _determinant_obstructed,
     _mod2_obstructed,
     _modq_unsolvable,
     _parity_obstructed,
@@ -41,6 +42,7 @@ from degmap.solver import (
 )
 
 from conftest import random_antisymmetric_form, random_symmetric_form, random_unimodular
+from oracle import OracleTooLarge, _oracle_numpy, _oracle_python, brute_force_oracle
 
 I1 = make_form(IntMatrix.identity(1), SYMMETRIC)
 I2 = make_form(IntMatrix.identity(2), SYMMETRIC)
@@ -141,8 +143,7 @@ def test_mod4_filter_catches_twice_a_square_gap():
     # x^2 - y^2 = 2 has no solution; squares differ by 2 only mod 4
     v = congruence_solve(D, I1, 2)
     assert v.is_no and v.reason == "Mod4Filter"
-    o = brute_force_oracle(D, I1, 2, 6)
-    assert o.kind == "no_within_bound"
+    assert brute_force_oracle(D, I1, 2, 6) is None
 
 
 def _block_sum_form(rng, rank):
@@ -181,6 +182,22 @@ def test_mod2_classification_matches_exhaustive_search(rng, monkeypatch):
         )
         obstructed["parity" if parity else "mod2" if mod2 else "none"] += 1
     assert min(obstructed.values()) >= 5, obstructed
+
+
+def test_determinant_filter_from_signatures_matches_det():
+    # a unimodular symmetric form has det (-1)^n_minus and an antisymmetric
+    # one det 1, so the signature formula must agree with det() everywhere
+    rng = random.Random(7)
+    fired = 0
+    for _ in range(3000):
+        a, b = _random_small_pair(rng)
+        k = rng.choice([x for x in range(-6, 7) if x])
+        v = k ** b.rank * a.matrix.det() * b.matrix.det()
+        reference = a.rank == b.rank and not (v >= 0 and math.isqrt(v) ** 2 == v)
+        got = a.symmetry == SYMMETRIC and _determinant_obstructed(a, b, k)
+        assert got == reference, (a.matrix.to_rows(), b.matrix.to_rows(), k)
+        fired += got
+    assert fired >= 1000, fired
 
 
 @pytest.mark.parametrize("k", [1, 3])
@@ -379,16 +396,46 @@ def test_definite_solutions_give_the_e8_theta_series():
 
 
 def test_oracle_worked_examples():
-    assert brute_force_oracle(I1, I1, 2, 3).kind == "no_within_bound"
-    v = brute_force_oracle(I2, I1, 5, 2)
-    assert v.is_yes
-    p = v.witness
+    assert brute_force_oracle(I1, I1, 2, 3) is None
+    p = brute_force_oracle(I2, I1, 5, 2)
+    assert p is not None
     assert sorted(abs(x) for x in p.entries()) == [1, 2]
 
 
 def test_oracle_budget_precondition():
-    with pytest.raises(BudgetExceeded):
+    with pytest.raises(OracleTooLarge):
         brute_force_oracle(A3, A3, 1, 6)
+
+
+def test_oracle_paths_agree(rng):
+    # both paths scan the box in the same lexicographic order, so they
+    # must return the same first witness, or both None
+    found = {True: 0, False: 0}
+    for _ in range(40):
+        a, b = _random_pair(rng)
+        k = rng.choice([x for x in range(-4, 5) if x])
+        bound = feasible_bound(a.rank, b.rank, limit=2_000)
+        if bound is None:
+            continue
+        args = (a.matrix, b.matrix, k, bound, a.rank, b.rank)
+        fast = _oracle_numpy(*args)
+        assert _oracle_python(*args) == fast, (a.matrix.to_rows(), b.matrix.to_rows(), k)
+        found[fast is not None] += 1
+    assert min(found.values()) >= 5, found
+
+
+def test_oracle_beyond_int64_uses_the_python_path(monkeypatch):
+    # 2^64 does not fit an int64, so the guard must route to exact integers
+    big = 2 ** 64
+    a = make_form(IntMatrix.from_rows([[0, 1], [1, big]]), SYMMETRIC)
+
+    def no_numpy(*args):
+        raise AssertionError("numpy path taken beyond the int64 guard")
+
+    monkeypatch.setattr("oracle._oracle_numpy", no_numpy)
+    p = brute_force_oracle(a, I1, big + 2, 1)
+    assert p == IntMatrix.from_rows([[-1], [-1]])
+    verify_witness(a, I1, big + 2, p)
 
 
 def test_oracle_agrees_with_solver_on_fixture_pairs():
@@ -403,10 +450,10 @@ def test_oracle_agrees_with_solver_on_fixture_pairs():
         bound = feasible_bound(a.rank, b.rank)
         solved = congruence_solve(a, b, k)
         oracle = brute_force_oracle(a, b, k, bound)
-        if oracle.is_yes:
+        if oracle is not None:
             assert solved.is_yes, (a.matrix.to_rows(), b.matrix.to_rows(), k)
         if solved.is_no:
-            assert oracle.kind == "no_within_bound" or not oracle.is_yes
+            assert oracle is None
         assert not solved.is_unknown
 
 
@@ -439,7 +486,7 @@ def test_signature_filter_agrees_with_oracle(rng):
         fired += 1
         bound = feasible_bound(a.rank, b.rank, limit=150_000)
         oracle = brute_force_oracle(a, b, k, bound)
-        assert oracle.kind == "no_within_bound", (
+        assert oracle is None, (
             a.matrix.to_rows(), b.matrix.to_rows(), k,
         )
     assert fired >= 120
@@ -456,7 +503,7 @@ def test_any_filter_no_is_never_contradicted(rng):
         fired += 1
         bound = feasible_bound(a.rank, b.rank, limit=120_000)
         oracle = brute_force_oracle(a, b, k, bound)
-        assert oracle.kind == "no_within_bound", (
+        assert oracle is None, (
             a.matrix.to_rows(), b.matrix.to_rows(), k, v.reason,
         )
     assert fired > 200
@@ -517,10 +564,10 @@ def test_catalog_pairs_never_contradict_oracle():
                 if bound is None:
                     continue
                 oracle = brute_force_oracle(a, b, k, bound)
-                if oracle.is_yes:
+                if oracle is not None:
                     assert v.is_yes, (a.matrix.to_rows(), b.matrix.to_rows(), k)
                 if v.is_yes and max(abs(x) for x in v.witness.entries()) <= bound:
-                    assert oracle.is_yes
+                    assert oracle is not None
 
 
 def test_antisymmetric_random_agreement(rng):
@@ -533,7 +580,7 @@ def test_antisymmetric_random_agreement(rng):
         if bound is None:
             continue
         oracle = brute_force_oracle(a, b, k, bound)
-        if oracle.is_yes:
+        if oracle is not None:
             assert v.is_yes
         if v.is_no:
-            assert oracle.kind == "no_within_bound"
+            assert oracle is None
