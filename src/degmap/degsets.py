@@ -12,8 +12,10 @@ Which criterion applies depends on the hypotheses:
 * n = 2 with a simply connected target: the congruence P.T A P = k B is
   necessary and sufficient, so solver verdicts pass through unchanged;
 * n > 2 with both manifolds highly connected and carrying attaching data:
-  the congruence must be paired with the homotopy compatibility check, so
-  witnesses are iterated until one passes both;
+  the congruence is paired with the homotopy compatibility check, whose
+  r-th condition reads only column r, so the search skips each candidate
+  column that fails it; a complete No names the homotopy obstruction when
+  a column was rejected, and the exhausted enumeration otherwise;
 * anything else: only necessity is available.  A solver Yes is then
   downgraded to the distinct kind ``necessary_pass`` so the tool never
   overclaims, while a solver No stays a genuine No.
@@ -36,6 +38,8 @@ from .homotopy import (
     check_homotopy_condition,
     elements_from_diagonal,
     pi_model,
+    pi_scale,
+    pushed_column,
     required_multiple,
 )
 from .intform import (
@@ -102,24 +106,35 @@ def degree_realizable(
 def _homotopy_verdict(
     source: ManifoldModel, target: ManifoldModel, k: int, cfg: SearchConfig
 ) -> Verdict:
-    """First congruence witness that also passes the homotopy check."""
+    """First congruence witness that also passes the homotopy check, tested
+    on each candidate column before it is placed.  A complete No is a
+    HomotopyObstruction when that test rejected any candidate, and
+    ExhaustiveDefinite otherwise.
+    """
     if source.pi != target.pi:
         raise NotApplicable("source and target carry different homotopy models")
-    filter_verdict, stream, outcome = solver.open_search(source.form, target.form, k, cfg)
+    wanted = [pi_scale(k, u) for u in target.homotopy_data]
+    rejected = False
+
+    def accept(col: int, vec: tuple) -> bool:
+        nonlocal rejected
+        ok = pushed_column(source.form.matrix, source.homotopy_data, source.pi, vec) == wanted[col]
+        rejected = rejected or not ok
+        return ok
+
+    filter_verdict, stream, outcome = solver.open_search(source.form, target.form, k, cfg, accept)
     if filter_verdict is not None:
         return filter_verdict
-    saw_witness = False
-    for witness in stream:
-        saw_witness = True
-        report = check_homotopy_condition(
-            source.form, source.homotopy_data,
-            target.form, target.homotopy_data,
-            witness, k,
-        )
-        if report.ok:
-            return Verdict.yes_checked(source.form, target.form, k, witness)
-    reason = REASON_HOMOTOPY if saw_witness else solver.REASON_EXHAUSTIVE
-    return outcome.verdict(cfg.radius, reason)
+    witness = next(stream, None)
+    if witness is None:
+        reason = REASON_HOMOTOPY if rejected else solver.REASON_EXHAUSTIVE
+        return outcome.verdict(cfg.radius, reason)
+    report = check_homotopy_condition(
+        source.form, source.homotopy_data, target.form, target.homotopy_data, witness, k
+    )
+    if not report.ok:
+        raise WitnessRejected(f"witness failed the homotopy check at {report.failing_indices}")
+    return Verdict.yes_checked(source.form, target.form, k, witness)
 
 
 # ---------------------------------------------------------------------------

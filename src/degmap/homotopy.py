@@ -176,16 +176,31 @@ def elements_from_diagonal(model: PiModel, form) -> tuple:
     return tuple(out)
 
 
-def induced_invariant(form, elements: Sequence[PiElement], p: IntMatrix) -> tuple:
+def pushed_column(a: IntMatrix, elements: Sequence[PiElement], model: PiModel, col) -> PiElement:
+    """Push attaching data t_1..t_m through a column c_1..c_m of the wedge map:
+
+        sum_v c_v * t_v
+          + ( sum_v C(c_v, 2) * a[v][v]
+              + sum_{v<w} c_v * c_w * a[v][w] ) * whitehead
+
+    where C(x, 2) = x*(x-1)/2, always an integer.  With no data (a rank-0
+    source) this is the zero element of ``model``.
+    """
+    nz = [(v, c) for v, c in enumerate(col) if c]
+    wh_coeff = sum(c * (c - 1) // 2 * a[v, v] for v, c in nz)
+    wh_coeff += sum(c * d * a[v, w] for i, (v, c) in enumerate(nz) for w, d in nz[i + 1 :])
+    acc = pi_scale(wh_coeff, model.whitehead)
+    for v, c in nz:
+        acc = pi_add(acc, pi_scale(c, elements[v]))
+    return acc
+
+
+def induced_invariant(form, elements: Sequence[PiElement], p: IntMatrix, model=None) -> tuple:
     """Push attaching data through the wedge map encoded by the matrix p.
 
-    With pairing matrix a and data t_1..t_m, the r-th output is
-
-        sum_v p[v][r] * t_v
-          + ( sum_v C(p[v][r], 2) * a[v][v]
-              + sum_{v<w} p[v][r] * p[w][r] * a[v][w] ) * whitehead
-
-    where C(x, 2) = x*(x-1)/2, always an integer.
+    The r-th output is ``pushed_column`` of column r of p.  All data must
+    lie in ``model``; it defaults to the model of the data, which a rank-0
+    source does not have.
     """
     a = form.matrix if isinstance(form, IntersectionForm) else form
     m = a.rows
@@ -193,25 +208,12 @@ def induced_invariant(form, elements: Sequence[PiElement], p: IntMatrix) -> tupl
         raise ShapeMismatch(f"matrix has {p.rows} rows, pairing has rank {m}")
     if len(elements) != m:
         raise ShapeMismatch(f"expected {m} data elements, got {len(elements)}")
-    if m == 0:
-        return ()
-    model = elements[0].model
-    for t in elements:
-        if t.model != model:
-            raise ModelMismatch("attaching data mixes homotopy models")
-    out = []
-    for r in range(p.cols):
-        col = [p[v, r] for v in range(m)]
-        acc = zero_element(model)
-        for v in range(m):
-            if col[v]:
-                acc = pi_add(acc, pi_scale(col[v], elements[v]))
-        wh_coeff = sum(col[v] * (col[v] - 1) // 2 * a[v, v] for v in range(m))
-        wh_coeff += sum(
-            col[v] * col[w] * a[v, w] for v in range(m) for w in range(v + 1, m)
-        )
-        out.append(pi_add(acc, pi_scale(wh_coeff, model.whitehead)))
-    return tuple(out)
+    model = model or (elements[0].model if elements else None)
+    if model is None and p.cols:
+        raise ShapeMismatch("a rank-0 source needs its homotopy model")
+    if any(t.model != model for t in elements):
+        raise ModelMismatch("attaching data mixes homotopy models")
+    return tuple(pushed_column(a, elements, model, p.column(r)) for r in range(p.cols))
 
 
 @dataclass(frozen=True)
@@ -240,10 +242,8 @@ def check_homotopy_condition(
         raise ShapeMismatch("matrix column count does not match the target rank")
     if len(target_data) != b.rows:
         raise ShapeMismatch("target data length does not match the target rank")
-    induced = induced_invariant(source_form, source_data, p)
-    if induced and target_data:
-        if induced[0].model != target_data[0].model:
-            raise ModelMismatch("source and target use different homotopy models")
+    model = target_data[0].model if target_data else None
+    induced = induced_invariant(source_form, source_data, p, model)
     failing = tuple(
         r for r in range(len(target_data))
         if pi_scale(k, target_data[r]) != induced[r]

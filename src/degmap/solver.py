@@ -442,7 +442,7 @@ def _box_candidates(
 # ---------------------------------------------------------------------------
 
 
-def _backtrack(order: Sequence[int], target: list, candidates, pairing_row) -> Iterator[list]:
+def _backtrack(order: Sequence[int], target: list, candidates, pairing_row, accept=None):
     """Every list of columns x_j with x_i . A x_j == target[i][j] for all i, j.
 
     Columns are filled in ``order``.  ``candidates(col, lin)`` yields the
@@ -451,8 +451,9 @@ def _backtrack(order: Sequence[int], target: list, candidates, pairing_row) -> I
     their targets; ``pairing_row(x)`` is the row x.T A, in whatever form
     ``candidates`` reads (the mod-q search passes vector indices and dot
     tables).  The search is complete exactly when every candidate source
-    is.  The yielded list (in natural column order) is reused, so copy it
-    before advancing.
+    is.  A candidate failing the optional ``accept(col, x)`` is skipped
+    before it is placed.  The yielded list (in natural column order) is
+    reused, so copy it before advancing.
     """
     columns: list = [None] * len(order)
     placed: list = []  # (column index, pairing row)
@@ -464,6 +465,8 @@ def _backtrack(order: Sequence[int], target: list, candidates, pairing_row) -> I
         col = order[idx]
         lin = [(crow, target[oc][col]) for oc, crow in placed]
         for cand in candidates(col, lin):
+            if accept is not None and not accept(col, cand):
+                continue
             columns[col] = cand
             placed.append((col, pairing_row(cand)))
             yield from rec(idx + 1)
@@ -500,6 +503,7 @@ def _witness_stream(
     k: int,
     cfg: SearchConfig,
     outcome: _Outcome,
+    accept=None,
 ) -> Iterator[IntMatrix]:
     m = a.rank
     arows = [list(a.matrix.row(i)) for i in range(m)]
@@ -533,7 +537,7 @@ def _witness_stream(
         )
 
     try:
-        for columns in _backtrack(_column_order(b.matrix), target, candidates, pairing_row):
+        for columns in _backtrack(_column_order(b.matrix), target, candidates, pairing_row, accept):
             yield IntMatrix.from_columns(columns, nrows=m)
     except _OutOfBudget:
         outcome.budget_exhausted = True
@@ -542,13 +546,14 @@ def _witness_stream(
 
 
 def open_search(
-    a: IntersectionForm, b: IntersectionForm, k: int, cfg: SearchConfig | None = None
+    a: IntersectionForm, b: IntersectionForm, k: int, cfg: SearchConfig | None = None, accept=None
 ) -> tuple:
     """Validate inputs, run the filters, and expose the witness stream.
 
     Returns (filter_verdict, stream, outcome); filter_verdict is a No
     verdict when a complete filter fired (stream is then empty).  Once the
     stream is exhausted, ``outcome.verdict`` maps how it ended to a verdict.
+    ``accept(col, x)`` prunes candidate columns as in ``_backtrack``.
     """
     cfg = cfg or DEFAULT_CONFIG
     if a.symmetry != b.symmetry:
@@ -561,7 +566,7 @@ def open_search(
     if verdict is not None:
         return verdict, iter(()), _Outcome(complete=True)
     outcome = _Outcome()
-    return None, _witness_stream(a, b, k, cfg, outcome), outcome
+    return None, _witness_stream(a, b, k, cfg, outcome, accept), outcome
 
 
 def congruence_solve(

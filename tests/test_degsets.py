@@ -1,5 +1,8 @@
+import random
+
 import pytest
 
+from degmap import degsets, solver
 from degmap.catalog import (
     hyperbolic_matrix,
     manifold,
@@ -19,10 +22,13 @@ from degmap.errors import (
     ConditionNotMet,
     DimensionMismatch,
     NotApplicable,
+    WitnessRejected,
 )
-from degmap.homotopy import element, pi_model
+from degmap.homotopy import ConditionReport, check_homotopy_condition, element, pi_model
 from degmap.intform import IntMatrix, SYMMETRIC, isomorphic, make_form
-from degmap.solver import SearchConfig
+from degmap.solver import REASON_EXHAUSTIVE, SearchConfig, Verdict
+
+from conftest import random_unimodular
 
 
 CFG = SearchConfig()
@@ -274,6 +280,101 @@ def test_homotopy_regime_budget_exhaustion_is_unknown():
     ans = degree_realizable(src, src, 1, SearchConfig(node_budget=2))
     assert ans.kind == "unknown"
     assert ans.budget_exhausted and ans.radius is None
+
+
+def _identity_hc8(rank, torsion):
+    # I_rank as an 8-manifold pairing, data of Hopf invariant 1 and the given
+    # torsion residues mod 3, trivial Whitehead torsion
+    model = pi_model(4, [3], [0])
+    form = make_form(IntMatrix.identity(rank), SYMMETRIC)
+    return manifold("I", 4, form, True, True, model, [element(model, 1, [x]) for x in torsion])
+
+
+def test_homotopy_regime_column_pruning_decides_within_budget():
+    # every candidate for column 0 fails the condition: the unpruned search
+    # spends 42 nodes on 24 failing witnesses, the pruned one 6 nodes
+    src, tgt = _identity_hc8(3, [0, 0, 0]), _identity_hc8(2, [1, 0])
+    ans = degree_realizable(src, tgt, 1, SearchConfig(node_budget=20))
+    assert ans.kind == "no" and ans.reason == REASON_HOMOTOPY
+
+
+def test_homotopy_regime_rejected_columns_name_the_obstruction():
+    # no two orthogonal vectors of norm 6 exist in Z^3, so no congruence
+    # witness does either; but every norm-6 vector has a last coordinate
+    # prime to 3, so each one fails the torsion condition of column 0
+    ans = degree_realizable(_identity_hc8(3, [0, 0, 1]), _identity_hc8(2, [0, 0]), 6)
+    assert ans.kind == "no" and ans.reason == REASON_HOMOTOPY
+
+
+def test_homotopy_regime_yes_is_rechecked(monkeypatch):
+    src, tgt = _rank_one_pair(t_torsion=1, u_torsion=1, whitehead_torsion=0)
+    monkeypatch.setattr(
+        degsets, "check_homotopy_condition", lambda *args: ConditionReport(False, (0,))
+    )
+    with pytest.raises(WitnessRejected):
+        degree_realizable(src, tgt, 1)
+
+
+def _unpruned_homotopy_verdict(source, target, k, cfg):
+    # the full-witness loop the column check replaced
+    filter_verdict, stream, outcome = solver.open_search(source.form, target.form, k, cfg)
+    if filter_verdict is not None:
+        return filter_verdict
+    saw_witness = False
+    for witness in stream:
+        saw_witness = True
+        report = check_homotopy_condition(
+            source.form, source.homotopy_data, target.form, target.homotopy_data, witness, k
+        )
+        if report.ok:
+            return Verdict.yes_checked(source.form, target.form, k, witness)
+    reason = REASON_HOMOTOPY if saw_witness else REASON_EXHAUSTIVE
+    return outcome.verdict(cfg.radius, reason)
+
+
+def _random_definite_hc8(rng, model, rank):
+    sign = rng.choice([1, -1])
+    matrix = IntMatrix.diagonal([sign] * rank).transform_by(random_unimodular(rng, rank))
+    data = [
+        element(model, matrix[i, i], [rng.randrange(d) for d in model.torsion_orders])
+        for i in range(rank)
+    ]
+    return manifold("D", 4, make_form(matrix, SYMMETRIC), True, True, model, data)
+
+
+def test_column_pruning_matches_the_unpruned_witness_loop():
+    # 300 random definite 8-manifold pairs with torsion in {2, 3, 5}: the
+    # pruned search finds the same first witness, keeps every decided
+    # verdict, and only ever gets further within the budget
+    rng = random.Random(20260)
+    cfg = SearchConfig(node_budget=200_000)
+    kinds = []
+    for _ in range(300):
+        orders = rng.sample([2, 3, 5], rng.choice([1, 2]))
+        model = pi_model(4, orders, [rng.randrange(d) for d in orders])
+        m = rng.randrange(1, 5)
+        src = _random_definite_hc8(rng, model, m)
+        tgt = _random_definite_hc8(rng, model, rng.randrange(1, m + 1))
+        k = rng.choice([1, 2, 3, 5, 6])
+        ref = _unpruned_homotopy_verdict(src, tgt, k, cfg)
+        new = degree_realizable(src, tgt, k, cfg)
+        case = (src.form.matrix, tgt.form.matrix, src.homotopy_data, tgt.homotopy_data, k)
+        kinds.append((ref.kind, new.kind))
+        if ref.is_unknown:
+            if new.is_no:
+                assert new.reason == REASON_HOMOTOPY, case
+            elif new.is_yes:
+                # the budget now reaches further into the same candidate order
+                assert _unpruned_homotopy_verdict(
+                    src, tgt, k, SearchConfig(node_budget=50 * cfg.node_budget)
+                ).witness == new.witness, case
+            continue
+        assert new.kind == ref.kind, case
+        assert new.witness == ref.witness, case
+        if ref.reason != REASON_EXHAUSTIVE:
+            assert new.reason == ref.reason, case
+    assert kinds.count(("yes", "yes")) >= 20
+    assert kinds.count(("no", "no")) >= 150
 
 
 def test_budget_stopped_degree_set_row_names_the_budget():

@@ -20,6 +20,7 @@ from degmap.homotopy import (
     pi_add,
     pi_model,
     pi_scale,
+    pushed_column,
     required_multiple,
     zero_element,
 )
@@ -258,6 +259,39 @@ def test_induced_is_functorial(rng):
         left = induced_invariant(a_p, list(t_p), q)
         right = induced_invariant(a, t, p @ q)
         assert list(left) == list(right)
+
+
+def test_pushed_column_is_the_induced_column(rng):
+    # the per-column formula against the group algebra of pi_add/pi_scale
+    for _ in range(40):
+        model = random_model(rng)
+        m = rng.randrange(1, 4)
+        a = _random_pairing(rng, m, model)
+        t = [random_element(rng, model) for _ in range(m)]
+        col = [rng.randrange(-3, 4) for _ in range(m)]
+        expected = zero_element(model)
+        for v in range(m):
+            expected = pi_add(expected, pi_scale(col[v], t[v]))
+            expected = pi_add(expected, pi_scale(col[v] * (col[v] - 1) // 2 * a[v, v], model.whitehead))
+            for w in range(v + 1, m):
+                expected = pi_add(expected, pi_scale(col[v] * col[w] * a[v, w], model.whitehead))
+        assert pushed_column(a, t, model, col) == expected
+        p = IntMatrix.from_columns([col], nrows=m)
+        assert induced_invariant(a, t, p) == (expected,)
+
+
+def test_rank_zero_source_pushes_to_zero():
+    model = pi_model(4, [3], [1])
+    empty = IntMatrix.zeros(0, 0)
+    p = IntMatrix.zeros(0, 1)
+    assert induced_invariant(empty, [], p, model) == (zero_element(model),)
+    with pytest.raises(ShapeMismatch):
+        induced_invariant(empty, [], p)
+    target = IntMatrix.identity(1)
+    ok = check_homotopy_condition(empty, [], target, [element(model, 0, [1])], p, 3)
+    assert ok.ok and ok.failing_indices == ()
+    bad = check_homotopy_condition(empty, [], target, [element(model, 0, [1])], p, 2)
+    assert not bad.ok and bad.failing_indices == (0,)
 
 
 def test_induced_shape_checks():
