@@ -34,7 +34,15 @@ from .errors import (
     SymmetryMismatch,
     UnknownPreset,
 )
-from .homotopy import PiElement, PiModel
+from .homotopy import (
+    PiElement,
+    PiModel,
+    element_to_doc,
+    elements_from_doc,
+    hopf,
+    model_from_doc,
+    model_to_doc,
+)
 from .intform import (
     ANTISYMMETRIC,
     SYMMETRIC,
@@ -42,7 +50,10 @@ from .intform import (
     IntersectionForm,
     block_diagonal,
     direct_sum,
+    infer_symmetry,
     make_form,
+    matrix_from_doc,
+    matrix_to_doc,
 )
 
 
@@ -92,8 +103,6 @@ def manifold(
         if pi.has_nu:
             # the self-linking number of each attaching class is its
             # self-intersection, so H(t_i) must equal the diagonal entry
-            from .homotopy import hopf
-
             for i, t in enumerate(data):
                 if hopf(t) != form.matrix[i, i]:
                     raise InvalidManifold(
@@ -223,9 +232,6 @@ def reverse_orientation(m: ManifoldModel) -> ManifoldModel:
 
 
 def manifold_to_doc(m: ManifoldModel) -> dict:
-    from .homotopy import element_to_doc, model_to_doc
-    from .intform import matrix_to_doc
-
     doc = {
         "name": m.name,
         "n": m.n,
@@ -241,9 +247,6 @@ def manifold_to_doc(m: ManifoldModel) -> dict:
 
 
 def manifold_from_doc(doc: dict) -> ManifoldModel:
-    from .homotopy import elements_from_doc, model_from_doc
-    from .intform import infer_symmetry, matrix_from_doc
-
     matrix, symmetry = matrix_from_doc(doc.get("matrix"))
     if symmetry is None:
         symmetry = infer_symmetry(matrix)

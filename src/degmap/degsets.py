@@ -13,9 +13,10 @@ Which criterion applies depends on the hypotheses:
   necessary and sufficient, so solver verdicts pass through unchanged;
 * n > 2 with both manifolds highly connected and carrying attaching data:
   the congruence is paired with the homotopy compatibility check, whose
-  r-th condition reads only column r, so the search skips each candidate
-  column that fails it; a complete No names the homotopy obstruction when
-  a column was rejected, and the exhausted enumeration otherwise;
+  r-th condition reads only column r, so ``congruence_solve`` takes it as
+  a column predicate and skips each candidate that fails it; a complete No
+  names the homotopy obstruction when a column was rejected, and the
+  exhausted enumeration otherwise;
 * anything else: only necessity is available.  A solver Yes is then
   downgraded to the distinct kind ``necessary_pass`` so the tool never
   overclaims, while a solver No stays a genuine No.
@@ -50,7 +51,7 @@ from .intform import (
     make_form,
 )
 from . import solver
-from .solver import DEFAULT_CONFIG, SearchConfig, Verdict
+from .solver import SearchConfig, Verdict
 
 REGIME_CONSTANT = "constant-map"
 REGIME_BILINEAR = "bilinear-criterion"
@@ -88,7 +89,6 @@ def degree_realizable(
 
     The verdict carries k and the regime whose criterion decided it.
     """
-    cfg = cfg or DEFAULT_CONFIG
     regime = _regime(source, target)
     if k == 0:
         # the constant map
@@ -104,12 +104,12 @@ def degree_realizable(
 
 
 def _homotopy_verdict(
-    source: ManifoldModel, target: ManifoldModel, k: int, cfg: SearchConfig
+    source: ManifoldModel, target: ManifoldModel, k: int, cfg: SearchConfig | None
 ) -> Verdict:
-    """First congruence witness that also passes the homotopy check, tested
-    on each candidate column before it is placed.  A complete No is a
-    HomotopyObstruction when that test rejected any candidate, and
-    ExhaustiveDefinite otherwise.
+    """The congruence verdict restricted to witnesses that also pass the
+    homotopy check, tested on each candidate column before it is placed.
+    A Yes witness is re-checked in full; a complete No is a
+    HomotopyObstruction when that test rejected any candidate.
     """
     if source.pi != target.pi:
         raise NotApplicable("source and target carry different homotopy models")
@@ -122,19 +122,16 @@ def _homotopy_verdict(
         rejected = rejected or not ok
         return ok
 
-    filter_verdict, stream, outcome = solver.open_search(source.form, target.form, k, cfg, accept)
-    if filter_verdict is not None:
-        return filter_verdict
-    witness = next(stream, None)
-    if witness is None:
-        reason = REASON_HOMOTOPY if rejected else solver.REASON_EXHAUSTIVE
-        return outcome.verdict(cfg.radius, reason)
-    report = check_homotopy_condition(
-        source.form, source.homotopy_data, target.form, target.homotopy_data, witness, k
-    )
-    if not report.ok:
-        raise WitnessRejected(f"witness failed the homotopy check at {report.failing_indices}")
-    return Verdict.yes_checked(source.form, target.form, k, witness)
+    verdict = solver.congruence_solve(source.form, target.form, k, cfg, accept)
+    if verdict.is_yes:
+        report = check_homotopy_condition(
+            source.form, source.homotopy_data, target.form, target.homotopy_data, verdict.witness, k
+        )
+        if not report.ok:
+            raise WitnessRejected(f"witness failed the homotopy check at {report.failing_indices}")
+    elif rejected and verdict.reason == solver.REASON_EXHAUSTIVE:
+        verdict = Verdict.no(REASON_HOMOTOPY)
+    return verdict
 
 
 # ---------------------------------------------------------------------------
@@ -324,6 +321,8 @@ def dominated_candidates(
     A candidate counts as dominated only on a genuine Yes; targets outside
     the exact criteria can at best reach the necessary_only list.
     """
+    if bound < 0:
+        raise ShapeMismatch(f"degree range bound {bound} is negative")
     dominated = []
     necessary = []
     excluded = []

@@ -9,6 +9,10 @@
 * Unknown, with the max-norm radius up to which the search is exhaustive,
   or the note that the node budget ran out first.
 
+An optional predicate ``accept(col, x)`` restricts the search, and so the
+verdict, to witnesses whose every column passes it; the manifold layer
+passes the per-column homotopy condition.
+
 Columns of P are chosen one at a time.  When A (or -A) is positive
 definite, of rank at most ``DEFINITE_CAP``, the candidate vectors for each
 column form the finite solution set of a definite quadratic equation,
@@ -475,22 +479,9 @@ def _backtrack(order: Sequence[int], target: list, candidates, pairing_row, acce
     yield from rec(0)
 
 
-class _Outcome:
-    """How a witness stream ended, once it has."""
-
-    __slots__ = ("complete", "budget_exhausted")
-
-    def __init__(self, complete: bool = False):
-        self.complete = complete
-        self.budget_exhausted = False
-
-    def verdict(self, radius: int, no_reason: str = REASON_EXHAUSTIVE) -> Verdict:
-        """The verdict when the stream offered no acceptable witness."""
-        if self.budget_exhausted:
-            return Verdict("unknown", budget_exhausted=True)
-        if self.complete:
-            return Verdict.no(no_reason)
-        return Verdict("unknown", radius=radius)
+def _enumerates_completely(a: IntersectionForm) -> bool:
+    """True when the candidate columns for source a are enumerated completely."""
+    return a.is_definite() and a.rank <= DEFINITE_CAP
 
 
 def _column_order(b: IntMatrix) -> list:
@@ -498,21 +489,15 @@ def _column_order(b: IntMatrix) -> list:
 
 
 def _witness_stream(
-    a: IntersectionForm,
-    b: IntersectionForm,
-    k: int,
-    cfg: SearchConfig,
-    outcome: _Outcome,
-    accept=None,
+    a: IntersectionForm, b: IntersectionForm, k: int, cfg: SearchConfig, accept
 ) -> Iterator[IntMatrix]:
     m = a.rank
     arows = [list(a.matrix.row(i)) for i in range(m)]
     target = [[k * x for x in row] for row in b.matrix.to_rows()]
     symmetric = a.symmetry == SYMMETRIC
-    definite = a.is_definite() and m <= DEFINITE_CAP
     budget = _Budget(cfg.node_budget)
 
-    if definite:
+    if _enumerates_completely(a):
         sign = 1 if a.signature[1] == 0 else -1
         tri = symmetric_elimination([[sign * x for x in row] for row in arows])
         definite_cache: dict = {}
@@ -536,51 +521,49 @@ def _witness_stream(
             sum(vec[s] * arows[s][t] for s in range(m)) for t in range(m)
         )
 
-    try:
-        for columns in _backtrack(_column_order(b.matrix), target, candidates, pairing_row, accept):
-            yield IntMatrix.from_columns(columns, nrows=m)
-    except _OutOfBudget:
-        outcome.budget_exhausted = True
-    else:
-        outcome.complete = definite
+    for columns in _backtrack(_column_order(b.matrix), target, candidates, pairing_row, accept):
+        yield IntMatrix.from_columns(columns, nrows=m)
 
 
 def open_search(
-    a: IntersectionForm, b: IntersectionForm, k: int, cfg: SearchConfig | None = None, accept=None
+    a: IntersectionForm, b: IntersectionForm, k: int, cfg: SearchConfig, accept=None
 ) -> tuple:
     """Validate inputs, run the filters, and expose the witness stream.
 
-    Returns (filter_verdict, stream, outcome); filter_verdict is a No
-    verdict when a complete filter fired (stream is then empty).  Once the
-    stream is exhausted, ``outcome.verdict`` maps how it ended to a verdict.
-    ``accept(col, x)`` prunes candidate columns as in ``_backtrack``.
+    Returns (filter_verdict, stream).  filter_verdict is a No verdict when
+    a complete filter fired, and the stream is then empty; otherwise it is
+    None and the stream yields every witness in search order, raising
+    ``_OutOfBudget`` once the node budget runs out.  ``accept(col, x)``
+    prunes candidate columns as in ``_backtrack``.
     """
-    cfg = cfg or DEFAULT_CONFIG
     if a.symmetry != b.symmetry:
         raise SymmetryMismatch("source and target forms have different symmetry")
     if k == 0:
         raise ZeroK("degree 0 is the constant map; query nonzero k")
-    if b.rank == 0:
-        return None, iter([IntMatrix.zeros(a.rank, 0)]), _Outcome(complete=True)
     verdict = _prefilter(a, b, k)
     if verdict is not None:
-        return verdict, iter(()), _Outcome(complete=True)
-    outcome = _Outcome()
-    return None, _witness_stream(a, b, k, cfg, outcome, accept), outcome
+        return verdict, iter(())
+    return None, _witness_stream(a, b, k, cfg, accept)
 
 
 def congruence_solve(
-    a: IntersectionForm, b: IntersectionForm, k: int, cfg: SearchConfig | None = None
+    a: IntersectionForm, b: IntersectionForm, k: int, cfg: SearchConfig | None = None, accept=None
 ) -> Verdict:
     """Find P with P.T @ A @ P == k * B, prove none exists, or give up.
 
-    See the module docstring for the meaning of each verdict.
+    The one place where a finished search becomes a verdict; see the
+    module docstring for the meaning of each verdict and of ``accept``.
     """
     cfg = cfg or DEFAULT_CONFIG
-    verdict, stream, outcome = open_search(a, b, k, cfg)
+    verdict, stream = open_search(a, b, k, cfg, accept)
     if verdict is not None:
         return verdict
-    witness = next(stream, None)
+    try:
+        witness = next(stream, None)
+    except _OutOfBudget:
+        return Verdict("unknown", budget_exhausted=True)
     if witness is not None:
         return Verdict.yes_checked(a, b, k, witness)
-    return outcome.verdict(cfg.radius)
+    if _enumerates_completely(a):
+        return Verdict.no(REASON_EXHAUSTIVE)
+    return Verdict("unknown", radius=cfg.radius)

@@ -211,9 +211,13 @@ def test_malformed_input_is_a_clean_error(capsys, tmp_path, command, name, conte
 
 
 def test_negative_range_is_a_clean_error(capsys):
-    code, out, err = run(capsys, "degset", "--M", "CP2", "--L", "CP2", "--range", "-3")
-    assert code == 1 and out == ""
-    assert err.startswith("error: ShapeMismatch:")
+    for args in (
+        ("degset", "--M", "CP2", "--L", "CP2", "--range", "-3"),
+        ("dominate", "--M", "CP2#CP2", "--range", "-2"),
+    ):
+        code, out, err = run(capsys, *args)
+        assert code == 1 and out == "", args
+        assert err.startswith("error: ShapeMismatch:"), args
 
 
 def test_form_iso_parity_no(capsys):

@@ -317,19 +317,23 @@ def test_homotopy_regime_yes_is_rechecked(monkeypatch):
 
 def _unpruned_homotopy_verdict(source, target, k, cfg):
     # the full-witness loop the column check replaced
-    filter_verdict, stream, outcome = solver.open_search(source.form, target.form, k, cfg)
+    filter_verdict, stream = solver.open_search(source.form, target.form, k, cfg)
     if filter_verdict is not None:
         return filter_verdict
     saw_witness = False
-    for witness in stream:
-        saw_witness = True
-        report = check_homotopy_condition(
-            source.form, source.homotopy_data, target.form, target.homotopy_data, witness, k
-        )
-        if report.ok:
-            return Verdict.yes_checked(source.form, target.form, k, witness)
-    reason = REASON_HOMOTOPY if saw_witness else REASON_EXHAUSTIVE
-    return outcome.verdict(cfg.radius, reason)
+    try:
+        for witness in stream:
+            saw_witness = True
+            report = check_homotopy_condition(
+                source.form, source.homotopy_data, target.form, target.homotopy_data, witness, k
+            )
+            if report.ok:
+                return Verdict.yes_checked(source.form, target.form, k, witness)
+    except solver._OutOfBudget:
+        return Verdict("unknown", budget_exhausted=True)
+    if source.form.is_definite() and source.form.rank <= solver.DEFINITE_CAP:
+        return Verdict.no(REASON_HOMOTOPY if saw_witness else REASON_EXHAUSTIVE)
+    return Verdict("unknown", radius=cfg.radius)
 
 
 def _random_definite_hc8(rng, model, rank):

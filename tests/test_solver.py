@@ -333,6 +333,29 @@ def test_budget_exhaustion_is_reported():
     assert _verdict_text(v) == "Unknown (node budget exhausted)"
 
 
+def test_accept_predicate_maps_to_each_verdict():
+    # a predicate rejecting every column leaves no witness: a complete
+    # enumeration proves No, a box search ends at its radius, and a budget
+    # that runs out first is named as such
+    seen = []
+
+    def reject(col, vec):
+        seen.append((col, vec))
+        return False
+
+    v = congruence_solve(I2, I1, 1, accept=reject)
+    assert v.is_no and v.reason == solver.REASON_EXHAUSTIVE
+    assert sorted(seen) == [(0, (-1, 0)), (0, (0, -1)), (0, (0, 1)), (0, (1, 0))]
+    assert congruence_solve(I2, I1, 1).is_yes
+
+    v = congruence_solve(A1, A1, 1, SearchConfig(radius=3), reject)
+    assert v.is_unknown and v.radius == 3 and not v.budget_exhausted
+
+    v = congruence_solve(I2, I1, 1, SearchConfig(node_budget=1), reject)
+    assert v.is_unknown and v.budget_exhausted and v.radius is None
+    assert congruence_solve(I2, I1, 1, SearchConfig(node_budget=1)).is_yes
+
+
 def test_solver_is_deterministic():
     one = congruence_solve(D, A1, 6)
     two = congruence_solve(D, A1, 6)
