@@ -53,7 +53,6 @@ from .intform import (
     IntMatrix,
     direct_sum,
     empty_form,
-    isomorphic,
     make_form,
     parity,
     signature,
@@ -63,6 +62,7 @@ from .solver import (
     SearchConfig,
     Verdict,
     congruence_solve,
+    isomorphic,
     verify_witness,
 )
 

@@ -51,6 +51,7 @@ from .intform import (
     block_diagonal,
     direct_sum,
     infer_symmetry,
+    json_int,
     make_form,
     matrix_from_doc,
     matrix_to_doc,
@@ -119,11 +120,7 @@ def manifold(
 
 def hyperbolic_matrix(copies: int) -> IntMatrix:
     """copies blocks of [[0,1],[1,0]] down the diagonal."""
-    block = IntMatrix.from_rows([[0, 1], [1, 0]])
-    out = IntMatrix.zeros(0, 0)
-    for _ in range(copies):
-        out = block_diagonal(out, block)
-    return out
+    return block_diagonal(*[IntMatrix.from_rows([[0, 1], [1, 0]])] * copies)
 
 
 def hyperbolic_form(copies: int) -> IntersectionForm:
@@ -140,11 +137,7 @@ def diag_form(diag: Sequence[int]) -> IntersectionForm:
 
 def hyperbolic_scaling_matrix(copies: int, k: int) -> IntMatrix:
     """copies blocks of [[0,k],[1,0]]; conjugates l hyperbolic planes to k times themselves."""
-    block = IntMatrix.from_rows([[0, k], [1, 0]])
-    out = IntMatrix.zeros(0, 0)
-    for _ in range(copies):
-        out = block_diagonal(out, block)
-    return out
+    return block_diagonal(*[IntMatrix.from_rows([[0, k], [1, 0]])] * copies)
 
 
 # ---------------------------------------------------------------------------
@@ -252,8 +245,8 @@ def manifold_from_doc(doc: dict) -> ManifoldModel:
         symmetry = infer_symmetry(matrix)
     form = make_form(matrix, symmetry)
     try:
-        n = int(doc.get("n", 2))
-    except (TypeError, ValueError) as exc:
+        n = json_int(doc.get("n", 2))
+    except TypeError as exc:
         raise ShapeMismatch(f"a manifold document needs an integer 'n' ({exc!r})") from exc
     pi = model_from_doc(doc["pi"]) if "pi" in doc else None
     data = None

@@ -47,13 +47,12 @@ from .intform import (
     IntersectionForm,
     IntMatrix,
     infer_symmetry,
-    isomorphic,
     make_form,
     matrix_from_doc,
     matrix_to_doc,
     parse_matrix_text,
 )
-from .solver import SearchConfig, Verdict, congruence_solve
+from .solver import SearchConfig, Verdict, congruence_solve, isomorphic
 
 EXIT_OK = 0
 EXIT_ERROR = 1

@@ -31,7 +31,7 @@ from .errors import (
     OddN,
     ShapeMismatch,
 )
-from .intform import IntersectionForm, IntMatrix
+from .intform import IntersectionForm, IntMatrix, json_int
 
 
 @dataclass(frozen=True)
@@ -150,10 +150,7 @@ def hopf(t: PiElement) -> int:
     """Hopf invariant from the nu-coefficient: H(t) = nu / lambda."""
     if not t.model.has_nu:
         raise OddN("the Hopf invariant needs an even n")
-    h = Fraction(t.nu) / t.model.lam
-    if h.denominator != 1:
-        raise NonIntegralHopf(f"nu-coefficient {t.nu} with lambda {t.model.lam}")
-    return int(h)
+    return int(t.nu / t.model.lam)  # lambda is 1 or 1/2: always an integer
 
 
 def elements_from_diagonal(model: PiModel, form) -> tuple:
@@ -274,11 +271,16 @@ def model_to_doc(model: PiModel) -> dict:
 _DOC_ERRORS = (AttributeError, KeyError, TypeError, ValueError)
 
 
+def _json_ints(values) -> list | None:
+    return None if values is None else [json_int(x) for x in values]
+
+
 def model_from_doc(doc: dict) -> PiModel:
     try:
         wh = doc.get("whitehead") or {}
-        model = pi_model(int(doc["n"]), doc.get("torsion_orders", ()), wh.get("torsion"))
-        nu = int(wh["nu"]) if "nu" in wh else model.whitehead.nu
+        orders = _json_ints(doc.get("torsion_orders", ()))
+        model = pi_model(json_int(doc["n"]), orders, _json_ints(wh.get("torsion")))
+        nu = json_int(wh["nu"]) if "nu" in wh else model.whitehead.nu
     except _DOC_ERRORS as exc:
         raise ShapeMismatch(
             f"a pi model document needs an integer 'n' and integer torsion lists ({exc!r})"
@@ -296,7 +298,7 @@ def element_to_doc(e: PiElement) -> dict:
 
 def element_from_doc(model: PiModel, doc: dict) -> PiElement:
     try:
-        return element(model, int(doc.get("nu", 0)), doc.get("torsion"))
+        return element(model, json_int(doc.get("nu", 0)), _json_ints(doc.get("torsion")))
     except _DOC_ERRORS as exc:
         raise ShapeMismatch(
             f"a pi element document needs an integer 'nu' and a torsion list ({exc!r})"

@@ -3,11 +3,12 @@
 A closed oriented 2n-manifold pairs its middle-dimensional (co)homology by
 a unimodular bilinear form: symmetric when n is even, antisymmetric when n
 is odd.  This module represents such forms as dense integer matrices and
-computes their invariants (rank, signature, parity) and isomorphism
-witnesses with exact arithmetic only.  Entries are Python ints.
-Signatures come from the fraction-free ``symmetric_elimination``, which
-the solver's definite enumeration shares; only ``inverse_unimodular``
-works over ``fractions.Fraction``, and nothing here touches a float.
+computes their invariants (rank, determinant, signature, parity) and
+symplectic bases with exact arithmetic only.  Entries are Python ints.
+Determinant and signature of a symmetric form come from one fraction-free
+``symmetric_elimination``, which the solver's definite enumeration shares;
+only ``inverse_unimodular`` works over ``fractions.Fraction``.  It imports
+no degmap module but ``errors``; isomorphism is ``solver.isomorphic``.
 
 >>> f = make_form(IntMatrix.from_rows([[0, 1], [1, 0]]), SYMMETRIC)
 >>> f.parity, f.signature
@@ -22,7 +23,6 @@ from typing import Iterable, Sequence
 
 from .errors import (
     AntisymmetricInput,
-    CapExceeded,
     NotSquare,
     NotUnimodular,
     ShapeMismatch,
@@ -226,16 +226,18 @@ class IntMatrix:
         return "\n".join(lines)
 
 
-def block_diagonal(a: IntMatrix, b: IntMatrix) -> IntMatrix:
-    rows = a.rows + b.rows
-    cols = a.cols + b.cols
+def block_diagonal(*blocks: IntMatrix) -> IntMatrix:
+    """The blocks down the diagonal, zeros elsewhere; 0x0 when there are none."""
+    rows = sum(b.rows for b in blocks)
+    cols = sum(b.cols for b in blocks)
     out = [0] * (rows * cols)
-    for i in range(a.rows):
-        for j in range(a.cols):
-            out[i * cols + j] = a[i, j]
-    for i in range(b.rows):
-        for j in range(b.cols):
-            out[(a.rows + i) * cols + (a.cols + j)] = b[i, j]
+    r0 = c0 = 0
+    for b in blocks:
+        for i in range(b.rows):
+            start = (r0 + i) * cols + c0
+            out[start : start + b.cols] = b.row(i)
+        r0 += b.rows
+        c0 += b.cols
     return IntMatrix(rows, cols, out)
 
 
@@ -296,6 +298,8 @@ def symmetric_elimination(rows: list) -> list:
     row and column swap) or, when every remaining diagonal entry is 0, by
     adding a partner row and column.  Both are changes of basis, so the
     minors are those of the changed basis; a definite matrix never pivots.
+    A congruence keeps the determinant, so the last pivot is det(rows), and
+    a degenerate matrix raises NotUnimodular("determinant 0").
     """
     a = [list(row) for row in rows]
     n = len(a)
@@ -310,7 +314,7 @@ def symmetric_elimination(rows: list) -> list:
             else:
                 j = next((t for t in range(i + 1, n) if a[i][t] != 0), None)
                 if j is None:
-                    raise NotUnimodular("the form is degenerate")
+                    raise NotUnimodular("determinant 0")
                 # all remaining diagonal entries vanish, so this produces 2*a[i][j] != 0
                 for t in range(n):
                     a[i][t] += a[j][t]
@@ -329,7 +333,9 @@ def make_form(matrix: IntMatrix, symmetry: str) -> IntersectionForm:
     """Validate and wrap a matrix as a unimodular intersection form.
 
     Raises NotSquare, SymmetryMismatch or NotUnimodular when the matrix
-    cannot be the middle-dimensional pairing of a closed manifold.
+    cannot be the middle-dimensional pairing of a closed manifold.  A
+    symmetric matrix's determinant and signature come from its one
+    ``symmetric_elimination``; only an antisymmetric one takes ``det``.
     """
     if symmetry not in (SYMMETRIC, ANTISYMMETRIC):
         raise SymmetryMismatch(f"unknown symmetry flag {symmetry!r}")
@@ -339,17 +345,19 @@ def make_form(matrix: IntMatrix, symmetry: str) -> IntersectionForm:
         raise SymmetryMismatch("matrix is not symmetric")
     if symmetry == ANTISYMMETRIC and not matrix.is_antisymmetric():
         raise SymmetryMismatch("matrix is not antisymmetric")
-    det = matrix.det()
-    if det not in (1, -1):
-        raise NotUnimodular(f"determinant {det}")
     rank = matrix.rows
     if symmetry == ANTISYMMETRIC:
+        det = matrix.det()
+        if det not in (1, -1):
+            raise NotUnimodular(f"determinant {det}")
         if rank % 2 != 0:
             raise NotUnimodular("antisymmetric unimodular forms have even rank")
         return IntersectionForm(matrix, symmetry, rank, None, None)
     tri = symmetric_elimination(matrix.to_rows())
-    # each sign change in 1, p_0, p_1, ... is a negative direction
     pivots = [1] + [tri[i][i] for i in range(rank)]
+    if pivots[-1] not in (1, -1):
+        raise NotUnimodular(f"determinant {pivots[-1]}")
+    # each sign change in 1, p_0, p_1, ... is a negative direction
     neg = sum(1 for p, q in zip(pivots, pivots[1:]) if (p > 0) != (q > 0))
     sig = (rank - neg, neg, 0)
     par = PARITY_EVEN if all(matrix[i, i] % 2 == 0 for i in range(rank)) else PARITY_ODD
@@ -391,52 +399,6 @@ def direct_sum(f: IntersectionForm, g: IntersectionForm) -> IntersectionForm:
 def transform_form(f: IntersectionForm, u: IntMatrix) -> IntersectionForm:
     """The form of the same pairing written in the basis with matrix u."""
     return make_form(f.matrix.transform_by(u), f.symmetry)
-
-
-def isomorphic(f: IntersectionForm, g: IntersectionForm):
-    """Decide whether two unimodular forms are isomorphic over the integers.
-
-    The answer is always decisive.  Invariant mismatches give No with the
-    responsible invariant as the reason.  Antisymmetric forms of equal rank
-    get an explicit symplectic-basis witness.  Indefinite symmetric forms
-    are classified by (rank, signature, parity), so equality of invariants
-    already settles Yes; a witness is attached when a short search finds
-    one.  Definite forms fall back to the complete enumeration of the
-    congruence solver at degree 1.
-    """
-    from . import solver  # local import: solver depends on this module
-
-    if f.symmetry != g.symmetry:
-        return solver.Verdict.no(solver.REASON_SYMMETRY)
-    if f.rank != g.rank:
-        return solver.Verdict.no(solver.REASON_RANK)
-    if f.symmetry == SYMMETRIC:
-        if f.parity != g.parity:
-            return solver.Verdict.no(solver.REASON_PARITY)
-        if f.signature != g.signature:
-            return solver.Verdict.no(solver.REASON_SIGNATURE)
-    if f.matrix == g.matrix:
-        return solver.Verdict.yes_checked(f, g, 1, IntMatrix.identity(f.rank))
-    if f.symmetry == ANTISYMMETRIC:
-        uf = symplectic_basis_transform(f.matrix)
-        ug = symplectic_basis_transform(g.matrix)
-        witness = uf @ ug.inverse_unimodular()
-        return solver.Verdict.yes_checked(f, g, 1, witness)
-    if not f.is_definite():
-        # indefinite unimodular symmetric forms are classified by
-        # (rank, signature, parity); attach a witness when cheap to find
-        probe = solver.congruence_solve(
-            f, g, 1, solver.SearchConfig(radius=2, node_budget=200_000)
-        )
-        witness = probe.witness if probe.kind == "yes" else None
-        return solver.Verdict("yes", witness, None, None)
-    if f.rank > solver.DEFINITE_CAP:
-        raise CapExceeded(
-            f"complete definite enumeration is capped at rank {solver.DEFINITE_CAP}"
-        )
-    verdict = solver.congruence_solve(f, g, 1)
-    assert not verdict.is_unknown, "definite enumeration is complete"
-    return verdict
 
 
 # ---------------------------------------------------------------------------
@@ -586,11 +548,7 @@ def symplectic_basis_transform(matrix: IntMatrix) -> IntMatrix:
 
 
 def standard_symplectic_matrix(g: int) -> IntMatrix:
-    block = IntMatrix.from_rows([[0, 1], [-1, 0]])
-    out = IntMatrix.zeros(0, 0)
-    for _ in range(g):
-        out = block_diagonal(out, block)
-    return out
+    return block_diagonal(*[IntMatrix.from_rows([[0, 1], [-1, 0]])] * g)
 
 
 # ---------------------------------------------------------------------------
@@ -631,10 +589,17 @@ def matrix_to_doc(m: IntMatrix, symmetry: str | None = None) -> dict:
     return doc
 
 
+def json_int(value) -> int:
+    """A JSON integer as is; TypeError for a float, bool or string, never truncation."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"{value!r} is not an integer")
+    return value
+
+
 def matrix_from_doc(doc: dict) -> tuple:
     try:
-        rows, cols = int(doc["rows"]), int(doc["cols"])
-        entries = [int(x) for x in doc["entries"]]
+        rows, cols = json_int(doc["rows"]), json_int(doc["cols"])
+        entries = [json_int(x) for x in doc["entries"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise ShapeMismatch(
             f"a matrix document needs integer 'rows', 'cols' and 'entries' ({exc!r})"

@@ -13,6 +13,9 @@ An optional predicate ``accept(col, x)`` restricts the search, and so the
 verdict, to witnesses whose every column passes it; the manifold layer
 passes the per-column homotopy condition.
 
+``isomorphic`` decides isomorphism of forms, the equal-rank, k = 1 case,
+and never answers Unknown.
+
 Columns of P are chosen one at a time.  When A (or -A) is positive
 definite, of rank at most ``DEFINITE_CAP``, the candidate vectors for each
 column form the finite solution set of a definite quadratic equation,
@@ -52,12 +55,14 @@ from dataclasses import dataclass
 from math import isqrt, lcm
 from typing import Iterator, Sequence
 
-from .errors import ShapeMismatch, SymmetryMismatch, WitnessRejected, ZeroK
+from .errors import CapExceeded, ShapeMismatch, SymmetryMismatch, WitnessRejected, ZeroK
 from .intform import (
+    ANTISYMMETRIC,
     SYMMETRIC,
     IntersectionForm,
     IntMatrix,
     symmetric_elimination,
+    symplectic_basis_transform,
 )
 
 REASON_SYMMETRY = "SymmetryFilter"
@@ -359,25 +364,23 @@ def _centered_values(radius: int):
 
 
 def _box_candidates(
-    arows: list,
-    symmetric: bool,
+    qrows: list,
     radius: int,
     quad_target: int,
     lin: list,
     budget: _Budget,
 ) -> Iterator[tuple]:
-    """Vectors x with max-norm <= radius, x.T A x == quad_target and
-    c . x == t for every (c, t) in lin, in centered-lexicographic order.
+    """Vectors x with max-norm <= radius, x.T Q x == quad_target for the
+    symmetric Q with rows ``qrows``, and c . x == t for every (c, t) in lin,
+    in centered-lexicographic order.
 
     Pruning uses exact interval bounds for both the linear constraints and
     the quadratic remainder, so no solutions inside the box are missed.
     """
-    m = len(arows)
+    m = len(qrows)
     if m == 0:
         if quad_target == 0 and all(t == 0 for _, t in lin):
             yield ()
-        return
-    if not symmetric and quad_target != 0:
         return
     lin_coeffs = [c for c, _ in lin]
     lin_targets = [t for _, t in lin]
@@ -390,19 +393,18 @@ def _box_candidates(
             acc[t] = acc[t + 1] + abs(c[t]) * radius
         suffix_abs.append(acc)
     tail_abs = [0] * (m + 1)
-    if symmetric:
-        for dpos in range(m - 1, -1, -1):
-            tail_abs[dpos] = (
-                tail_abs[dpos + 1]
-                + abs(arows[dpos][dpos])
-                + 2 * sum(abs(arows[dpos][t]) for t in range(dpos + 1, m))
-            )
+    for dpos in range(m - 1, -1, -1):
+        tail_abs[dpos] = (
+            tail_abs[dpos + 1]
+            + abs(qrows[dpos][dpos])
+            + 2 * sum(abs(qrows[dpos][t]) for t in range(dpos + 1, m))
+        )
     x = [0] * m
-    g = [0] * m  # g[t] = sum_{s < d} a[s][t] * x[s], maintained for t >= d
+    g = [0] * m  # g[t] = sum_{s < d} q[s][t] * x[s], maintained for t >= d
     linpart = [0] * nlin
 
     def rec(d: int, qpart: int) -> Iterator[tuple]:
-        arow = arows[d]
+        qrow = qrows[d]
         last = d == m - 1
         for v in _centered_values(radius):
             budget.spend()
@@ -415,14 +417,11 @@ def _box_candidates(
                     break
             if not ok:
                 continue
-            if symmetric:
-                nq = qpart + arow[d] * v * v + 2 * v * g[d]
-                cross = sum(abs(g[t] + arow[t] * v) for t in range(d + 1, m))
-                window = 2 * radius * cross + radius * radius * tail_abs[d + 1]
-                if not (quad_target - window <= nq <= quad_target + window):
-                    continue
-            else:
-                nq = 0
+            nq = qpart + qrow[d] * v * v + 2 * v * g[d]
+            cross = sum(abs(g[t] + qrow[t] * v) for t in range(d + 1, m))
+            window = 2 * radius * cross + radius * radius * tail_abs[d + 1]
+            if not (quad_target - window <= nq <= quad_target + window):
+                continue
             x[d] = v
             if last:
                 yield tuple(x)
@@ -430,12 +429,12 @@ def _box_candidates(
                 for i in range(nlin):
                     linpart[i] += lin_coeffs[i][d] * v
                 for t in range(d + 1, m):
-                    g[t] += arow[t] * v
+                    g[t] += qrow[t] * v
                 yield from rec(d + 1, nq)
                 for i in range(nlin):
                     linpart[i] -= lin_coeffs[i][d] * v
                 for t in range(d + 1, m):
-                    g[t] -= arow[t] * v
+                    g[t] -= qrow[t] * v
         x[d] = 0
 
     yield from rec(0, 0)
@@ -494,7 +493,6 @@ def _witness_stream(
     m = a.rank
     arows = [list(a.matrix.row(i)) for i in range(m)]
     target = [[k * x for x in row] for row in b.matrix.to_rows()]
-    symmetric = a.symmetry == SYMMETRIC
     budget = _Budget(cfg.node_budget)
 
     if _enumerates_completely(a):
@@ -512,9 +510,11 @@ def _witness_stream(
                     continue
                 yield cand
     else:
+        # x.T A x vanishes identically when A is antisymmetric
+        qrows = arows if a.symmetry == SYMMETRIC else [[0] * m for _ in range(m)]
 
         def candidates(col: int, lin: list) -> Iterator[tuple]:
-            return _box_candidates(arows, symmetric, cfg.radius, target[col][col], lin, budget)
+            return _box_candidates(qrows, cfg.radius, target[col][col], lin, budget)
 
     def pairing_row(vec: tuple) -> tuple:
         return tuple(
@@ -567,3 +567,37 @@ def congruence_solve(
     if _enumerates_completely(a):
         return Verdict.no(REASON_EXHAUSTIVE)
     return Verdict("unknown", radius=cfg.radius)
+
+
+def isomorphic(f: IntersectionForm, g: IntersectionForm) -> Verdict:
+    """Decide whether two unimodular forms are isomorphic over the integers.
+
+    Invariant mismatches (symmetry, rank, parity, signature, in that order)
+    give No.  Antisymmetric forms get a symplectic-basis witness.  Indefinite
+    symmetric forms are classified by their invariants, so Yes is settled and
+    a witness attached when a radius-2 search finds one.  Definite forms take
+    the complete enumeration, up to rank ``DEFINITE_CAP`` (else CapExceeded).
+    """
+    if f.symmetry != g.symmetry:
+        return Verdict.no(REASON_SYMMETRY)
+    if f.rank != g.rank:
+        return Verdict.no(REASON_RANK)
+    if f.symmetry == SYMMETRIC:
+        if f.parity != g.parity:
+            return Verdict.no(REASON_PARITY)
+        if f.signature != g.signature:
+            return Verdict.no(REASON_SIGNATURE)
+    if f.matrix == g.matrix:
+        return Verdict.yes_checked(f, g, 1, IntMatrix.identity(f.rank))
+    if f.symmetry == ANTISYMMETRIC:
+        uf = symplectic_basis_transform(f.matrix)
+        ug = symplectic_basis_transform(g.matrix)
+        return Verdict.yes_checked(f, g, 1, uf @ ug.inverse_unimodular())
+    if not f.is_definite():
+        probe = congruence_solve(f, g, 1, SearchConfig(radius=2, node_budget=200_000))
+        return Verdict("yes", witness=probe.witness if probe.is_yes else None)
+    if not _enumerates_completely(f):
+        raise CapExceeded(f"complete definite enumeration is capped at rank {DEFINITE_CAP}")
+    verdict = congruence_solve(f, g, 1)
+    assert not verdict.is_unknown, "definite enumeration is complete"
+    return verdict

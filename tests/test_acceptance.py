@@ -31,11 +31,12 @@ from degmap.homotopy import (
     pi_scale,
     zero_element,
 )
-from degmap.intform import IntMatrix, SYMMETRIC, direct_sum, isomorphic, make_form
+from degmap.intform import IntMatrix, SYMMETRIC, direct_sum, make_form
 from degmap.solver import (
     COMPLETE_REASONS,
     SearchConfig,
     congruence_solve,
+    isomorphic,
     verify_witness,
 )
 

@@ -18,7 +18,8 @@ from degmap.errors import (
     UnknownPreset,
 )
 from degmap.homotopy import element, pi_model
-from degmap.intform import IntMatrix, isomorphic, make_form, SYMMETRIC
+from degmap.intform import IntMatrix, make_form, SYMMETRIC
+from degmap.solver import isomorphic
 
 
 def test_preset_forms_match_the_table():

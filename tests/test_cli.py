@@ -191,6 +191,14 @@ MALFORMED = [
     ("form-info", "bom.mat", b"\xff\xfe"),
     ("form-info", "deep.json", "[" * 100_000),
     ("form-info", "long-number.json", '{"rows": ' + "9" * 5000 + "}"),
+    # numbers that are not JSON integers are refused, never truncated
+    ("form-info", "float-entry.json", '{"rows": 1, "cols": 1, "entries": [1.9]}'),
+    ("form-info", "bool-entry.json", '{"rows": 1, "cols": 1, "entries": [true]}'),
+    ("form-info", "float-rows.json", '{"rows": 1.7, "cols": 1, "entries": [1]}'),
+    ("degset", "float-n.json", manifold_json(n=2.5)),
+    ("selfmap", "float-pi-n.json", json.dumps({"pi": {"n": 2.0}})),
+    ("selfmap", "float-nu.json", json.dumps({"pi": {"n": 4}, "homotopy_data": [{"nu": 1.0}]})),
+    ("selfmap", "bool-nu.json", json.dumps({"pi": {"n": 4}, "homotopy_data": [{"nu": True}]})),
 ]
 # where each command takes the malformed file
 MALFORMED_ARGV = {
@@ -408,6 +416,60 @@ def test_runtime_needs_only_the_standard_library():
                 names = [node.module]
             numpy_imports += [path.name for n in names if n.split(".")[0] == "numpy"]
     assert numpy_imports == []
+
+
+def _package_modules(node, modules: set) -> set:
+    """The degmap modules an import node names; the package itself is __init__."""
+    if isinstance(node, ast.ImportFrom) and node.level:
+        names = [node.module] if node.module else [a.name for a in node.names]
+    elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("degmap"):
+        names = node.module.split(".")[1:2] or [a.name for a in node.names]
+    else:
+        names = [a.name.split(".")[1] for a in node.names if a.name.startswith("degmap.")]
+    return {n if n in modules else "__init__" for n in names}
+
+
+def test_package_imports_are_module_level_and_acyclic():
+    # intform is the leaf the solver and the manifold layers build on: it
+    # may import errors, nothing above it; no import hides in a function
+    package = Path(degmap.__file__).parent
+    modules = {p.stem for p in package.glob("*.py")}
+    graph, local = {}, []
+    for path in sorted(package.glob("*.py")):
+        graph[path.stem] = set()
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                local += [
+                    f"{path.name}:{n.lineno}" for n in ast.walk(node)
+                    if isinstance(n, (ast.Import, ast.ImportFrom))
+                ]
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                graph[path.stem] |= _package_modules(node, modules)
+    assert local == []
+    assert graph["intform"] <= {"errors"}
+    done, visiting = set(), []
+
+    def visit(m):
+        assert m not in visiting, f"import cycle {visiting + [m]}"
+        if m not in done:
+            visiting.append(m)
+            for dep in sorted(graph[m]):
+                visit(dep)
+            visiting.pop()
+            done.add(m)
+
+    for m in sorted(graph):
+        visit(m)
+
+
+def test_python_dash_m_degmap_prints_the_version():
+    src = str(Path(degmap.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "degmap", "--version"], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0
+    assert proc.stdout == f"degmap {degmap.__version__}\n"
 
 
 # documents near the input formats, so that the fuzz gets past the parsers

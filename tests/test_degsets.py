@@ -25,8 +25,8 @@ from degmap.errors import (
     WitnessRejected,
 )
 from degmap.homotopy import ConditionReport, check_homotopy_condition, element, pi_model
-from degmap.intform import IntMatrix, SYMMETRIC, isomorphic, make_form
-from degmap.solver import REASON_EXHAUSTIVE, SearchConfig, Verdict
+from degmap.intform import IntMatrix, SYMMETRIC, make_form
+from degmap.solver import REASON_EXHAUSTIVE, SearchConfig, Verdict, isomorphic
 
 from conftest import random_unimodular
 

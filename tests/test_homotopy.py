@@ -414,3 +414,27 @@ def test_element_doc_round_trip(rng):
     for _ in range(10):
         e = random_element(rng, model)
         assert element_from_doc(model, element_to_doc(e)) == e
+
+
+def test_docs_refuse_numbers_that_are_not_integers():
+    # a float or a bool is refused, not truncated into a different model
+    model = pi_model(4, [2, 5], [1, 3])
+    good = model_to_doc(model)
+    for path, bad in [
+        (("n",), 4.0),
+        (("torsion_orders", 1), 5.5),
+        (("whitehead", "nu"), 2.0),
+        (("whitehead", "torsion", 0), True),
+    ]:
+        doc = model_to_doc(model)
+        *outer, last = path
+        inner = doc
+        for key in outer:
+            inner = inner[key]
+        inner[last] = bad
+        with pytest.raises(ShapeMismatch):
+            model_from_doc(doc)
+    assert model_from_doc(good) == model
+    for doc in ({"nu": 1.0}, {"nu": False}, {"torsion": [1, 3.0]}, {"torsion": "13"}):
+        with pytest.raises(ShapeMismatch):
+            element_from_doc(model, doc)

@@ -20,7 +20,6 @@ from degmap.intform import (
     hstack,
     infer_symmetry,
     integer_kernel,
-    isomorphic,
     make_form,
     matrix_from_doc,
     matrix_to_doc,
@@ -31,6 +30,7 @@ from degmap.intform import (
     symplectic_basis_transform,
     transform_form,
 )
+from degmap.solver import isomorphic
 
 from conftest import random_antisymmetric_form, random_symmetric_form, random_unimodular
 
@@ -427,3 +427,12 @@ def test_hstack_and_blocks():
     b = IntMatrix.zeros(2, 1)
     assert hstack(a, b).shape == (2, 3)
     assert block_diagonal(a, IntMatrix.identity(1)) == IntMatrix.identity(3)
+    three = block_diagonal(IntMatrix.from_rows([[2]]), b, IntMatrix.from_rows([[0, 1], [-1, 0]]))
+    assert three.to_rows() == [
+        [2, 0, 0, 0],
+        [0, 0, 0, 0],
+        [0, 0, 0, 0],
+        [0, 0, 0, 1],
+        [0, 0, -1, 0],
+    ]
+    assert block_diagonal() == IntMatrix.zeros(0, 0)
