@@ -18,6 +18,7 @@ data; use the JSON form to control dimension and flags.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import replace
@@ -265,7 +266,7 @@ def _add_flags(p: argparse.ArgumentParser, radius: bool = False, budget: str | N
 
 def _cmd_form_info(args) -> int:
     form = _load_form(args.f)
-    fields = [("rank", form.rank), ("symmetry", form.symmetry), ("determinant", form.matrix.det())]
+    fields = [("rank", form.rank), ("symmetry", form.symmetry), ("determinant", form.determinant)]
     if form.symmetry == SYMMETRIC:
         fields += [("signature", form.signature), ("parity", form.parity)]
     doc = dict(fields, matrix=matrix_to_doc(form.matrix, form.symmetry))
@@ -351,7 +352,9 @@ def _cmd_catalog_list(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``degmap`` parser, built once per process and shared by ``main``."""
     parser = argparse.ArgumentParser(
         prog="degmap",
         description="decide degree-k map existence between manifolds by exact integer algebra",

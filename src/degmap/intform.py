@@ -7,8 +7,10 @@ computes their invariants (rank, determinant, signature, parity) and
 symplectic bases with exact arithmetic only.  Entries are Python ints.
 Determinant and signature of a symmetric form come from one fraction-free
 ``symmetric_elimination``, which the solver's definite enumeration shares;
-only ``inverse_unimodular`` works over ``fractions.Fraction``.  It imports
-no degmap module but ``errors``; isomorphism is ``solver.isomorphic``.
+the form keeps its pivots, a rational diagonalisation that the solver's
+local (Hasse) filter reads.  Only ``inverse_unimodular`` works over
+``fractions.Fraction``.  It imports no degmap module but ``errors``;
+isomorphism is ``solver.isomorphic``.
 
 >>> f = make_form(IntMatrix.from_rows([[0, 1], [1, 0]]), SYMMETRIC)
 >>> f.parity, f.signature
@@ -17,7 +19,7 @@ no degmap module but ``errors``; isomorphism is ``solver.isomorphic``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -261,7 +263,11 @@ class IntersectionForm:
     """A unimodular (anti)symmetric pairing with its cached invariants.
 
     ``signature`` is the triple (n_plus, n_minus, n_zero) and ``parity`` is
-    'even' or 'odd'; both are None for antisymmetric forms.
+    'even' or 'odd'; both are None for antisymmetric forms.  ``pivots``
+    holds the pivots p_0, ..., p_{n-1} of the form's
+    ``symmetric_elimination``, so that the form is <p_{i-1} * p_i> over Q
+    (p_{-1} = 1) and the last pivot is the determinant; it is None for
+    antisymmetric forms and takes no part in equality, hashing or repr.
     """
 
     matrix: IntMatrix
@@ -269,6 +275,12 @@ class IntersectionForm:
     rank: int
     signature: tuple | None
     parity: str | None
+    pivots: tuple | None = field(compare=False, repr=False)
+
+    @property
+    def determinant(self) -> int:
+        # an antisymmetric unimodular form has det = Pfaffian^2 = 1
+        return self.pivots[-1] if self.pivots else 1
 
     def is_definite(self) -> bool:
         if self.symmetry != SYMMETRIC or self.rank == 0:
@@ -352,16 +364,16 @@ def make_form(matrix: IntMatrix, symmetry: str) -> IntersectionForm:
             raise NotUnimodular(f"determinant {det}")
         if rank % 2 != 0:
             raise NotUnimodular("antisymmetric unimodular forms have even rank")
-        return IntersectionForm(matrix, symmetry, rank, None, None)
+        return IntersectionForm(matrix, symmetry, rank, None, None, None)
     tri = symmetric_elimination(matrix.to_rows())
-    pivots = [1] + [tri[i][i] for i in range(rank)]
+    pivots = (1,) + tuple(tri[i][i] for i in range(rank))
     if pivots[-1] not in (1, -1):
         raise NotUnimodular(f"determinant {pivots[-1]}")
     # each sign change in 1, p_0, p_1, ... is a negative direction
     neg = sum(1 for p, q in zip(pivots, pivots[1:]) if (p > 0) != (q > 0))
     sig = (rank - neg, neg, 0)
     par = PARITY_EVEN if all(matrix[i, i] % 2 == 0 for i in range(rank)) else PARITY_ODD
-    return IntersectionForm(matrix, symmetry, rank, sig, par)
+    return IntersectionForm(matrix, symmetry, rank, sig, par, pivots[1:])
 
 
 def infer_symmetry(matrix: IntMatrix) -> str:

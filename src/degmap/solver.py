@@ -46,7 +46,17 @@ The filters are each complete arguments, never heuristics:
   every per-candidate test a table lookup: the vectors are bucketed by
   quadratic value and each pairing with a placed column is read from its
   dot table.  A search that examines more than ``_MODQ_NODE_CAP`` vectors
-  claims nothing.
+  claims nothing;
+* Hasse (symmetric forms, last): a rational P exists only if A represents
+  kB over every completion Q_p.  A and B are unimodular, so only p = 2,
+  the primes dividing k and the real place (the signature filter) can
+  obstruct.  At those primes A must split as kB plus a complement C whose
+  determinant and Hasse invariant are forced, and C of rank r must exist
+  (Serre, *A Course in Arithmetic*, ch. IV, 2.3): r = 0 needs the
+  invariants of A and kB to match, r = 1 needs c(C) = 1, r = 2 rules out
+  d(C) = -1 with c(C) = -1, and r >= 3 never obstructs.  No rational
+  solution means no integral one.  The diagonal of each form is read off
+  its stored elimination pivots.
 """
 
 from __future__ import annotations
@@ -72,6 +82,7 @@ REASON_PARITY = "ParityFilter"
 REASON_DETERMINANT = "DeterminantFilter"
 REASON_MOD2 = "Mod2Filter"
 REASON_MOD4 = "Mod4Filter"
+REASON_HASSE = "HasseFilter"
 REASON_EXHAUSTIVE = "ExhaustiveDefinite"
 
 # Complete reasons double as "never contradicted by any witness search".
@@ -83,6 +94,7 @@ COMPLETE_REASONS = frozenset(
         REASON_DETERMINANT,
         REASON_MOD2,
         REASON_MOD4,
+        REASON_HASSE,
         REASON_EXHAUSTIVE,
         REASON_SYMMETRY,
     }
@@ -276,6 +288,105 @@ def _modq_unsolvable(a: IntMatrix, b: IntMatrix, k: int, q: int) -> bool:
         return False
 
 
+# Trial division bound for the primes of k.  A cofactor with no prime
+# factor up to the bound that is not below its square stays unfactored and
+# its primes go unchecked, which can only lose a No.
+_FACTOR_CAP = 1 << 16
+
+
+def _local_primes(k: int) -> list:
+    """2 and the primes of k that trial division up to ``_FACTOR_CAP`` finds."""
+    n = abs(k)
+    while n % 2 == 0:
+        n //= 2
+    primes = [2]
+    d = 3
+    while d * d <= n:
+        if d > _FACTOR_CAP:
+            return primes
+        if n % d == 0:
+            primes.append(d)
+            while n % d == 0:
+                n //= d
+        d += 2
+    if n > 1:
+        primes.append(n)
+    return primes
+
+
+def _split(a: int, p: int) -> tuple:
+    """(v, u) with a == p**v * u and u prime to p; a != 0."""
+    v = 0
+    while a % p == 0:
+        a //= p
+        v += 1
+    return v, a
+
+
+def _is_residue(u: int, p: int) -> bool:
+    """Whether the p-adic unit u is a square in Z_p."""
+    return u % 8 == 1 if p == 2 else pow(u, (p - 1) // 2, p) == 1
+
+
+def _is_local_square(a: int, p: int) -> bool:
+    v, u = _split(a, p)
+    return v % 2 == 0 and _is_residue(u, p)
+
+
+def _hilbert(a: int, b: int, p: int) -> int:
+    """The Hilbert symbol (a, b)_p of nonzero integers (Serre, ch. III, 1.2)."""
+    alpha, u = _split(a, p)
+    beta, v = _split(b, p)
+    if p == 2:
+        eps_u, eps_v = (u - 1) // 2 % 2, (v - 1) // 2 % 2
+        omega_u, omega_v = (u * u - 1) // 8 % 2, (v * v - 1) // 8 % 2
+        odd = eps_u * eps_v + alpha * omega_v + beta * omega_u
+    else:
+        odd = alpha * beta * (p - 1) // 2
+        odd += beta * (not _is_residue(u, p)) + alpha * (not _is_residue(v, p))
+    return -1 if odd % 2 else 1
+
+
+def _hasse_invariant(diag: Sequence[int], p: int) -> int:
+    """prod_{i<j} (a_i, a_j)_p of <a_1, ..., a_n>, by bilinearity one symbol per entry."""
+    c, d = 1, 1
+    for x in diag:
+        c *= _hilbert(d, x, p)
+        d *= x
+    return c
+
+
+def _rational_diagonal(form: IntersectionForm) -> list:
+    return [p * q for p, q in zip((1,) + form.pivots, form.pivots)]
+
+
+def _hasse_obstructed(a: IntersectionForm, b: IntersectionForm, k: int) -> bool:
+    """True when A cannot represent kB over Q_p for p = 2 or a found p | k.
+
+    A represents g = kB over Q_p iff A = g + C for a C of rank
+    r = rank A - rank B with d(C) = d(A) d(g) and, as
+    c(g + C) = c(g) c(C) (d(g), d(C))_p, c(C) = c(A) c(g) (d(g), d(C))_p.
+    """
+    r = a.rank - b.rank
+    if r >= 3:
+        return False
+    diag_a = _rational_diagonal(a)
+    diag_g = [k * x for x in _rational_diagonal(b)]
+    d_g = k ** b.rank * b.determinant
+    d_c = a.determinant * d_g
+    for p in _local_primes(k):
+        c = _hasse_invariant(diag_a, p) * _hasse_invariant(diag_g, p) * _hilbert(d_g, d_c, p)
+        if r == 0:
+            exists = c == 1 and _is_local_square(d_c, p)
+        elif r == 1:
+            exists = c == 1
+        else:
+            exists = c == 1 or not _is_local_square(-d_c, p)
+        if not exists:
+            return True
+    return False
+
+
 def _prefilter(a: IntersectionForm, b: IntersectionForm, k: int) -> Verdict | None:
     if b.rank > a.rank:
         return Verdict.no(REASON_RANK)
@@ -290,6 +401,8 @@ def _prefilter(a: IntersectionForm, b: IntersectionForm, k: int) -> Verdict | No
         return Verdict.no(REASON_MOD2)
     if _modq_unsolvable(a.matrix, b.matrix, k, 4):
         return Verdict.no(REASON_MOD4)
+    if a.symmetry == SYMMETRIC and _hasse_obstructed(a, b, k):
+        return Verdict.no(REASON_HASSE)
     return None
 
 
@@ -347,6 +460,7 @@ def _definite_solutions(tri: list, value: int) -> list:
         x[i] = 0
 
     rec(m - 1, scale * value)
+    del rec  # see _backtrack
     out.sort(key=_centered_key)
     return out
 
@@ -437,7 +551,10 @@ def _box_candidates(
                     g[t] -= qrow[t] * v
         x[d] = 0
 
-    yield from rec(0, 0)
+    try:
+        yield from rec(0, 0)
+    finally:
+        del rec  # see _backtrack
 
 
 # ---------------------------------------------------------------------------
@@ -475,7 +592,13 @@ def _backtrack(order: Sequence[int], target: list, candidates, pairing_row, acce
             yield from rec(idx + 1)
             placed.pop()
 
-    yield from rec(0)
+    try:
+        yield from rec(0)
+    finally:
+        # rec refers to itself through its closure, a cycle that would keep
+        # it and everything it reaches (candidate lists, dot tables) alive
+        # until the next cyclic collection; breaking it frees them at once
+        del rec
 
 
 def _enumerates_completely(a: IntersectionForm) -> bool:

@@ -12,7 +12,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import degmap
-from degmap.cli import main
+from degmap.cli import build_parser, main
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -67,6 +67,26 @@ def test_solve_json_fields(capsys):
 def test_solve_accepts_presets(capsys):
     code, out, _ = run(capsys, "solve", "--A", "CP2#(-CP2)", "--B", "S2xS2", "--k", "2")
     assert code == 0 and out.startswith("Yes")
+
+
+def test_solve_hasse_no_at_six_squares(capsys):
+    i6 = f"@{FIXTURES}/I6.mat"
+    code, raw, _ = run(capsys, "solve", "--A", i6, "--B", i6, "--k", "3", "--json")
+    assert code == 0
+    assert json.loads(raw) == {"verdict": "no", "k": 3, "reason": "HasseFilter"}
+
+
+def test_solve_with_a_k_too_large_to_factor_returns_promptly():
+    # k = p * q with p, q near 10^15 is not factored; k = 3 mod 4 still
+    # gives the Hasse obstruction at p = 2
+    k = 1_000_000_000_000_037 * 1_000_000_000_000_091
+    src = str(Path(degmap.__file__).resolve().parents[1])
+    i6 = f"@{FIXTURES}/I6.mat"
+    proc = subprocess.run(
+        [sys.executable, "-m", "degmap", "solve", "--A", i6, "--B", i6, "--k", str(k)],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60,
+    )
+    assert (proc.returncode, proc.stdout) == (0, "No (HasseFilter)\n")
 
 
 def test_solve_zero_k_is_usage_error(capsys):
@@ -366,6 +386,26 @@ def test_directory_path_is_a_clean_error(capsys, tmp_path, argv):
 def test_usage_error(capsys):
     code, _, _ = run(capsys, "solve", "--A", "CP2")
     assert code == 1
+
+
+def test_the_parser_is_built_once_and_reused(capsys):
+    # the first call of each subcommand is the reference; later calls,
+    # after other subcommands and a usage error, must print the same
+    calls = [
+        ["form-info", "--f", "CP2#CP2", "--json"],
+        ["solve", "--A", "CP2#(-CP2)", "--B", "S2xS2", "--k", "2"],
+        ["solve", "--A", "CP2"],
+        ["degset", "--M", "CP2#(-CP2)", "--L", "S2xS2", "--range", "2", "--json"],
+        ["catalog-list"],
+        ["form-iso", "--f", "CP2", "--g", "minusCP2", "--budget"],
+    ]
+    first = {}
+    for argv in calls + calls[::-1] + calls:
+        result = run(capsys, *argv)
+        assert first.setdefault(tuple(argv), result) == result, argv
+    assert first[tuple(calls[2])][0] == first[tuple(calls[5])][0] == 1
+    assert "usage:" in first[tuple(calls[2])][2]
+    assert build_parser() is build_parser()
 
 
 def test_unknown_verdict_exit_code(capsys):

@@ -299,10 +299,16 @@ def test_homotopy_regime_column_pruning_decides_within_budget():
 
 
 def test_homotopy_regime_rejected_columns_name_the_obstruction():
-    # no two orthogonal vectors of norm 6 exist in Z^3, so no congruence
-    # witness does either; but every norm-6 vector has a last coordinate
-    # prime to 3, so each one fails the torsion condition of column 0
-    ans = degree_realizable(_identity_hc8(3, [0, 0, 1]), _identity_hc8(2, [0, 0]), 6)
+    # no two orthogonal vectors of norm 6 exist even in Q^3 (6 I_2 + <1>
+    # and I_3 differ in their Hasse invariant at 3), so the filters answer
+    # before any column is tried; at k = 5 congruence witnesses exist, but
+    # the search rejects the columns that fail the torsion condition and
+    # exhausts, and the No names the homotopy obstruction
+    src = _identity_hc8(3, [0, 0, 1])
+    ans = degree_realizable(src, _identity_hc8(2, [0, 0]), 6)
+    assert ans.kind == "no" and ans.reason == solver.REASON_HASSE
+    assert solver.congruence_solve(src.form, _identity_hc8(2, [1, 0]).form, 5).is_yes
+    ans = degree_realizable(src, _identity_hc8(2, [1, 0]), 5)
     assert ans.kind == "no" and ans.reason == REASON_HOMOTOPY
 
 

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -176,6 +177,22 @@ def test_symmetric_elimination_pivots_give_det_and_signature(rng):
         changes = sum(1 for p, q in zip(pivots, pivots[1:]) if p * q < 0)
         assert tri[-1][-1] == m.det()
         assert (m.rows - changes, changes) == (pos, neg)
+
+
+def test_form_keeps_its_pivots_outside_equality(rng):
+    for _ in range(30):
+        m = random_symmetric_form(rng, rng.randrange(1, 4)).matrix
+        m = block_diagonal(m, SWAP_SEED).transform_by(random_unimodular(rng, m.rows + 2))
+        f = make_form(m, SYMMETRIC)
+        tri = symmetric_elimination(m.to_rows())
+        assert f.pivots == tuple(tri[i][i] for i in range(m.rows))
+        assert f.determinant == m.det()
+        other = replace(f, pivots=(7,) * f.rank)
+        assert other == f and hash(other) == hash(f) and repr(other) == repr(f)
+        assert "pivots" not in repr(f)
+    assert empty_form().pivots == () and empty_form().determinant == 1
+    j = random_antisymmetric_form(rng, 2)
+    assert j.pivots is None and j.determinant == j.matrix.det() == 1
 
 
 def test_parity_worked_values():

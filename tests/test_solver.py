@@ -1,3 +1,4 @@
+import gc
 import itertools
 import math
 import random
@@ -35,9 +36,14 @@ from degmap.solver import (
 from degmap.solver import (
     _definite_solutions,
     _determinant_obstructed,
+    _hasse_invariant,
+    _hasse_obstructed,
+    _hilbert,
+    _local_primes,
     _mod2_obstructed,
     _modq_unsolvable,
     _parity_obstructed,
+    _rational_diagonal,
     _signature_obstructed,
 )
 
@@ -287,6 +293,95 @@ def test_table_driven_modq_matches_on_rank_six(a, k):
     assert _modq_unsolvable(a.matrix, a.matrix, k, 4) == expected
 
 
+# ---------------------------------------------------------------------------
+# the local (Hasse) filter
+# ---------------------------------------------------------------------------
+
+
+def test_hilbert_symbol_known_values():
+    assert _hilbert(-1, -1, 2) == -1
+    assert _hilbert(2, 2, 2) == 1
+    assert _hilbert(3, 3, 3) == -1
+    assert _hilbert(2, 3, 3) == -1
+    assert _hilbert(-1, -1, 3) == 1
+    assert _hilbert(5, 5, 5) == 1
+    assert _hilbert(7, 7, 7) == -1
+
+
+def test_hilbert_symbol_is_symmetric_and_satisfies_reciprocity():
+    # (a, b)_inf is -1 iff a, b < 0, and the product over all places is 1
+    # (Serre, ch. III, Thm 3); an odd prime not dividing ab gives 1
+    primes = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+    values = [x for x in range(-30, 31) if x]
+    for a in values:
+        for b in values:
+            symbols = [_hilbert(a, b, p) for p in primes]
+            assert symbols == [_hilbert(b, a, p) for p in primes], (a, b)
+            real = -1 if a < 0 and b < 0 else 1
+            assert real * math.prod(symbols) == 1, (a, b)
+            assert all(s == 1 for p, s in zip(primes, symbols) if p > 2 and a * b % p), (a, b)
+
+
+def test_hasse_invariant_is_a_basis_invariant():
+    # the pivots of any basis give a diagonal with the same Hasse invariant
+    rng = random.Random(11)
+    for _ in range(60):
+        f = _block_sum_form(rng, rng.randint(1, 6))
+        g = make_form(f.matrix.transform_by(random_unimodular(rng, f.rank)), SYMMETRIC)
+        for p in (2, 3, 5, 7):
+            assert _hasse_invariant(_rational_diagonal(f), p) == _hasse_invariant(
+                _rational_diagonal(g), p
+            ), (f.matrix.to_rows(), g.matrix.to_rows(), p)
+
+
+def test_local_primes_come_from_bounded_trial_division():
+    assert _local_primes(1) == [2]
+    assert _local_primes(-360) == [2, 3, 5]
+    assert _local_primes(3 * 65537) == [2, 3, 65537]  # a prime cofactor below the cap's square
+    p, q = 1_000_000_000_000_037, 1_000_000_000_000_091
+    assert _local_primes(3 * p * q) == [2, 3]  # the unfactored cofactor is skipped
+
+
+@pytest.mark.parametrize("k, reason", [(3, "HasseFilter"), (7, "HasseFilter"), (5, None)])
+def test_hasse_filter_decides_sums_of_six_squares(k, reason):
+    # 3 I_6 and 7 I_6 differ from I_6 in their Hasse invariant at 2 and at k;
+    # 5 = 1 + 4 is a sum of two squares, so 5 I_6 embeds in I_6
+    i6 = make_form(IntMatrix.identity(6), SYMMETRIC)
+    assert solver._prefilter(i6, i6, k) == (Verdict.no(reason) if reason else None)
+    v = congruence_solve(i6, i6, k, SearchConfig(node_budget=50_000))
+    assert v.reason == reason and (v.is_no if reason else v.is_yes)
+
+
+def test_hasse_filter_nos_are_never_contradicted():
+    # every pair the filter obstructs has no witness in the oracle's box and
+    # none in a radius-4 search (complete for definite sources) that skips
+    # the filters; some of them are left open by every earlier filter
+    rng = random.Random(7)
+    counts = {"fired": 0, "beyond": 0, "oracle": 0, "search": 0}
+    for _ in range(1400):
+        a, b = _random_small_pair(rng)
+        k = rng.choice([x for x in range(-6, 7) if x])
+        if a.symmetry != SYMMETRIC or not _hasse_obstructed(a, b, k):
+            continue
+        counts["fired"] += 1
+        counts["beyond"] += solver._prefilter(a, b, k).reason == solver.REASON_HASSE
+        bound = feasible_bound(a.rank, b.rank, limit=20_000)
+        if bound is not None:
+            counts["oracle"] += 1
+            assert brute_force_oracle(a, b, k, bound) is None, (
+                a.matrix.to_rows(), b.matrix.to_rows(), k
+            )
+        stream = solver._witness_stream(a, b, k, SearchConfig(radius=4, node_budget=3_000), None)
+        try:
+            witness = next(stream, None)
+        except solver._OutOfBudget:
+            continue
+        counts["search"] += 1
+        assert witness is None, (a.matrix.to_rows(), b.matrix.to_rows(), k)
+    assert counts["fired"] >= 500 and counts["beyond"] >= 3, counts
+    assert counts["oracle"] >= 300 and counts["search"] >= 300, counts
+
+
 def test_antisymmetric_solve():
     j1 = make_form(IntMatrix.from_rows([[0, 1], [-1, 0]]), ANTISYMMETRIC)
     v = congruence_solve(j1, j1, 3)
@@ -354,6 +449,23 @@ def test_accept_predicate_maps_to_each_verdict():
     v = congruence_solve(I2, I1, 1, SearchConfig(node_budget=1), reject)
     assert v.is_unknown and v.budget_exhausted and v.radius is None
     assert congruence_solve(I2, I1, 1, SearchConfig(node_budget=1)).is_yes
+
+
+def test_searches_leave_no_reference_cycles():
+    # a search's recursive closures must not keep its candidate lists and
+    # tables alive until the next cyclic collection: with the collector off,
+    # definite, box, mod-q and budget-stopped searches leave no garbage
+    gc.collect()
+    gc.disable()
+    try:
+        assert congruence_solve(I2, I1, 5).is_yes
+        assert congruence_solve(I2, I1, 5, accept=lambda col, vec: False).is_no
+        assert congruence_solve(A3, A3, 5).is_yes
+        assert congruence_solve(A3, A3, 5, SearchConfig(node_budget=10)).budget_exhausted
+        assert not _modq_unsolvable(A3.matrix, A3.matrix, 5, 4)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_solver_is_deterministic():
