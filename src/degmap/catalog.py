@@ -144,8 +144,17 @@ def hyperbolic_scaling_matrix(copies: int, k: int) -> IntMatrix:
 # Presets
 # ---------------------------------------------------------------------------
 
-_FSFR = re.compile(r"^FsxFr\((\d+),(\d+)\)$")
-_SUM = re.compile(r"^#(\d+)\(S2xS2\)$")
+# int() reads 640 digits under any int_max_str_digits setting
+_FSFR = re.compile(r"^FsxFr\((\d{1,640}),(\d{1,640})\)$")
+_SUM = re.compile(r"^#(\d{1,640})\(S2xS2\)$")
+MAX_PRESET_RANK = 256  # largest pairing rank a family builds; #128(S2xS2) takes about 0.6 s
+
+
+def _planes_form(name: str, planes: int) -> IntersectionForm:
+    """planes hyperbolic planes, refused above MAX_PRESET_RANK before any matrix is built."""
+    if 2 * planes > MAX_PRESET_RANK:
+        raise UnknownPreset(f"preset {name!r} has pairing rank above {MAX_PRESET_RANK}")
+    return hyperbolic_form(planes)
 
 
 def preset(name: str) -> ManifoldModel:
@@ -168,11 +177,11 @@ def preset(name: str) -> ManifoldModel:
         s, r = int(m.group(1)), int(m.group(2))
         if s == 0 and r == 0:
             return preset("S2xS2")
-        return manifold(f"FsxFr({s},{r})", 2, hyperbolic_form(2 * r * s + 1), False, False)
+        return manifold(f"FsxFr({s},{r})", 2, _planes_form(name, 2 * r * s + 1), False, False)
     m = _SUM.match(clean)
     if m:
         q = int(m.group(1))
-        return manifold(f"#{q}(S2xS2)", 2, hyperbolic_form(q), True, True)
+        return manifold(f"#{q}(S2xS2)", 2, _planes_form(name, q), True, True)
     raise UnknownPreset(f"no preset named {name!r}")
 
 

@@ -46,9 +46,8 @@ from .homotopy import (
 from .intform import (
     IntersectionForm,
     IntMatrix,
-    hstack,
-    integer_kernel,
     make_form,
+    split_basis,
 )
 from . import solver
 from .solver import SearchConfig, Verdict
@@ -206,28 +205,18 @@ def orthogonal_complement_form(
 
     The witness columns span a sublattice carrying ``restricted``; because
     that block is unimodular the lattice splits off its orthogonal
-    complement, whose basis is the integer kernel of witness.T @ ambient.
+    complement, whose basis ``split_basis`` appends to the witness columns.
     """
-    pairing = witness.transpose() @ ambient.matrix
-    kernel = integer_kernel(pairing)
-    comp = IntMatrix.from_columns(kernel, nrows=ambient.rank)
-    union = hstack(witness, comp)
+    union = split_basis(ambient.matrix, witness)
     if union.det() not in (1, -1):
         raise WitnessRejected("complement extraction did not produce a basis")
-    gram = union.transpose() @ ambient.matrix @ union
+    gram = ambient.matrix.transform_by(union).to_rows()
     r = restricted.rank
-    for i in range(r):
-        for j in range(r):
-            if gram[i, j] != restricted.matrix[i, j]:
-                raise WitnessRejected("upper block does not match the target pairing")
-    for i in range(r):
-        for j in range(r, ambient.rank):
-            if gram[i, j] != 0 or gram[j, i] != 0:
-                raise WitnessRejected("complement is not orthogonal")
-    sub = IntMatrix.from_rows(
-        [[gram[i, j] for j in range(r, ambient.rank)] for i in range(r, ambient.rank)]
-    )
-    return make_form(sub, ambient.symmetry)
+    if [row[:r] for row in gram[:r]] != restricted.matrix.to_rows():
+        raise WitnessRejected("upper block does not match the target pairing")
+    if any(gram[i][j] or gram[j][i] for i in range(r) for j in range(r, ambient.rank)):
+        raise WitnessRejected("complement is not orthogonal")
+    return make_form(IntMatrix.from_rows([row[r:] for row in gram[r:]]), ambient.symmetry)
 
 
 def degree_one_summand(

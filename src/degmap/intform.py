@@ -4,13 +4,14 @@ A closed oriented 2n-manifold pairs its middle-dimensional (co)homology by
 a unimodular bilinear form: symmetric when n is even, antisymmetric when n
 is odd.  This module represents such forms as dense integer matrices and
 computes their invariants (rank, determinant, signature, parity) and
-symplectic bases with exact arithmetic only.  Entries are Python ints.
-Determinant and signature of a symmetric form come from one fraction-free
-``symmetric_elimination``, which the solver's definite enumeration shares;
-the form keeps its pivots, a rational diagonalisation that the solver's
-local (Hasse) filter reads.  Only ``inverse_unimodular`` works over
-``fractions.Fraction``.  It imports no degmap module but ``errors``;
-isomorphism is ``solver.isomorphic``.
+symplectic bases with exact integer arithmetic only.  Entries are Python
+ints.  Determinant and signature of a symmetric form come from one
+fraction-free ``symmetric_elimination``, which the solver's definite
+enumeration shares; the form keeps its pivots, a rational diagonalisation
+that the solver's local (Hasse) filter reads.  Kernels, orthogonal splits
+(``split_basis``), symplectic bases and unimodular inverses all come from
+one gcd column reduction, ``_column_reduce``.  It imports no degmap module
+but ``errors``; isomorphism is ``solver.isomorphic``.
 
 >>> f = make_form(IntMatrix.from_rows([[0, 1], [1, 0]]), SYMMETRIC)
 >>> f.parity, f.signature
@@ -20,7 +21,6 @@ isomorphism is ``solver.isomorphic``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -179,29 +179,22 @@ class IntMatrix:
         return sign * a[n - 1][n - 1]
 
     def inverse_unimodular(self) -> "IntMatrix":
-        """Exact inverse of a matrix with determinant +-1."""
-        d = self.det()
-        if d not in (1, -1):
-            raise NotUnimodular(f"determinant {d} is not +-1")
+        """Exact inverse u @ h^-1 of a matrix with determinant +-1, where
+        ``_column_reduce`` gives self @ u == h, lower triangular with a +-1
+        diagonal exactly when self is unimodular."""
+        if self.rows != self.cols:
+            raise NotSquare(f"inverse of a {self.rows}x{self.cols} matrix")
         n = self.rows
-        aug = [[Fraction(self[i, j]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)]
-               for i in range(n)]
-        for col in range(n):
-            piv = next(r for r in range(col, n) if aug[r][col] != 0)
-            aug[col], aug[piv] = aug[piv], aug[col]
-            inv = Fraction(1) / aug[col][col]
-            aug[col] = [x * inv for x in aug[col]]
-            for r in range(n):
-                if r != col and aug[r][col] != 0:
-                    f = aug[r][col]
-                    aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-        out = []
+        h, u, _ = _column_reduce(self.to_rows(), n)
+        if any(h[i][i] not in (1, -1) for i in range(n)):
+            raise NotUnimodular("matrix is not unimodular")
+        hinv = []  # row i solves h[i][i] * hinv[i] = e_i - sum_{k<i} h[i][k] * hinv[k]
         for i in range(n):
-            for j in range(n, 2 * n):
-                v = aug[i][j]
-                assert v.denominator == 1
-                out.append(int(v))
-        return IntMatrix(n, n, out)
+            row = [h[i][i] * (i == j) for j in range(n)]
+            for k in range(i):
+                row = [a - h[i][i] * h[i][k] * b for a, b in zip(row, hinv[k])]
+            hinv.append(row)
+        return IntMatrix.from_rows(u) @ IntMatrix.from_rows(hinv)
 
     # -- comparisons -------------------------------------------------------
 
@@ -430,129 +423,81 @@ def _xgcd(a: int, b: int) -> tuple:
     return g, x, y
 
 
-def complete_to_unimodular(vec: Sequence[int]) -> IntMatrix:
-    """A square integer matrix with determinant +-1 whose first column is vec.
+def _column_reduce(rows: list, m: int) -> tuple:
+    """(h, u, rank) with rows @ u == h, u unimodular and h in column-echelon form.
 
-    Requires vec to be primitive (gcd of entries 1).
+    ``rows`` lists the rows of a matrix with m columns.  Taken top down, a
+    row that is nonzero beyond the t columns already pivoted gets pivot
+    column t (the gcd of those entries) and zeros right of it.  So h is
+    lower triangular for a nonsingular square matrix, and the last m - rank
+    columns of u are a basis of the integer kernel (Cohen, A Course in
+    Computational Algebraic Number Theory, 2.4).
     """
-    v = [int(x) for x in vec]
-    n = len(v)
-    if n == 0:
-        raise ShapeMismatch("empty vector")
-    w = [[1 if i == j else 0 for j in range(n)] for i in range(n)]  # accumulates inverses
-    for i in range(1, n):
-        if v[i] == 0:
-            continue
-        g, x, y = _xgcd(v[0], v[i])
-        p, q = v[0] // g, v[i] // g
-        # row op [[x, y], [-q, p]] on (v0, vi); fold its inverse into w's columns
-        v[0], v[i] = g, 0
-        for r in range(n):
-            c0, ci = w[r][0], w[r][i]
-            w[r][0] = c0 * p + ci * q
-            w[r][i] = -c0 * y + ci * x
-    if v[0] == -1:
-        v[0] = 1
-        for r in range(n):
-            w[r][0] = -w[r][0]
-    if v[0] != 1:
-        raise NotUnimodular(f"vector has gcd {v[0]}, not primitive")
-    out = IntMatrix.from_rows(w)
-    assert out.column(0) == tuple(int(x) for x in vec)
-    return out
-
-
-def integer_kernel(mat: IntMatrix) -> list:
-    """A basis (list of columns) of the integer kernel {x : mat @ x = 0}.
-
-    Column reduction by gcd operations; the returned vectors span the full
-    (saturated) kernel lattice.
-    """
-    rows = [list(r) for r in mat.to_rows()]
-    m = mat.cols
+    h = [list(r) for r in rows]
     u = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
 
     def col_combine(j0, j1, a, b, c, d):
         # (col j0, col j1) <- (a*col j0 + b*col j1, c*col j0 + d*col j1)
-        for r in rows:
+        for r in h:
             r[j0], r[j1] = a * r[j0] + b * r[j1], c * r[j0] + d * r[j1]
         for r in u:
             r[j0], r[j1] = a * r[j0] + b * r[j1], c * r[j0] + d * r[j1]
 
     done = 0
-    for r in range(mat.rows):
-        piv = next((j for j in range(done, m) if rows[r][j] != 0), None)
+    for row in h:
+        piv = next((j for j in range(done, m) if row[j] != 0), None)
         if piv is None:
             continue
         for j in range(piv + 1, m):
-            if rows[r][j] != 0:
-                g, x, y = _xgcd(rows[r][piv], rows[r][j])
-                p, q = rows[r][piv] // g, rows[r][j] // g
+            if row[j] != 0:
+                g, x, y = _xgcd(row[piv], row[j])
+                p, q = row[piv] // g, row[j] // g
                 col_combine(piv, j, x, y, -q, p)
         if piv != done:
             col_combine(done, piv, 0, 1, 1, 0)
         done += 1
-    kernel = []
-    for j in range(done, m):
-        col = tuple(u[i][j] for i in range(m))
-        kernel.append(col)
-    return kernel
+    return h, u, done
 
 
-def _unit_pairing_coefficients(row: Sequence[int]) -> list:
-    """Coefficients a with sum a_j * row_j = 1; requires gcd(row) = 1."""
-    acc = 0
-    coeffs = [0] * len(row)
-    for idx, val in enumerate(row):
-        if val == 0:
-            continue
-        if acc == 0:
-            acc = val
-            coeffs = [0] * len(row)
-            coeffs[idx] = 1
-            continue
-        g, x, y = _xgcd(acc, val)
-        coeffs = [x * c for c in coeffs]
-        coeffs[idx] = y
-        acc = g
-    if acc == -1:
-        acc, coeffs = 1, [-c for c in coeffs]
-    if acc != 1:
-        raise NotUnimodular("pairing with the first basis vector is not onto")
-    return coeffs
+def integer_kernel(mat: IntMatrix) -> list:
+    """A basis (list of columns) of the integer kernel {x : mat @ x = 0}.
+
+    The trailing columns of ``_column_reduce``'s unimodular u; they span the
+    full (saturated) kernel lattice.
+    """
+    m = mat.cols
+    _, u, rank = _column_reduce(mat.to_rows(), m)
+    return [tuple(u[i][j] for i in range(m)) for j in range(rank, m)]
+
+
+def split_basis(matrix: IntMatrix, columns: IntMatrix) -> IntMatrix:
+    """The columns followed by ``integer_kernel(columns.T @ matrix)``, their
+    orthogonal complement: a basis of the lattice when the columns carry a
+    unimodular block (callers that rely on that check it)."""
+    kernel = integer_kernel(columns.transpose() @ matrix)
+    return hstack(columns, IntMatrix.from_columns(kernel, nrows=matrix.rows))
 
 
 def symplectic_basis_transform(matrix: IntMatrix) -> IntMatrix:
     """U with U.T @ matrix @ U in the standard block form diag([[0,1],[-1,0]], ...).
 
-    Works for any antisymmetric unimodular matrix: pick a hyperbolic pair
-    by gcd operations, split off its orthogonal complement, recurse.
+    Works for any antisymmetric unimodular matrix: pair e_1 with a vector f
+    such that e_1.T @ matrix @ f = 1 (column 0 of ``_column_reduce`` on
+    the first row), split off the complement of (e_1, f), recurse.
     """
     if not matrix.is_antisymmetric():
         raise SymmetryMismatch("symplectic reduction needs an antisymmetric matrix")
     n = matrix.rows
     if n == 0:
         return IntMatrix.zeros(0, 0)
-    gram = matrix
-    coeffs = _unit_pairing_coefficients(gram.row(0)[1:])
-    comp = complete_to_unimodular(coeffs)  # (n-1)x(n-1), first column = coeffs
-    f1 = [1] + [0] * (n - 1)
-    lifted = [[0] + [comp[i, j] for i in range(n - 1)] for j in range(n - 1)]
-    f2 = lifted[0]
-
-    def pair(u, v):
-        return sum(u[i] * gram[i, j] * v[j] for i in range(n) for j in range(n))
-
-    cols = [f1, f2]
-    for v in lifted[1:]:
-        a1 = pair(f1, v)
-        a2 = pair(f2, v)
-        cols.append([v[i] - a1 * f2[i] + a2 * f1[i] for i in range(n)])
-    b = IntMatrix.from_columns(cols)
-    reduced = b.transpose() @ gram @ b
-    sub = IntMatrix.from_rows([[reduced[i, j] for j in range(2, n)] for i in range(2, n)])
-    inner = symplectic_basis_transform(sub)
-    u = b @ block_diagonal(IntMatrix.identity(2), inner)
+    h, w, _ = _column_reduce([list(matrix.row(0))], n)
+    if h[0][0] not in (1, -1):
+        raise NotUnimodular("pairing with the first basis vector is not onto")
+    e1 = [1] + [0] * (n - 1)
+    f = [h[0][0] * w[i][0] for i in range(n)]
+    b = split_basis(matrix, IntMatrix.from_columns([e1, f]))
+    sub = IntMatrix.from_rows([row[2:] for row in matrix.transform_by(b).to_rows()[2:]])
+    u = b @ block_diagonal(IntMatrix.identity(2), symplectic_basis_transform(sub))
     assert u.transpose() @ matrix @ u == standard_symplectic_matrix(n // 2), (
         "symplectic reduction failed"
     )

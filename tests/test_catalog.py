@@ -1,6 +1,7 @@
 import pytest
 
 from degmap.catalog import (
+    MAX_PRESET_RANK,
     connected_sum,
     fixed_presets,
     hyperbolic_matrix,
@@ -45,6 +46,8 @@ def test_surface_product_family():
     assert not preset("FsxFr(0,1)").simply_connected
     # genus zero on both factors is the sphere product itself
     assert preset("FsxFr(0,0)").name == "S2xS2"
+    # the rank limit counts planes, not parameter size
+    assert preset("FsxFr(0,100000)").form.rank == 2
 
 
 def test_sphere_sum_family():
@@ -52,6 +55,7 @@ def test_sphere_sum_family():
     assert preset("#1(S2xS2)").form.matrix == hyperbolic_matrix(1)
     assert preset("#0(S2xS2)").form.rank == 0
     assert preset("#2(S2xS2)").simply_connected
+    assert preset(f"#{MAX_PRESET_RANK // 2}(S2xS2)").form.rank == MAX_PRESET_RANK
 
 
 def test_unknown_preset():

@@ -369,6 +369,16 @@ def test_unknown_preset(capsys):
     assert "UnknownPreset" in err
 
 
+@pytest.mark.parametrize(
+    "name",
+    ["#129(S2xS2)", "#10000000000000000000(S2xS2)", "FsxFr(100000,100000)", "#" + "9" * 5000 + "(S2xS2)"],
+)
+def test_oversized_preset_families_are_refused(capsys, name):
+    code, out, err = run(capsys, "form-info", "--f", name)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: UnknownPreset: ")
+
+
 def test_missing_file(capsys):
     code, _, err = run(capsys, "form-info", "--f", "@/nonexistent/x.mat")
     assert code == 1
@@ -471,10 +481,11 @@ def _package_modules(node, modules: set) -> set:
 
 def test_package_imports_are_module_level_and_acyclic():
     # intform is the leaf the solver and the manifold layers build on: it
-    # may import errors, nothing above it; no import hides in a function
+    # may import errors, nothing above it, and works in integers without
+    # fractions; no import hides in a function
     package = Path(degmap.__file__).parent
     modules = {p.stem for p in package.glob("*.py")}
-    graph, local = {}, []
+    graph, local, intform_imports = {}, [], set()
     for path in sorted(package.glob("*.py")):
         graph[path.stem] = set()
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
@@ -485,8 +496,11 @@ def test_package_imports_are_module_level_and_acyclic():
                 ]
             elif isinstance(node, (ast.Import, ast.ImportFrom)):
                 graph[path.stem] |= _package_modules(node, modules)
+                if path.stem == "intform":
+                    intform_imports |= {a.name for a in node.names} | {getattr(node, "module", None)}
     assert local == []
     assert graph["intform"] <= {"errors"}
+    assert "fractions" not in intform_imports
     done, visiting = set(), []
 
     def visit(m):

@@ -14,7 +14,6 @@ from degmap.intform import (
     SYMMETRIC,
     IntMatrix,
     block_diagonal,
-    complete_to_unimodular,
     direct_sum,
     empty_form,
     format_matrix_text,
@@ -27,6 +26,7 @@ from degmap.intform import (
     parity,
     parse_matrix_text,
     signature,
+    split_basis,
     symmetric_elimination,
     symplectic_basis_transform,
     transform_form,
@@ -81,10 +81,12 @@ def test_det_matches_expansion_on_random(rng):
 
 
 def test_inverse_unimodular(rng):
-    for _ in range(25):
-        n = rng.randrange(1, 5)
-        u = random_unimodular(rng, n)
-        assert u @ u.inverse_unimodular() == IntMatrix.identity(n)
+    for n in range(9):
+        for _ in range(4):
+            u = random_unimodular(rng, n)
+            inv = u.inverse_unimodular()
+            assert u @ inv == IntMatrix.identity(n)
+            assert inv @ u == IntMatrix.identity(n)
     with pytest.raises(NotUnimodular):
         IntMatrix.diagonal([2]).inverse_unimodular()
 
@@ -378,7 +380,7 @@ def test_iso_equivalence_relation(rng):
 
 
 # ---------------------------------------------------------------------------
-# symplectic reduction, kernels, completions
+# symplectic reduction, kernels, splits
 # ---------------------------------------------------------------------------
 
 
@@ -388,6 +390,8 @@ def test_symplectic_transform_scrambled(rng):
         f = random_antisymmetric_form(rng, half)
         u = symplectic_basis_transform(f.matrix)
         assert abs(u.det()) == 1
+    with pytest.raises(NotUnimodular):
+        symplectic_basis_transform(IntMatrix.from_rows([[0, 2], [-2, 0]]))
 
 
 def test_integer_kernel_spans_and_saturates():
@@ -400,19 +404,18 @@ def test_integer_kernel_spans_and_saturates():
     assert integer_kernel(IntMatrix.identity(3)) == []
 
 
-def test_complete_to_unimodular(rng):
-    for _ in range(30):
-        n = rng.randrange(1, 5)
-        vec = [rng.randrange(-6, 7) for _ in range(n)]
-        from math import gcd
-        g = 0
-        for x in vec:
-            g = gcd(g, x)
-        if g != 1:
-            continue
-        u = complete_to_unimodular(vec)
-        assert u.column(0) == tuple(vec)
-        assert u.det() in (1, -1)
+def test_split_basis_appends_the_orthogonal_complement(rng):
+    for _ in range(20):
+        f = random_symmetric_form(rng, 3)
+        # a vector of norm +-1 spans a unimodular block, so the split is a basis
+        v = next(
+            (x, y, z) for x in range(-3, 4) for y in range(-3, 4) for z in range(-3, 4)
+            if abs(f.matrix.transform_by(IntMatrix.from_columns([(x, y, z)]))[0, 0]) == 1
+        )
+        b = split_basis(f.matrix, IntMatrix.from_columns([v]))
+        assert b.column(0) == v and abs(b.det()) == 1
+        gram = f.matrix.transform_by(b)
+        assert all(gram[0, j] == gram[j, 0] == 0 for j in (1, 2))
 
 
 # ---------------------------------------------------------------------------
