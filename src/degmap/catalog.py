@@ -45,6 +45,7 @@ from .homotopy import (
 )
 from .intform import (
     ANTISYMMETRIC,
+    HYPERBOLIC,
     SYMMETRIC,
     IntMatrix,
     IntersectionForm,
@@ -120,7 +121,7 @@ def manifold(
 
 def hyperbolic_matrix(copies: int) -> IntMatrix:
     """copies blocks of [[0,1],[1,0]] down the diagonal."""
-    return block_diagonal(*[IntMatrix.from_rows([[0, 1], [1, 0]])] * copies)
+    return block_diagonal(*[HYPERBOLIC] * copies)
 
 
 def hyperbolic_form(copies: int) -> IntersectionForm:

@@ -22,6 +22,7 @@ import functools
 import json
 import sys
 from dataclasses import replace
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from . import __version__
@@ -105,9 +106,42 @@ def _config(args) -> SearchConfig:
     return SearchConfig(radius=args.radius, node_budget=args.budget)
 
 
+_JSON_CONSTANTS = {None: "null", True: "true", False: "false"}
+
+
+def _render_json(value, depth: int = 0) -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)``, byte for byte, for
+    documents with string keys.  The standard library's indented encoder
+    builds recursive closures that form a reference cycle on every call.
+    Strings, integers, booleans and None are rendered as its encoder renders
+    them; anything else goes through ``json.dumps``, which builds no cycle
+    without ``indent``."""
+    if isinstance(value, dict):
+        items = [
+            f"{encode_basestring_ascii(k)}: {_render_json(v, depth + 1)}"
+            for k, v in sorted(value.items())
+        ]
+        brackets = "{}"
+    elif isinstance(value, (list, tuple)):
+        items = [_render_json(v, depth + 1) for v in value]
+        brackets = "[]"
+    elif isinstance(value, str):
+        return encode_basestring_ascii(value)
+    elif value is None or isinstance(value, bool):
+        return _JSON_CONSTANTS[value]
+    elif isinstance(value, int):
+        return int.__repr__(value)
+    else:
+        return json.dumps(value)
+    if not items:
+        return brackets
+    inner = "\n" + "  " * (depth + 1)
+    return brackets[0] + inner + ("," + inner).join(items) + "\n" + "  " * depth + brackets[1]
+
+
 def _emit(args, doc: dict, lines: list) -> None:
     if args.json:
-        print(json.dumps(doc, indent=2, sort_keys=True))
+        print(_render_json(doc))
     else:
         for line in lines:
             print(line)

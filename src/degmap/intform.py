@@ -9,9 +9,9 @@ ints.  Determinant and signature of a symmetric form come from one
 fraction-free ``symmetric_elimination``, which the solver's definite
 enumeration shares; the form keeps its pivots, a rational diagonalisation
 that the solver's local (Hasse) filter reads.  Kernels, orthogonal splits
-(``split_basis``), symplectic bases and unimodular inverses all come from
-one gcd column reduction, ``_column_reduce``.  It imports no degmap module
-but ``errors``; isomorphism is ``solver.isomorphic``.
+(``split_basis``), dual vectors, symplectic bases and unimodular inverses
+all come from one gcd column reduction, ``_column_reduce``.  It imports no
+degmap module but ``errors``; isomorphism is ``solver.isomorphic``.
 
 >>> f = make_form(IntMatrix.from_rows([[0, 1], [1, 0]]), SYMMETRIC)
 >>> f.parity, f.signature
@@ -21,6 +21,7 @@ but ``errors``; isomorphism is ``solver.isomorphic``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -44,7 +45,7 @@ class IntMatrix:
     __slots__ = ("rows", "cols", "_entries")
 
     def __init__(self, rows: int, cols: int, entries: Iterable[int]):
-        entries = tuple(int(x) for x in entries)
+        entries = tuple(map(int, entries))
         if rows < 0 or cols < 0 or len(entries) != rows * cols:
             raise ShapeMismatch(
                 f"expected {rows}x{cols} = {rows * cols} entries, got {len(entries)}"
@@ -99,7 +100,9 @@ class IntMatrix:
         return self._entries[i * self.cols : (i + 1) * self.cols]
 
     def column(self, j: int) -> tuple:
-        return tuple(self._entries[i * self.cols + j] for i in range(self.rows))
+        if not 0 <= j < self.cols:
+            raise IndexError(f"column {j} of a {self.rows}x{self.cols} matrix")
+        return self._entries[j :: self.cols]
 
     def to_rows(self) -> list:
         return [list(self.row(i)) for i in range(self.rows)]
@@ -123,14 +126,9 @@ class IntMatrix:
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
             raise ShapeMismatch(f"cannot multiply {self.shape} by {other.shape}")
-        a, b = self, other
-        out = []
-        brows = [b.row(i) for i in range(b.rows)]
-        for i in range(a.rows):
-            arow = a.row(i)
-            for j in range(b.cols):
-                out.append(sum(arow[t] * brows[t][j] for t in range(a.cols)))
-        return IntMatrix(a.rows, b.cols, out)
+        arows = [self.row(i) for i in range(self.rows)]
+        bcols = [other.column(j) for j in range(other.cols)]
+        return IntMatrix(self.rows, other.cols, [sum(map(mul, r, c)) for r in arows for c in bcols])
 
     def __neg__(self) -> "IntMatrix":
         return IntMatrix(self.rows, self.cols, [-x for x in self._entries])
@@ -261,6 +259,8 @@ class IntersectionForm:
     ``symmetric_elimination``, so that the form is <p_{i-1} * p_i> over Q
     (p_{-1} = 1) and the last pivot is the determinant; it is None for
     antisymmetric forms and takes no part in equality, hashing or repr.
+    ``memo`` holds results computed at most once per form object, such as
+    its ``canonical.canonical_basis``; ``make_form`` leaves it empty.
     """
 
     matrix: IntMatrix
@@ -269,6 +269,7 @@ class IntersectionForm:
     signature: tuple | None
     parity: str | None
     pivots: tuple | None = field(compare=False, repr=False)
+    memo: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def determinant(self) -> int:
@@ -470,6 +471,15 @@ def integer_kernel(mat: IntMatrix) -> list:
     return [tuple(u[i][j] for i in range(m)) for j in range(rank, m)]
 
 
+def dual_vector(row: Sequence[int]) -> list | None:
+    """An integer w with row . w == 1 (column 0 of ``_column_reduce``'s u,
+    up to sign), or None when the entries of row have a common factor."""
+    h, u, _ = _column_reduce([list(row)], len(row))
+    if h[0][0] not in (1, -1):
+        return None
+    return [h[0][0] * r[0] for r in u]
+
+
 def split_basis(matrix: IntMatrix, columns: IntMatrix) -> IntMatrix:
     """The columns followed by ``integer_kernel(columns.T @ matrix)``, their
     orthogonal complement: a basis of the lattice when the columns carry a
@@ -482,19 +492,18 @@ def symplectic_basis_transform(matrix: IntMatrix) -> IntMatrix:
     """U with U.T @ matrix @ U in the standard block form diag([[0,1],[-1,0]], ...).
 
     Works for any antisymmetric unimodular matrix: pair e_1 with a vector f
-    such that e_1.T @ matrix @ f = 1 (column 0 of ``_column_reduce`` on
-    the first row), split off the complement of (e_1, f), recurse.
+    such that e_1.T @ matrix @ f = 1 (``dual_vector`` of the first row),
+    split off the complement of (e_1, f), recurse.
     """
     if not matrix.is_antisymmetric():
         raise SymmetryMismatch("symplectic reduction needs an antisymmetric matrix")
     n = matrix.rows
     if n == 0:
         return IntMatrix.zeros(0, 0)
-    h, w, _ = _column_reduce([list(matrix.row(0))], n)
-    if h[0][0] not in (1, -1):
+    f = dual_vector(matrix.row(0))
+    if f is None:
         raise NotUnimodular("pairing with the first basis vector is not onto")
     e1 = [1] + [0] * (n - 1)
-    f = [h[0][0] * w[i][0] for i in range(n)]
     b = split_basis(matrix, IntMatrix.from_columns([e1, f]))
     sub = IntMatrix.from_rows([row[2:] for row in matrix.transform_by(b).to_rows()[2:]])
     u = b @ block_diagonal(IntMatrix.identity(2), symplectic_basis_transform(sub))
@@ -506,6 +515,9 @@ def symplectic_basis_transform(matrix: IntMatrix) -> IntMatrix:
 
 def standard_symplectic_matrix(g: int) -> IntMatrix:
     return block_diagonal(*[IntMatrix.from_rows([[0, 1], [-1, 0]])] * g)
+
+
+HYPERBOLIC = IntMatrix.from_rows([[0, 1], [1, 0]])
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,8 @@
   or the note that the node budget ran out first.
 
 An optional predicate ``accept(col, x)`` restricts the search, and so the
-verdict, to witnesses whose every column passes it; the manifold layer
-passes the per-column homotopy condition.
+verdict, to witnesses whose every column passes it, x always in A's own
+coordinates; the manifold layer passes the per-column homotopy condition.
 
 ``isomorphic`` decides isomorphism of forms, the equal-rank, k = 1 case,
 and never answers Unknown.
@@ -23,6 +23,25 @@ enumerated completely by integer Fincke-Pohst bounds on the fraction-free
 ``symmetric_elimination`` of A, so running out of candidates proves No.
 In the indefinite case candidates range over a max-norm box and
 exhaustion only proves the absence of small witnesses, hence Unknown.
+Two candidate sources cover that box:
+
+* the level source ``canonical.level_candidates``, for every symmetric
+  indefinite A that ``canonical.canonical_basis`` brings to I(p, q) or H^a
+  by a unimodular U.
+  The search runs in those canonical coordinates, for P' with
+  P'.T (U.T A U) P' == k B, and returns P = U P'.  A column x = (u, w) of
+  Q(x) = |u|^2 - |w|^2 == t is taken norm level by norm level,
+  |w|^2 = s and |u|^2 = t + s for s = 0, 1, ..., both halves from the
+  definite enumeration (H^a after u = x + y, w = x - y), so the cost no
+  longer depends on the order of the basis;
+* the box source ``_box_candidates``, a centered scan with interval
+  pruning, for antisymmetric A and the indefinite forms that
+  ``canonical_basis`` does not cover (E8 blocks, or no splitting vector
+  found within its cap).
+
+Both are exhaustive on the box of max-norm ``radius``, so an Unknown's
+radius is measured in the coordinates of its source: the canonical ones
+for the level source, A's own for the box source.
 
 The filters are each complete arguments, never heuristics:
 
@@ -65,9 +84,11 @@ from dataclasses import dataclass
 from math import isqrt, lcm
 from typing import Iterator, Sequence
 
+from .canonical import canonical_basis, canonical_matrix, level_candidates
 from .errors import CapExceeded, ShapeMismatch, SymmetryMismatch, WitnessRejected, ZeroK
 from .intform import (
     ANTISYMMETRIC,
+    PARITY_EVEN,
     SYMMETRIC,
     IntersectionForm,
     IntMatrix,
@@ -465,6 +486,11 @@ def _definite_solutions(tri: list, value: int) -> list:
     return out
 
 
+def _unit_solutions(dim: int, value: int) -> list:
+    """Every x in Z^dim with |x|^2 == value: the halves of ``level_candidates``."""
+    return _definite_solutions([[int(i == j) for j in range(dim)] for i in range(dim)], value)
+
+
 # ---------------------------------------------------------------------------
 # Box enumeration for the indefinite case
 # ---------------------------------------------------------------------------
@@ -617,8 +643,10 @@ def _witness_stream(
     arows = [list(a.matrix.row(i)) for i in range(m)]
     target = [[k * x for x in row] for row in b.matrix.to_rows()]
     budget = _Budget(cfg.node_budget)
+    complete = _enumerates_completely(a)
+    basis = None if complete else canonical_basis(a)
 
-    if _enumerates_completely(a):
+    if complete:
         sign = 1 if a.signature[1] == 0 else -1
         tri = symmetric_elimination([[sign * x for x in row] for row in arows])
         definite_cache: dict = {}
@@ -632,6 +660,29 @@ def _witness_stream(
                 if any(sum(c * v for c, v in zip(crow, cand)) != t for crow, t in lin):
                     continue
                 yield cand
+    elif basis is not None:
+        # search in canonical coordinates x', where the witness is basis @ P'
+        pos, neg, _ = a.signature
+        hyperbolic = a.parity == PARITY_EVEN
+        arows = canonical_matrix(pos, neg, a.parity).to_rows()
+        half_cache: dict = {}
+
+        def halves(dim: int, value: int) -> list:
+            if (dim, value) not in half_cache:
+                half_cache[dim, value] = _unit_solutions(dim, value)
+            return half_cache[dim, value]
+
+        def candidates(col: int, lin: list) -> Iterator[tuple]:
+            return level_candidates(
+                pos, neg, hyperbolic, cfg.radius, target[col][col], lin, budget, halves
+            )
+
+        if accept is not None:
+            given = accept
+            brows = [basis.row(i) for i in range(m)]
+
+            def accept(col: int, vec: tuple) -> bool:
+                return given(col, tuple(sum(c * v for c, v in zip(row, vec)) for row in brows))
     else:
         # x.T A x vanishes identically when A is antisymmetric
         qrows = arows if a.symmetry == SYMMETRIC else [[0] * m for _ in range(m)]
@@ -645,7 +696,8 @@ def _witness_stream(
         )
 
     for columns in _backtrack(_column_order(b.matrix), target, candidates, pairing_row, accept):
-        yield IntMatrix.from_columns(columns, nrows=m)
+        witness = IntMatrix.from_columns(columns, nrows=m)
+        yield witness if basis is None else basis @ witness
 
 
 def open_search(
@@ -697,8 +749,10 @@ def isomorphic(f: IntersectionForm, g: IntersectionForm) -> Verdict:
 
     Invariant mismatches (symmetry, rank, parity, signature, in that order)
     give No.  Antisymmetric forms get a symplectic-basis witness.  Indefinite
-    symmetric forms are classified by their invariants, so Yes is settled and
-    a witness attached when a radius-2 search finds one.  Definite forms take
+    symmetric forms are classified by their invariants, so Yes is settled;
+    its witness is U_f U_g^-1 from the two ``canonical_basis`` results, or,
+    for forms that ``canonical_basis`` does not cover (E8 blocks), whatever
+    a radius-2 search finds, possibly nothing.  Definite forms take
     the complete enumeration, up to rank ``DEFINITE_CAP`` (else CapExceeded).
     """
     if f.symmetry != g.symmetry:
@@ -717,6 +771,12 @@ def isomorphic(f: IntersectionForm, g: IntersectionForm) -> Verdict:
         ug = symplectic_basis_transform(g.matrix)
         return Verdict.yes_checked(f, g, 1, uf @ ug.inverse_unimodular())
     if not f.is_definite():
+        uf, ug = canonical_basis(f), canonical_basis(g)
+        if uf is not None and ug is not None:
+            # equal invariants give both the same canonical matrix
+            verdict = Verdict.yes_checked(f, g, 1, uf @ ug.inverse_unimodular())
+            assert verdict.witness is not None, "a covered Yes carries a witness"
+            return verdict
         probe = congruence_solve(f, g, 1, SearchConfig(radius=2, node_budget=200_000))
         return Verdict("yes", witness=probe.witness if probe.is_yes else None)
     if not _enumerates_completely(f):

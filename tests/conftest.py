@@ -12,6 +12,19 @@ from degmap.intform import (
 )
 
 
+# the Cartan matrix of E8: the even unimodular positive definite form of rank 8
+E8_CARTAN = [
+    [2, -1, 0, 0, 0, 0, 0, 0],
+    [-1, 2, -1, 0, 0, 0, 0, 0],
+    [0, -1, 2, -1, 0, 0, 0, 0],
+    [0, 0, -1, 2, -1, 0, 0, 0],
+    [0, 0, 0, -1, 2, -1, 0, -1],
+    [0, 0, 0, 0, -1, 2, -1, 0],
+    [0, 0, 0, 0, 0, -1, 2, 0],
+    [0, 0, 0, 0, -1, 0, 0, 2],
+]
+
+
 def random_unimodular(rng: random.Random, n: int, steps: int = 4, cap: int = 9) -> IntMatrix:
     """Product of shears, swaps and sign flips; entries kept below cap."""
     rows = [[1 if i == j else 0 for j in range(n)] for i in range(n)]

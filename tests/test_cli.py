@@ -12,7 +12,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import degmap
-from degmap.cli import build_parser, main
+from degmap.cli import _render_json, build_parser, main
+from degmap.intform import IntMatrix
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -294,6 +295,26 @@ def test_deg1_json_has_complement(capsys):
     doc = json.loads(raw)
     assert doc["verdict"] == "yes"
     assert doc["complement"]["entries"] == [-1]
+
+
+def test_deg1_splits_a_hyperbolic_plane_off_a_mixed_form(capsys):
+    # [[0,-1],[-1,0]] + diag(1,-1) onto S2xS2: the box search used to run out
+    # of this budget; in canonical coordinates it is an immediate Yes
+    code, raw, _ = run(capsys, "deg1", "--M", f"@{FIXTURES}/h-i11.mat", "--L", "S2xS2",
+                       "--budget", "200000", "--json")
+    assert code == 0
+    doc = json.loads(raw)
+    assert doc["verdict"] == "yes"
+    m = IntMatrix(4, 4, [0, -1, 0, 0, -1, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, -1])
+    p = IntMatrix(4, 2, doc["witness"]["entries"])
+    assert p.transpose() @ m @ p == IntMatrix.from_rows([[0, 1], [1, 0]])
+    assert doc["complement"]["entries"] == [1, 0, 0, -1]
+
+
+def test_json_output_is_json_dumps_with_indent_two():
+    doc = {"b": [1, {"z": None, "a": True}, [], {}], "a": "caf\u00e9 \"q\"", "c": (-3, False)}
+    assert _render_json(doc) == json.dumps(doc, indent=2, sort_keys=True)
+    assert _render_json([]) == "[]" and _render_json({}) == "{}"
 
 
 def test_selfmap(capsys):

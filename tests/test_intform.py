@@ -15,6 +15,7 @@ from degmap.intform import (
     IntMatrix,
     block_diagonal,
     direct_sum,
+    dual_vector,
     empty_form,
     format_matrix_text,
     hstack,
@@ -379,6 +380,18 @@ def test_iso_equivalence_relation(rng):
                 assert prod.transpose() @ f.matrix @ prod == h.matrix
 
 
+def test_iso_indefinite_yes_carries_the_canonical_witness(rng):
+    # covered indefinite forms: the witness is U_f U_g^-1, never missing
+    for base in ([1, 1, -1, -1], [1, -1, -1], "hyper2", [1, 1, 1, -1, -1]):
+        m = block_diagonal(HYPER, HYPER) if base == "hyper2" else IntMatrix.diagonal(base)
+        for _ in range(4):
+            f = transform_form(make_form(m, SYMMETRIC), random_unimodular(rng, m.rows))
+            g = transform_form(make_form(m, SYMMETRIC), random_unimodular(rng, m.rows))
+            v = isomorphic(f, g)
+            assert v.is_yes and v.witness is not None
+            assert v.witness.transpose() @ f.matrix @ v.witness == g.matrix
+
+
 # ---------------------------------------------------------------------------
 # symplectic reduction, kernels, splits
 # ---------------------------------------------------------------------------
@@ -392,6 +405,13 @@ def test_symplectic_transform_scrambled(rng):
         assert abs(u.det()) == 1
     with pytest.raises(NotUnimodular):
         symplectic_basis_transform(IntMatrix.from_rows([[0, 2], [-2, 0]]))
+
+
+def test_dual_vector_inverts_a_primitive_row():
+    for row in ([4, 6, 9], [0, -1], [3, 0, 0, 5], [1]):
+        w = dual_vector(row)
+        assert sum(a * b for a, b in zip(row, w)) == 1
+    assert dual_vector([2, 4]) is None and dual_vector([0, 0]) is None
 
 
 def test_integer_kernel_spans_and_saturates():

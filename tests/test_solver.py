@@ -1,7 +1,10 @@
+import contextlib
 import gc
+import io
 import itertools
 import math
 import random
+from pathlib import Path
 
 import pytest
 
@@ -13,19 +16,23 @@ from degmap.catalog import (
     hyperbolic_scaling_matrix,
     preset,
 )
-from degmap.cli import _verdict_text
+from degmap.cli import _verdict_text, build_parser, main
 from degmap.errors import (
     SymmetryMismatch,
     WitnessRejected,
     ZeroK,
 )
+from degmap.canonical import canonical_matrix, level_candidates
 from degmap.intform import (
     ANTISYMMETRIC,
+    PARITY_EVEN,
+    PARITY_ODD,
     SYMMETRIC,
     IntMatrix,
     block_diagonal,
     make_form,
     symmetric_elimination,
+    transform_form,
 )
 from degmap.solver import (
     SearchConfig,
@@ -34,6 +41,8 @@ from degmap.solver import (
     verify_witness,
 )
 from degmap.solver import (
+    _backtrack,
+    _box_candidates,
     _definite_solutions,
     _determinant_obstructed,
     _hasse_invariant,
@@ -47,13 +56,14 @@ from degmap.solver import (
     _signature_obstructed,
 )
 
-from conftest import random_antisymmetric_form, random_symmetric_form, random_unimodular
+from conftest import E8_CARTAN, random_antisymmetric_form, random_symmetric_form, random_unimodular
 from oracle import OracleTooLarge, _oracle_numpy, _oracle_python, brute_force_oracle
 
 I1 = make_form(IntMatrix.identity(1), SYMMETRIC)
 I2 = make_form(IntMatrix.identity(2), SYMMETRIC)
 D = make_form(IntMatrix.diagonal([1, -1]), SYMMETRIC)
 A1 = make_form(hyperbolic_matrix(1), SYMMETRIC)
+FIXTURES = Path(__file__).parent / "fixtures"
 A3 = make_form(hyperbolic_matrix(3), SYMMETRIC)
 
 
@@ -454,7 +464,10 @@ def test_accept_predicate_maps_to_each_verdict():
 def test_searches_leave_no_reference_cycles():
     # a search's recursive closures must not keep its candidate lists and
     # tables alive until the next cyclic collection: with the collector off,
-    # definite, box, mod-q and budget-stopped searches leave no garbage
+    # definite, box, mod-q, level and budget-stopped searches and a whole
+    # CLI call leave no garbage; the parser, whose construction leaves
+    # argparse formatter cycles, is built once per process beforehand
+    build_parser()
     gc.collect()
     gc.disable()
     try:
@@ -463,9 +476,90 @@ def test_searches_leave_no_reference_cycles():
         assert congruence_solve(A3, A3, 5).is_yes
         assert congruence_solve(A3, A3, 5, SearchConfig(node_budget=10)).budget_exhausted
         assert not _modq_unsolvable(A3.matrix, A3.matrix, 5, 4)
+        # canonical_basis and the level source, to a witness, to the end of
+        # every level, and stopped by the budget
+        i21 = make_form(IntMatrix.from_rows([[1, 2, 0], [2, 3, 0], [0, 0, 1]]), SYMMETRIC)
+        assert congruence_solve(i21, i21, 1).is_yes
+        assert congruence_solve(i21, i21, 1, SearchConfig(radius=2), lambda c, v: False).radius == 2
+        assert congruence_solve(i21, i21, 4, SearchConfig(node_budget=3)).budget_exhausted
+        # a whole CLI call with JSON output
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["deg1", "--M", f"@{FIXTURES}/h-i11.mat", "--L", "S2xS2", "--json"]) == 0
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def _random_canonical_source(rng):
+    """(pos, neg, hyperbolic, matrix) of a random I(p, q) or H^a, p + q <= 5."""
+    if rng.random() < 0.5:
+        a = rng.randrange(1, 3)
+        return a, a, True, canonical_matrix(a, a, PARITY_EVEN)
+    n = rng.randrange(2, 6)
+    pos = rng.randrange(1, n)
+    return pos, n - pos, False, canonical_matrix(pos, n - pos, PARITY_ODD)
+
+
+def test_level_source_matches_box_source():
+    # the same vectors within max-norm r, with the linear constraints that
+    # up to two placed columns impose, drawn so that the set is mostly nonempty
+    rng = random.Random(19)
+    budget = solver._Budget(10**9)
+    sizes = []
+    for _ in range(150):
+        pos, neg, hyperbolic, c = _random_canonical_source(rng)
+        rows, n = c.to_rows(), c.rows
+        radius = rng.randrange(1, 4)
+        x0 = [rng.randrange(-radius, radius + 1) for _ in range(n)]
+        t = sum(x0[i] * rows[i][j] * x0[j] for i in range(n) for j in range(n))
+        lin = []
+        for _ in range(rng.randrange(3)):
+            y = [rng.randrange(-radius, radius + 1) for _ in range(n)]
+            crow = [sum(y[i] * rows[i][j] for i in range(n)) for j in range(n)]
+            lin.append((crow, sum(a * b for a, b in zip(crow, x0)) + rng.choice([0, 0, 0, 1])))
+        box = list(_box_candidates(rows, radius, t, lin, budget))
+        level = list(level_candidates(
+            pos, neg, hyperbolic, radius, t, lin, budget, solver._unit_solutions))
+        assert len(set(level)) == len(level) and set(level) == set(box), (c, radius, t, lin)
+        sizes.append(len(box))
+    assert sum(1 for x in sizes if x) >= 100, sizes
+
+
+def test_level_source_gives_the_box_witnesses_column_by_column():
+    # every witness of a two-column target, through the backtracker
+    rng = random.Random(23)
+    for _ in range(12):
+        pos, neg, hyperbolic, c = _random_canonical_source(rng)
+        if c.rows > 3:
+            continue
+        rows, n = c.to_rows(), c.rows
+        target = [[rng.randrange(-2, 3) for _ in range(2)] for _ in range(2)]
+        target[1][0] = target[0][1]
+        budget = solver._Budget(10**9)
+
+        def pairing_row(x):
+            return tuple(sum(x[i] * rows[i][j] for i in range(n)) for j in range(n))
+
+        def witnesses(candidates):
+            stream = _backtrack([0, 1], target, candidates, pairing_row)
+            return {tuple(cols) for cols in stream}
+
+        box = witnesses(lambda col, lin: _box_candidates(rows, 2, target[col][col], lin, budget))
+        level = witnesses(lambda col, lin: level_candidates(
+            pos, neg, hyperbolic, 2, target[col][col], lin, budget, solver._unit_solutions))
+        assert level == box, (c, target)
+
+
+def test_indefinite_witness_is_mapped_back_from_canonical_coordinates(rng):
+    # a scrambled source: the search runs in canonical coordinates and the
+    # returned witness is checked against the source as given
+    base = make_form(IntMatrix.diagonal([1, 1, 1, -1, -1, -1]), SYMMETRIC)
+    for k in (1, -2, 5):
+        a = transform_form(base, random_unimodular(rng, 6))
+        b = make_form(IntMatrix.diagonal([1, 1, -1]), SYMMETRIC)
+        v = congruence_solve(a, b, k, SearchConfig(node_budget=200_000))
+        assert v.is_yes
+        verify_witness(a, b, k, v.witness)
 
 
 def test_solver_is_deterministic():
@@ -504,18 +598,6 @@ def test_definite_solutions_match_box_enumeration(rng):
             if q == value:
                 box.add(x)
         assert box <= got
-
-
-E8_CARTAN = [
-    [2, -1, 0, 0, 0, 0, 0, 0],
-    [-1, 2, -1, 0, 0, 0, 0, 0],
-    [0, -1, 2, -1, 0, 0, 0, 0],
-    [0, 0, -1, 2, -1, 0, 0, 0],
-    [0, 0, 0, -1, 2, -1, 0, -1],
-    [0, 0, 0, 0, -1, 2, -1, 0],
-    [0, 0, 0, 0, 0, -1, 2, 0],
-    [0, 0, 0, 0, -1, 0, 0, 2],
-]
 
 
 def test_definite_solutions_give_the_e8_theta_series():
