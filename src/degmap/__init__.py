@@ -30,7 +30,6 @@ from .degsets import (
     orthogonal_complement_form,
     selfmap_square,
 )
-from .canonical import canonical_basis
 from .errors import DegmapError
 from .homotopy import (
     PiElement,
@@ -82,7 +81,6 @@ __all__ = [
     "SYMMETRIC",
     "SearchConfig",
     "Verdict",
-    "canonical_basis",
     "check_homotopy_condition",
     "compose_disjoint",
     "congruence_solve",

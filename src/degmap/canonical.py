@@ -6,8 +6,8 @@ diag(1, ..., 1, -1, ..., -1), and every even one to H^a + E8(+-1)^b (Serre,
 ``canonical_basis`` finds the change of basis for the odd forms and for the
 even forms of signature 0, and ``level_candidates`` enumerates the vectors
 of a given norm in those coordinates norm level by norm level, which is how
-the solver searches an indefinite source.  E8 blocks are not handled: such
-forms get no canonical basis.  It imports no degmap module but
+the solver's box search runs on such a source.  E8 blocks are not handled:
+such forms get no canonical basis.  It imports no degmap module but
 ``intform``.
 
 >>> from degmap.intform import make_form
@@ -19,12 +19,13 @@ True
 
 from __future__ import annotations
 
-from itertools import islice, product
+from itertools import islice
 from math import gcd, isqrt
 from typing import Callable, Iterator, Sequence
 
 from .intform import (
     HYPERBOLIC,
+    NOT_COMPUTED,
     PARITY_EVEN,
     PARITY_ODD,
     SYMMETRIC,
@@ -43,7 +44,12 @@ LINE_PLUS_PLANE = {
 }
 
 # A split tries this many vectors of all coordinates but the last.
-_SPLIT_CAP = 20_000
+_SPLIT_CAP = 5_000
+
+# A size reduction makes at most this many sweeps over the pairs (i, j):
+# moves of +-1 shrink a large entry by a bounded step per sweep, so an
+# unbounded loop would take time proportional to the entries themselves.
+_REDUCE_SWEEPS = 64
 
 
 def canonical_matrix(pos: int, neg: int, par: str) -> IntMatrix:
@@ -54,28 +60,36 @@ def canonical_matrix(pos: int, neg: int, par: str) -> IntMatrix:
     return block_diagonal(*[HYPERBOLIC] * pos)
 
 
-def canonical_basis(f: IntersectionForm) -> IntMatrix | None:
+def canonical_basis(f: IntersectionForm, budget=None) -> IntMatrix | None:
     """Unimodular U with U.T A U == ``canonical_matrix`` of f, or None.
 
     Covered are the indefinite symmetric forms that are odd, whose canonical
     matrix is I(p, q), and the even ones of signature 0, with canonical
     matrix H^a (Serre, *A Course in Arithmetic*, ch. V; Milnor-Husemoller,
     ch. II).  A canonical input gets the identity after an O(n^2) check.
-    Otherwise the form is split: while the unsplit part is odd, a line of
-    norm +-1 (+1 while two positive directions remain, so that the part
-    stays indefinite), else a hyperbolic plane spanned by an isotropic
-    vector and a partner; each complement comes from ``split_basis``.
-    Every plane is then merged with a line by ``LINE_PLUS_PLANE``.  None
-    for even forms of nonzero signature (E8 blocks), for an even part of
-    nonzero signature left over from an odd form, and when a split finds
-    no vector within ``_SPLIT_CAP`` tries.  Computed once per form object.
+    Otherwise the form is split: its Gram matrix is size-reduced
+    (``_size_reduce``), then, while the unsplit part is odd, a line of norm
+    +-1 is split off (of a sign that leaves the part indefinite), else a
+    hyperbolic plane spanned by an isotropic vector and a partner; each
+    complement comes from ``split_basis``.  Every plane is then merged with
+    a line by ``LINE_PLUS_PLANE``.  None for even forms of nonzero
+    signature (E8 blocks), for an even part of nonzero signature left over
+    from an odd form, and when a split finds no vector within
+    ``_SPLIT_CAP`` tries, which happens for some heavily scrambled forms
+    close to definite, such as I(1, q) with q >= 8.
+
+    Computed once per form object and kept on ``f.canonical``; while it is
+    computed, ``budget.spend()`` (when a budget is given) is charged once
+    per vector a split tries, so a search that runs out of budget there
+    leaves the form uncached.
     """
-    if "canonical_basis" not in f.memo:
-        f.memo["canonical_basis"] = _canonical_basis(f)
-    return f.memo["canonical_basis"]
+    if f.canonical is NOT_COMPUTED:
+        # the form is frozen; its one cache field is written once, here
+        object.__setattr__(f, "canonical", _canonical_basis(f, budget))
+    return f.canonical
 
 
-def _canonical_basis(f: IntersectionForm) -> IntMatrix | None:
+def _canonical_basis(f: IntersectionForm, budget) -> IntMatrix | None:
     if f.symmetry != SYMMETRIC or not f.rank or f.is_definite():
         return None
     pos, neg, _ = f.signature
@@ -86,33 +100,41 @@ def _canonical_basis(f: IntersectionForm) -> IntMatrix | None:
         return IntMatrix.identity(f.rank)
     lines = []  # (column in f's coordinates, its norm)
     planes = []  # (x, y) with x.x = y.y = 0 and x.y = 1
-    basis = IntMatrix.identity(f.rank)  # the unsplit part, in f's coordinates
+    # columns spanning the unsplit part, in f's coordinates, and their Gram matrix
+    basis = IntMatrix.identity(f.rank).to_rows()
     gram = f.matrix.to_rows()
     while gram:
+        _size_reduce(gram, basis)
         if any(row[i] % 2 for i, row in enumerate(gram)):
-            eps = 1 if pos > 1 or neg == 0 else -1
-            v = _short_vector(gram, eps)
-            if v is None:
+            # either sign while both signs keep two directions, so that
+            # the part left over stays indefinite
+            signs = [e for e, left in ((1, pos), (-1, neg)) if left > 1] or [1 if neg == 0 else -1]
+            found = _short_vector(gram, signs, budget)
+            if found is None:
                 return None
+            v, eps = found
             cols = [v]
             pos, neg = (pos - 1, neg) if eps == 1 else (pos, neg - 1)
         else:
             if pos != neg:
                 return None
-            v = _short_vector(gram, 0)
-            if v is None:
+            found = _short_vector(gram, [0], budget)
+            if found is None:
                 return None
+            v = found[0]
             cols = [v, _hyperbolic_partner(gram, v)]
             pos, neg = pos - 1, neg - 1
         s = split_basis(IntMatrix.from_rows(gram), IntMatrix.from_columns(cols))
-        split = basis @ s
-        if len(cols) == 1:
-            lines.append((split.column(0), eps))
-        else:
-            planes.append((split.column(0), split.column(1)))
         n = len(cols)
-        basis = IntMatrix.from_columns([split.column(j) for j in range(n, split.cols)], f.rank)
-        gram = [row[n:] for row in IntMatrix.from_rows(gram).transform_by(s).to_rows()[n:]]
+        split = [_combine(basis, s.column(j)) for j in range(n)]
+        if n == 1:
+            lines.append((split[0], eps))
+        else:
+            planes.append(tuple(split))
+        rest = [s.column(j) for j in range(n, s.cols)]
+        basis = [_combine(basis, c) for c in rest]
+        products = [_combine(gram, c) for c in rest]  # gram @ c; gram is symmetric
+        gram = [[sum(a * b for a, b in zip(c, gc)) for gc in products] for c in rest]
     if lines:
         for x, y in planes:
             e, eps = lines.pop()
@@ -130,35 +152,97 @@ def _quadratic(rows: list, x: Sequence[int]) -> int:
     return sum(xi * sum(a * y for a, y in zip(row, x)) for xi, row in zip(x, rows) if xi)
 
 
-def _short_vector(rows: list, value: int) -> list | None:
-    """A primitive x != 0 with x.T Q x == value, or None.
+def _combine(vectors: list, coefficients: Sequence[int]) -> list:
+    """sum_k coefficients[k] * vectors[k]."""
+    out = [0] * len(vectors[0])
+    for c, vec in zip(coefficients, vectors):
+        if c:
+            out = [o + c * x for o, x in zip(out, vec)]
+    return out
 
-    The first n - 1 coordinates run through ``_SPLIT_CAP`` choices, smallest
-    max-norm first, and for each the last coordinate solves
-    a x_n^2 + 2 b x_n + c == value exactly, with a = Q[n-1][n-1],
-    b = sum_i Q[i][n-1] x_i and c the form on the first n - 1 coordinates.
+
+def _size_reduce(g: list, basis: list) -> None:
+    """Size-reduce, in place, the Gram matrix g of the vectors ``basis``:
+    moves e_i += +-e_j, applied to both, each taken while it lowers the sum
+    of the squared entries of g.
+
+    A scrambled basis has large entries that the moves undo, which leaves
+    a Gram matrix whose splitting vectors are short in every coordinate.
+    It stops when a sweep over all pairs makes no move, or after
+    ``_REDUCE_SWEEPS`` sweeps.
+    """
+    n = len(g)
+    for _ in range(_REDUCE_SWEEPS):
+        moved = False
+        for i in range(n):
+            gi = g[i]
+            for j in range(n):
+                if i == j:
+                    continue
+                gj = g[j]
+                for c in (1, -1):
+                    diag = gi[i] + 2 * c * gi[j] + gj[j]
+                    gain = gi[i] * gi[i] - diag * diag
+                    for s in range(n):
+                        if s != i:
+                            new = gi[s] + c * gj[s]
+                            gain += 2 * (gi[s] * gi[s] - new * new)
+                    if gain <= 0:
+                        continue
+                    for s in range(n):
+                        if s != i:
+                            gi[s] += c * gj[s]
+                            g[s][i] = gi[s]
+                    gi[i] = diag
+                    basis[i] = [x + c * y for x, y in zip(basis[i], basis[j])]
+                    moved = True
+                    break
+        if not moved:
+            break
+
+
+def _short_vector(rows: list, values: list, budget) -> tuple | None:
+    """(x, value) for a primitive x != 0 with x.T Q x == value, the first
+    such x for any of the values, or None.
+
+    The first n - 1 coordinates run through ``_SPLIT_CAP`` choices by
+    ``_by_l1_norm``, which favours no coordinate, and for each the last
+    coordinate solves a x_n^2 + 2 b x_n + c == value exactly, with
+    a = Q[n-1][n-1], b = sum_i Q[i][n-1] x_i and c the form on the first
+    n - 1 coordinates.  ``budget.spend()`` is charged per choice.
     """
     n = len(rows)
     head = [row[: n - 1] for row in rows[: n - 1]]
-    for x in islice(_by_max_norm(n - 1), _SPLIT_CAP):
+    for x in islice(_by_l1_norm(n - 1), _SPLIT_CAP):
+        if budget is not None:
+            budget.spend()
         b = sum(xi * row[-1] for xi, row in zip(x, rows))
-        for last in _integer_roots(rows[-1][-1], 2 * b, _quadratic(head, x) - value):
-            if last or any(x):
-                g = gcd(*x, last)  # 1 unless value == 0
-                return [xi // g for xi in x + (last,)]
+        c = _quadratic(head, x)
+        for value in values:
+            for last in _integer_roots(rows[-1][-1], 2 * b, c - value):
+                if last or any(x):
+                    g = gcd(*x, last)  # 1 unless value == 0
+                    return [xi // g for xi in x + (last,)], value
     return None
 
 
-def _by_max_norm(m: int) -> Iterator[tuple]:
-    """Every vector of Z^m once, by max-norm 0, 1, 2, ..."""
+def _by_l1_norm(m: int) -> Iterator[tuple]:
+    """Every vector of Z^m once, by l1-norm 0, 1, 2, ..."""
     yield (0,) * m
-    r = 0
+    d = 0
     while m:
-        r += 1
-        values = [0] + [v for d in range(1, r + 1) for v in (d, -d)]
-        for x in product(values, repeat=m):
-            if max(map(abs, x)) == r:
-                yield x
+        d += 1
+        yield from _l1_sphere(m, d)
+
+
+def _l1_sphere(m: int, d: int) -> Iterator[tuple]:
+    """The vectors of Z^m with l1-norm d."""
+    if m == 1:
+        yield from ((d,), (-d,)) if d else ((0,),)
+        return
+    for first in range(-d, d + 1):
+        for rest in _l1_sphere(m - 1, d - abs(first)):
+            yield (first, *rest)
 
 
 def _integer_roots(a: int, b: int, c: int) -> list:
@@ -214,8 +298,9 @@ def level_candidates(
     Q(x) = (|u|^2 - |w|^2) / 2, so the halves solve |u|^2 = 2t + s and
     |w|^2 = s for s up to a * (2 radius)^2, and pair only when u_i and w_i
     agree mod 2.  Every vector is filtered to max-norm <= radius, so the
-    union over the levels is exactly the solution set of ``_box_candidates``
-    on the same box.
+    union over the levels is exactly the solution set of the solver's box
+    scan on the same box; ``solver._box_candidates`` runs this enumeration
+    in place of its scan when Q has one of these two shapes.
 
     A linear constraint splits as c_u . u + c_w . w == t (for H^a, with
     c_u = c_x + c_y, c_w = c_x - c_y and 2t), so at each level the w are

@@ -27,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Iterable
 
+from .canonical import canonical_basis
 from .catalog import ManifoldModel
 from .errors import (
     ConditionNotMet,
@@ -206,6 +207,8 @@ def orthogonal_complement_form(
     The witness columns span a sublattice carrying ``restricted``; because
     that block is unimodular the lattice splits off its orthogonal
     complement, whose basis ``split_basis`` appends to the witness columns.
+    C is given as I(p, q) or H^a where ``canonical_basis`` covers it, so
+    that it does not depend on the basis the kernel happens to return.
     """
     union = split_basis(ambient.matrix, witness)
     if union.det() not in (1, -1):
@@ -216,7 +219,9 @@ def orthogonal_complement_form(
         raise WitnessRejected("upper block does not match the target pairing")
     if any(gram[i][j] or gram[j][i] for i in range(r) for j in range(r, ambient.rank)):
         raise WitnessRejected("complement is not orthogonal")
-    return make_form(IntMatrix.from_rows([row[r:] for row in gram[r:]]), ambient.symmetry)
+    complement = make_form(IntMatrix.from_rows([row[r:] for row in gram[r:]]), ambient.symmetry)
+    u = canonical_basis(complement)
+    return complement if u is None else make_form(complement.matrix.transform_by(u), ambient.symmetry)
 
 
 def degree_one_summand(

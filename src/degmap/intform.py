@@ -21,7 +21,6 @@ degmap module but ``errors``; isomorphism is ``solver.isomorphic``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -45,7 +44,7 @@ class IntMatrix:
     __slots__ = ("rows", "cols", "_entries")
 
     def __init__(self, rows: int, cols: int, entries: Iterable[int]):
-        entries = tuple(map(int, entries))
+        entries = tuple(int(x) for x in entries)
         if rows < 0 or cols < 0 or len(entries) != rows * cols:
             raise ShapeMismatch(
                 f"expected {rows}x{cols} = {rows * cols} entries, got {len(entries)}"
@@ -100,9 +99,7 @@ class IntMatrix:
         return self._entries[i * self.cols : (i + 1) * self.cols]
 
     def column(self, j: int) -> tuple:
-        if not 0 <= j < self.cols:
-            raise IndexError(f"column {j} of a {self.rows}x{self.cols} matrix")
-        return self._entries[j :: self.cols]
+        return tuple(self._entries[i * self.cols + j] for i in range(self.rows))
 
     def to_rows(self) -> list:
         return [list(self.row(i)) for i in range(self.rows)]
@@ -126,9 +123,14 @@ class IntMatrix:
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
             raise ShapeMismatch(f"cannot multiply {self.shape} by {other.shape}")
-        arows = [self.row(i) for i in range(self.rows)]
-        bcols = [other.column(j) for j in range(other.cols)]
-        return IntMatrix(self.rows, other.cols, [sum(map(mul, r, c)) for r in arows for c in bcols])
+        a, b = self, other
+        out = []
+        brows = [b.row(i) for i in range(b.rows)]
+        for i in range(a.rows):
+            arow = a.row(i)
+            for j in range(b.cols):
+                out.append(sum(arow[t] * brows[t][j] for t in range(a.cols)))
+        return IntMatrix(a.rows, b.cols, out)
 
     def __neg__(self) -> "IntMatrix":
         return IntMatrix(self.rows, self.cols, [-x for x in self._entries])
@@ -249,6 +251,9 @@ def hstack(a: IntMatrix, b: IntMatrix) -> IntMatrix:
 # ---------------------------------------------------------------------------
 
 
+NOT_COMPUTED = "not computed"
+
+
 @dataclass(frozen=True)
 class IntersectionForm:
     """A unimodular (anti)symmetric pairing with its cached invariants.
@@ -259,8 +264,10 @@ class IntersectionForm:
     ``symmetric_elimination``, so that the form is <p_{i-1} * p_i> over Q
     (p_{-1} = 1) and the last pivot is the determinant; it is None for
     antisymmetric forms and takes no part in equality, hashing or repr.
-    ``memo`` holds results computed at most once per form object, such as
-    its ``canonical.canonical_basis``; ``make_form`` leaves it empty.
+    ``canonical`` keeps the result of ``canonical.canonical_basis``, which
+    runs at most once per form object; it is ``NOT_COMPUTED`` until then,
+    is not an argument of the constructor and, like ``pivots``, takes no
+    part in equality, hashing or repr.
     """
 
     matrix: IntMatrix
@@ -269,7 +276,7 @@ class IntersectionForm:
     signature: tuple | None
     parity: str | None
     pivots: tuple | None = field(compare=False, repr=False)
-    memo: dict = field(default_factory=dict, compare=False, repr=False)
+    canonical: object = field(default=NOT_COMPUTED, init=False, compare=False, repr=False)
 
     @property
     def determinant(self) -> int:

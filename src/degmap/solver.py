@@ -23,25 +23,24 @@ enumerated completely by integer Fincke-Pohst bounds on the fraction-free
 ``symmetric_elimination`` of A, so running out of candidates proves No.
 In the indefinite case candidates range over a max-norm box and
 exhaustion only proves the absence of small witnesses, hence Unknown.
-Two candidate sources cover that box:
+``_box_candidates`` yields every solution in that box, in one of two ways:
 
-* the level source ``canonical.level_candidates``, for every symmetric
-  indefinite A that ``canonical.canonical_basis`` brings to I(p, q) or H^a
-  by a unimodular U.
+* norm level by norm level (``canonical.level_candidates``), for every
+  symmetric indefinite A that ``canonical.canonical_basis`` brings to
+  I(p, q) or H^a by a unimodular U.
   The search runs in those canonical coordinates, for P' with
   P'.T (U.T A U) P' == k B, and returns P = U P'.  A column x = (u, w) of
-  Q(x) = |u|^2 - |w|^2 == t is taken norm level by norm level,
-  |w|^2 = s and |u|^2 = t + s for s = 0, 1, ..., both halves from the
-  definite enumeration (H^a after u = x + y, w = x - y), so the cost no
-  longer depends on the order of the basis;
-* the box source ``_box_candidates``, a centered scan with interval
-  pruning, for antisymmetric A and the indefinite forms that
-  ``canonical_basis`` does not cover (E8 blocks, or no splitting vector
-  found within its cap).
+  Q(x) = |u|^2 - |w|^2 == t is taken level by level, |w|^2 = s and
+  |u|^2 = t + s for s = 0, 1, ..., both halves from the definite
+  enumeration (H^a after u = x + y, w = x - y), so the cost no longer
+  depends on the order of the basis;
+* by a centered scan with interval pruning, in A's own coordinates, for
+  antisymmetric A and the indefinite forms that ``canonical_basis`` does
+  not cover (E8 blocks, or no splitting vector found within its cap).
 
 Both are exhaustive on the box of max-norm ``radius``, so an Unknown's
-radius is measured in the coordinates of its source: the canonical ones
-for the level source, A's own for the box source.
+radius is measured in the coordinates the search ran in: the canonical
+ones where ``canonical_basis`` covers A, A's own otherwise.
 
 The filters are each complete arguments, never heuristics:
 
@@ -509,14 +508,22 @@ def _box_candidates(
     quad_target: int,
     lin: list,
     budget: _Budget,
+    levels: tuple | None = None,
 ) -> Iterator[tuple]:
     """Vectors x with max-norm <= radius, x.T Q x == quad_target for the
-    symmetric Q with rows ``qrows``, and c . x == t for every (c, t) in lin,
-    in centered-lexicographic order.
+    symmetric Q with rows ``qrows``, and c . x == t for every (c, t) in lin.
 
-    Pruning uses exact interval bounds for both the linear constraints and
-    the quadratic remainder, so no solutions inside the box are missed.
+    When ``levels`` is (pos, neg, hyperbolic, halves), Q is I(pos, neg) or
+    H^pos and the set is taken norm level by norm level by
+    ``canonical.level_candidates``, its halves from ``halves(dim, value)``.
+    Otherwise the box is scanned in centered-lexicographic order; pruning
+    uses exact interval bounds for both the linear constraints and the
+    quadratic remainder, so no solutions inside the box are missed.
     """
+    if levels is not None:
+        pos, neg, hyperbolic, halves = levels
+        yield from level_candidates(pos, neg, hyperbolic, radius, quad_target, lin, budget, halves)
+        return
     m = len(qrows)
     if m == 0:
         if quad_target == 0 and all(t == 0 for _, t in lin):
@@ -644,7 +651,7 @@ def _witness_stream(
     target = [[k * x for x in row] for row in b.matrix.to_rows()]
     budget = _Budget(cfg.node_budget)
     complete = _enumerates_completely(a)
-    basis = None if complete else canonical_basis(a)
+    basis = None if complete else canonical_basis(a, budget)
 
     if complete:
         sign = 1 if a.signature[1] == 0 else -1
@@ -660,35 +667,32 @@ def _witness_stream(
                 if any(sum(c * v for c, v in zip(crow, cand)) != t for crow, t in lin):
                     continue
                 yield cand
-    elif basis is not None:
-        # search in canonical coordinates x', where the witness is basis @ P'
-        pos, neg, _ = a.signature
-        hyperbolic = a.parity == PARITY_EVEN
-        arows = canonical_matrix(pos, neg, a.parity).to_rows()
-        half_cache: dict = {}
-
-        def halves(dim: int, value: int) -> list:
-            if (dim, value) not in half_cache:
-                half_cache[dim, value] = _unit_solutions(dim, value)
-            return half_cache[dim, value]
-
-        def candidates(col: int, lin: list) -> Iterator[tuple]:
-            return level_candidates(
-                pos, neg, hyperbolic, cfg.radius, target[col][col], lin, budget, halves
-            )
-
-        if accept is not None:
-            given = accept
-            brows = [basis.row(i) for i in range(m)]
-
-            def accept(col: int, vec: tuple) -> bool:
-                return given(col, tuple(sum(c * v for c, v in zip(row, vec)) for row in brows))
     else:
+        levels = None
+        if basis is not None:
+            # search in canonical coordinates x', where the witness is basis @ P'
+            pos, neg, _ = a.signature
+            arows = canonical_matrix(pos, neg, a.parity).to_rows()
+            half_cache: dict = {}
+
+            def halves(dim: int, value: int) -> list:
+                if (dim, value) not in half_cache:
+                    half_cache[dim, value] = _unit_solutions(dim, value)
+                return half_cache[dim, value]
+
+            levels = (pos, neg, a.parity == PARITY_EVEN, halves)
+            if accept is not None:
+                given = accept
+                brows = [basis.row(i) for i in range(m)]
+
+                def accept(col: int, vec: tuple) -> bool:
+                    return given(col, tuple(sum(c * v for c, v in zip(row, vec)) for row in brows))
+
         # x.T A x vanishes identically when A is antisymmetric
         qrows = arows if a.symmetry == SYMMETRIC else [[0] * m for _ in range(m)]
 
         def candidates(col: int, lin: list) -> Iterator[tuple]:
-            return _box_candidates(qrows, cfg.radius, target[col][col], lin, budget)
+            return _box_candidates(qrows, cfg.radius, target[col][col], lin, budget, levels)
 
     def pairing_row(vec: tuple) -> tuple:
         return tuple(

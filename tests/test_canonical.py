@@ -1,9 +1,12 @@
 import random
 
-from degmap import canonical
+import pytest
+
+from degmap import canonical, solver
 from degmap.canonical import LINE_PLUS_PLANE, canonical_basis, canonical_matrix
 from degmap.intform import (
     HYPERBOLIC as HYPER,
+    NOT_COMPUTED,
     PARITY_EVEN,
     PARITY_ODD,
     SYMMETRIC,
@@ -43,6 +46,47 @@ def test_canonical_basis_on_seeded_scrambles():
         assert f.matrix.transform_by(u) == canonical_matrix(pos, neg, f.parity)
 
 
+def test_canonical_basis_on_scrambles_of_rank_11_to_16_in_any_coordinate_order():
+    # the split search enumerates by l1-norm and size-reduces the Gram matrix
+    # first, so reversing the basis of a scrambled form changes nothing
+    rng = random.Random(29)
+    for trial in range(24):
+        n = rng.randrange(11, 17)
+        if trial % 4 == 3:
+            base = block_diagonal(*[HYPER] * (n // 2))
+        else:
+            pos = rng.randrange(1, n)
+            base = IntMatrix.diagonal([1] * pos + [-1] * (n - pos))
+        scrambled = base.transform_by(random_unimodular(rng, base.rows))
+        reverse = IntMatrix.from_columns(
+            [[int(i == base.rows - 1 - j) for i in range(base.rows)] for j in range(base.rows)])
+        for matrix in (scrambled, scrambled.transform_by(reverse)):
+            f = make_form(matrix, SYMMETRIC)
+            u = canonical_basis(f)
+            assert u is not None, matrix.to_rows()
+            assert f.matrix.transform_by(u) == canonical_matrix(*f.signature[:2], f.parity)
+
+
+def test_canonical_basis_on_huge_entries_takes_bounded_reduction():
+    # moves of +-1 would need about 10^9 sweeps to shrink these entries
+    big = 10**9
+    for rows, expected in (([[0, 1], [1, 2 * big]], HYPER),
+                           ([[-1, -big], [-big, 1 - big * big]], IntMatrix.diagonal([1, -1]))):
+        f = make_form(IntMatrix.from_rows(rows), SYMMETRIC)
+        assert f.matrix.transform_by(canonical_basis(f)) == expected
+
+
+def test_canonical_basis_charges_its_splits_to_a_budget():
+    f = make_form(IntMatrix.from_rows([[1, 2], [2, 3]]), SYMMETRIC)
+    with pytest.raises(solver._OutOfBudget):
+        canonical_basis(f, solver._Budget(0))
+    assert f.canonical is NOT_COMPUTED  # a search stopped there caches nothing
+    budget = solver._Budget(100)
+    u = canonical_basis(f, budget)
+    assert budget.remaining < 100 and f.canonical is u
+    assert canonical_basis(f, solver._Budget(0)) is u  # computed once, charged once
+
+
 def test_line_plus_plane_rewrites():
     for eps, diag in ((1, [1, 1, -1]), (-1, [1, -1, -1])):
         r = LINE_PLUS_PLANE[eps]
@@ -53,7 +97,7 @@ def test_line_plus_plane_rewrites():
 
 def test_canonical_basis_recognises_canonical_input_and_runs_once_per_form(monkeypatch):
     i21 = make_form(IntMatrix.diagonal([1, 1, -1]), SYMMETRIC)
-    assert i21.memo == {}  # make_form does not pay for it
+    assert i21.canonical is NOT_COMPUTED  # make_form does not pay for it
     # with no vector to split by, only the recognition can answer
     monkeypatch.setattr(canonical, "_SPLIT_CAP", 0)
     assert canonical_basis(i21) == IntMatrix.identity(3)

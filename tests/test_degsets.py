@@ -164,6 +164,20 @@ def test_degree_one_summand_rank_six():
     assert isomorphic(comp, make_form(hyperbolic_matrix(2), SYMMETRIC)).is_yes
 
 
+def test_degree_one_summand_gives_an_indefinite_complement_in_canonical_form():
+    # a scrambled CP2 # CP2 # (-CP2) onto CP2: whatever basis the kernel
+    # returns, the complement is printed as diag(1, -1)
+    rng = random.Random(31)
+    for _ in range(5):
+        m = IntMatrix.diagonal([1, 1, -1]).transform_by(random_unimodular(rng, 3))
+        source = manifold("M", 2, make_form(m, SYMMETRIC), True, True)
+        ans, comp = degree_one_summand(source, preset("CP2"))
+        assert ans.kind == "yes"
+        assert comp.matrix == IntMatrix.diagonal([1, -1])
+    ans, comp = degree_one_summand(preset("T4"), preset("S2xS2"))
+    assert comp.matrix == hyperbolic_matrix(2)
+
+
 def test_degree_one_summand_gate():
     with pytest.raises(NotApplicable):
         degree_one_summand(preset("CP2"), preset("T4"))

@@ -22,7 +22,7 @@ from degmap.errors import (
     WitnessRejected,
     ZeroK,
 )
-from degmap.canonical import canonical_matrix, level_candidates
+from degmap.canonical import canonical_matrix
 from degmap.intform import (
     ANTISYMMETRIC,
     PARITY_EVEN,
@@ -517,9 +517,9 @@ def test_level_source_matches_box_source():
             y = [rng.randrange(-radius, radius + 1) for _ in range(n)]
             crow = [sum(y[i] * rows[i][j] for i in range(n)) for j in range(n)]
             lin.append((crow, sum(a * b for a, b in zip(crow, x0)) + rng.choice([0, 0, 0, 1])))
+        levels = (pos, neg, hyperbolic, solver._unit_solutions)
         box = list(_box_candidates(rows, radius, t, lin, budget))
-        level = list(level_candidates(
-            pos, neg, hyperbolic, radius, t, lin, budget, solver._unit_solutions))
+        level = list(_box_candidates(rows, radius, t, lin, budget, levels))
         assert len(set(level)) == len(level) and set(level) == set(box), (c, radius, t, lin)
         sizes.append(len(box))
     assert sum(1 for x in sizes if x) >= 100, sizes
@@ -544,9 +544,10 @@ def test_level_source_gives_the_box_witnesses_column_by_column():
             stream = _backtrack([0, 1], target, candidates, pairing_row)
             return {tuple(cols) for cols in stream}
 
+        levels = (pos, neg, hyperbolic, solver._unit_solutions)
         box = witnesses(lambda col, lin: _box_candidates(rows, 2, target[col][col], lin, budget))
-        level = witnesses(lambda col, lin: level_candidates(
-            pos, neg, hyperbolic, 2, target[col][col], lin, budget, solver._unit_solutions))
+        level = witnesses(lambda col, lin: _box_candidates(
+            rows, 2, target[col][col], lin, budget, levels))
         assert level == box, (c, target)
 
 
