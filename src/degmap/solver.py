@@ -59,13 +59,7 @@ The filters are each complete arguments, never heuristics:
   F_2 a nondegenerate symmetric form is classified by its rank and by
   whether it is alternating (Milnor-Husemoller, ch. I), so beyond rank and
   parity the only obstruction is an even B of the same rank as an odd A;
-* mod 4: the congruence must also hold mod 4.  When 4^m <= 5000 and
-  m * l <= 48 a column search over (Z/4)^m decides it exhaustively, with
-  every per-candidate test a table lookup: the vectors are bucketed by
-  quadratic value and each pairing with a placed column is read from its
-  dot table.  A search that examines more than ``_MODQ_NODE_CAP`` vectors
-  claims nothing;
-* Hasse (symmetric forms, last): a rational P exists only if A represents
+* Hasse (symmetric forms): a rational P exists only if A represents
   kB over every completion Q_p.  A and B are unimodular, so only p = 2,
   the primes dividing k and the real place (the signature filter) can
   obstruct.  At those primes A must split as kB plus a complement C whose
@@ -74,7 +68,21 @@ The filters are each complete arguments, never heuristics:
   invariants of A and kB to match, r = 1 needs c(C) = 1, r = 2 rules out
   d(C) = -1 with c(C) = -1, and r >= 3 never obstructs.  No rational
   solution means no integral one.  The diagonal of each form is read off
-  its stored elimination pivots.
+  its stored elimination pivots;
+* mod 4 (last): the congruence must also hold mod 4.  Over Z/4 a
+  unimodular symmetric form is determined by its rank, its parity and its
+  signature mod 8 (Milnor-Husemoller, ch. II; Conway-Sloane, *SPLAG*,
+  ch. 15), so ``_modq_unsolvable`` decides it in closed form.  Write
+  m, l for the ranks of A and B, sigma for n_plus - n_minus mod 8,
+  chi(k) = +-1 for k = +-1 mod 4 and s = sigma_A - chi(k) sigma_B.  It is
+  unsolvable exactly when A is even, k odd and B odd; or A is odd, k odd
+  and, by the rank gap m - l, B even or s != 0 (gap 0), s in {3, 5}
+  (gap 1), or B even and s = 4 (gap 2); or A is odd, k = 2 mod 4 and either
+  B is odd with m = 2 and sigma_A = 0, or with m odd and l = m, or B is
+  even with m even, l = m and sigma_A != 0, or with m odd, l = m - 1 and
+  sigma_A in {3, 5}.  An antisymmetric A and k = 0 mod 4 never obstruct.
+  Run after the Hasse filter, it still adds integral 2-adic obstructions
+  that no rational test sees, such as x^2 - y^2 = 2.
 """
 
 from __future__ import annotations
@@ -242,70 +250,38 @@ def _determinant_obstructed(a: IntersectionForm, b: IntersectionForm, k: int) ->
     return not _is_perfect_square(v)
 
 
-_MODQ_NODE_CAP = 200_000
+def _modq_unsolvable(a: IntersectionForm, b: IntersectionForm, k: int) -> bool:
+    """True when P.T A P == k B has no solution mod 4 (rank B <= rank A).
 
-
-def _modq_unsolvable(a: IntMatrix, b: IntMatrix, k: int, q: int) -> bool:
-    """True when the congruence has no solution mod q, proven exhaustively.
-
-    The search is table driven.  Every vector x in (Z/q)^m is an index
-    into ``itertools.product`` order; for a vector c the dot table holds
-    c . x mod q for every index, built one coordinate at a time.  The
-    quadratic values Q(x) = sum_s x_s (A x)_s come from the coordinate
-    and column tables and bucket the indices, so a column scans only the
-    vectors of its diagonal target.  A placed vector's pairing row is the
-    dot table of x.T A, so each linear constraint on a later column is a
-    lookup per index.  The node cap still counts one unit per vector
-    examined in natural order, charged as the gap up to each hit and the
-    rest at the end of the scan, so it stops where a scan testing every
-    vector in turn would.
-
-    Conservative: returns False (no obstruction claimed) when the shape is
-    too large for the exhaustive check (q^m > 5000 or m * l > 48) or the
-    node cap is hit.
+    The closed form of the module docstring, in its notation.  For odd k
+    and odd A a solution means A = kB + C over Z/4 for a unimodular C of
+    rank r = m - l, which fails only for r <= 2.  For k = 2 mod 4 and odd A,
+    P reduces over F_2 to an isotropic subspace of A mod 2 of dimension
+    >= l / 2 on which Q / 2 mod 2 is nonzero when B is odd and zero when B
+    is even.  An antisymmetric A embeds kB symplectically, and k = 0 mod 4
+    has P = 0.
     """
-    m, l = a.rows, b.rows
-    if q ** m > 5000 or m * l > 48:
+    if a.symmetry == ANTISYMMETRIC or k % 4 == 0:
         return False
-    arows = [[x % q for x in a.row(i)] for i in range(m)]
-    targets = [[(k * b[i, j]) % q for j in range(l)] for i in range(l)]
-
-    def dot_table(c: list) -> list:
-        table = [0]
-        for cs in c:
-            steps = [cs * d for d in range(q)]
-            table = [v + w for v in table for w in steps]
-        return [v % q for v in table]
-
-    coords = [dot_table([int(s == t) for t in range(m)]) for s in range(m)]
-    qvals = [0] * q ** m
-    for xs, row in zip(coords, arows):
-        qvals = [v + x * y for v, x, y in zip(qvals, xs, dot_table(row))]
-    buckets: list = [[] for _ in range(q)]
-    for i, v in enumerate(qvals):
-        buckets[v % q].append(i)
-    last = q ** m - 1
-    budget = _Budget(_MODQ_NODE_CAP)
-
-    def candidates(col: int, lin: list) -> Iterator[int]:
-        hits = buckets[targets[col][col]]
-        for table, t in lin:
-            hits = [i for i in hits if table[i] == t]
-        prev = -1
-        for i in hits:
-            budget.spend(i - prev)
-            prev = i
-            yield i
-        budget.spend(last - prev)
-
-    def pairing_row(i: int) -> list:
-        x = [xs[i] for xs in coords]
-        return dot_table([sum(v * row[t] for v, row in zip(x, arows)) for t in range(m)])
-
-    try:
-        return next(_backtrack(range(l), targets, candidates, pairing_row), None) is None
-    except _OutOfBudget:
-        return False
+    odd_b = b.parity != PARITY_EVEN
+    if a.parity == PARITY_EVEN:
+        return k % 2 == 1 and odd_b
+    m, l = a.rank, b.rank
+    sig_a = (a.signature[0] - a.signature[1]) % 8
+    if k % 2 == 1:
+        chi = 1 if k % 4 == 1 else -1
+        s = (sig_a - chi * (b.signature[0] - b.signature[1])) % 8
+        r = m - l
+        if r == 0:
+            return not odd_b or s != 0
+        if r == 1:
+            return s in (3, 5)
+        return r == 2 and not odd_b and s == 4
+    if odd_b:
+        return (m == 2 and sig_a == 0) or (m % 2 == 1 and l == m)
+    if m % 2 == 0:
+        return l == m and sig_a != 0
+    return l == m - 1 and sig_a in (3, 5)
 
 
 # Trial division bound for the primes of k.  A cofactor with no prime
@@ -419,10 +395,10 @@ def _prefilter(a: IntersectionForm, b: IntersectionForm, k: int) -> Verdict | No
             return Verdict.no(REASON_DETERMINANT)
     if _mod2_obstructed(a, b, k):
         return Verdict.no(REASON_MOD2)
-    if _modq_unsolvable(a.matrix, b.matrix, k, 4):
-        return Verdict.no(REASON_MOD4)
     if a.symmetry == SYMMETRIC and _hasse_obstructed(a, b, k):
         return Verdict.no(REASON_HASSE)
+    if _modq_unsolvable(a, b, k):
+        return Verdict.no(REASON_MOD4)
     return None
 
 
@@ -601,10 +577,8 @@ def _backtrack(order: Sequence[int], target: list, candidates, pairing_row, acce
     Columns are filled in ``order``.  ``candidates(col, lin)`` yields the
     vectors allowed in column ``col`` that meet c . x == t for every (c, t)
     in ``lin``, the pairing rows of the columns already placed paired with
-    their targets; ``pairing_row(x)`` is the row x.T A, in whatever form
-    ``candidates`` reads (the mod-q search passes vector indices and dot
-    tables).  The search is complete exactly when every candidate source
-    is.  A candidate failing the optional ``accept(col, x)`` is skipped
+    their targets; ``pairing_row(x)`` is the row x.T A.  The search is
+    complete exactly when every candidate source is.  A candidate failing the optional ``accept(col, x)`` is skipped
     before it is placed.  The yielded list (in natural column order) is
     reused, so copy it before advancing.
     """
@@ -629,7 +603,7 @@ def _backtrack(order: Sequence[int], target: list, candidates, pairing_row, acce
         yield from rec(0)
     finally:
         # rec refers to itself through its closure, a cycle that would keep
-        # it and everything it reaches (candidate lists, dot tables) alive
+        # it and everything it reaches (candidate lists) alive
         # until the next cyclic collection; breaking it frees them at once
         del rec
 

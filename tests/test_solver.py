@@ -6,6 +6,7 @@ import math
 import random
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from degmap import solver
@@ -156,10 +157,15 @@ def test_determinant_filter():
 
 
 def test_mod4_filter_catches_twice_a_square_gap():
-    # x^2 - y^2 = 2 has no solution; squares differ by 2 only mod 4
+    # x^2 - y^2 = 2 has no solution; squares differ by 2 only mod 4.  It
+    # has rational ones, so no earlier filter, the Hasse filter included,
+    # sees this, nor x^2 - y^2 = +-2 or +-6
     v = congruence_solve(D, I1, 2)
     assert v.is_no and v.reason == "Mod4Filter"
     assert brute_force_oracle(D, I1, 2, 6) is None
+    for b in (I1, make_form(IntMatrix.diagonal([-1]), SYMMETRIC)):
+        for k in (-6, -2, 2, 6):
+            assert solver._prefilter(D, b, k) == Verdict.no("Mod4Filter"), (b, k)
 
 
 def _block_sum_form(rng, rank):
@@ -184,16 +190,15 @@ def _random_small_pair(rng):
     return _block_sum_form(rng, m), _block_sum_form(rng, l)
 
 
-def test_mod2_classification_matches_exhaustive_search(rng, monkeypatch):
+def test_mod2_classification_matches_exhaustive_search(rng):
     # over F_2 a nondegenerate form is classified by rank and parity, so
     # the closed-form mod-2 filters decide exactly what the search decides
-    monkeypatch.setattr(solver, "_MODQ_NODE_CAP", 10**9)
     obstructed = {"parity": 0, "mod2": 0, "none": 0}
     for _ in range(300):
         a, b = _random_small_pair(rng)
         k = rng.choice([-3, -2, -1, 1, 2, 3])
         parity, mod2 = _parity_obstructed(a, b, k), _mod2_obstructed(a, b, k)
-        assert (parity or mod2) == _modq_unsolvable(a.matrix, b.matrix, k, 2), (
+        assert (parity or mod2) is _reference_modq(a.matrix, b.matrix, k, 2, cap=10**9), (
             a.matrix.to_rows(), b.matrix.to_rows(), k
         )
         obstructed["parity" if parity else "mod2" if mod2 else "none"] += 1
@@ -226,23 +231,25 @@ def test_mod2_filter_decides_odd_into_even_of_equal_rank(planes, k):
     assert v.is_no and v.reason == "Mod2Filter"
 
 
-def _reference_modq(a, b, k, q):
-    """The per-candidate mod-q scan: one node-cap unit per examined vector.
+# Node cap of the reference search: one unit per examined vector.
+_REFERENCE_CAP = 200_000
 
-    Returns (unsolvable, units spent); kept as the reference for the
-    table-driven ``_modq_unsolvable``.
+
+def _reference_modq(a, b, k, q, cap=_REFERENCE_CAP):
+    """Whether P.T A P == k B has no solution mod q, by exhaustive search.
+
+    A per-candidate scan of (Z/q)^m, column by column, charged one unit per
+    examined vector.  Returns True or False, or None when the cap runs out
+    first; kept as the reference for the closed forms mod 2 and mod 4.
     """
     m, l = a.rows, b.rows
-    if q ** m > 5000 or m * l > 48:
-        return False, 0
     arows = [tuple(x % q for x in a.row(i)) for i in range(m)]
     targets = [[(k * b[i, j]) % q for j in range(l)] for i in range(l)]
     vectors = list(itertools.product(range(q), repeat=m))
-    qvals = [
-        sum(x[i] * arows[i][j] * x[j] for i in range(m) for j in range(m)) % q
-        for x in vectors
-    ]
-    cap = solver._MODQ_NODE_CAP
+    # every entry is below q, so the int64 quadratic values are exact
+    grid = np.array(vectors, dtype=np.int64).reshape(len(vectors), m)
+    gram = np.array(arows, dtype=np.int64).reshape(m, m)
+    qvals = (((grid @ gram) * grid).sum(axis=1) % q).tolist()
     budget = solver._Budget(cap)
 
     def candidates(col, lin):
@@ -263,35 +270,27 @@ def _reference_modq(a, b, k, q):
         )
 
     try:
-        found = next(solver._backtrack(range(l), targets, candidates, pairing_row), None)
+        return next(solver._backtrack(range(l), targets, candidates, pairing_row), None) is None
     except solver._OutOfBudget:
-        return False, cap - budget.remaining
-    return found is None, cap - budget.remaining
+        return None
 
 
-def test_table_driven_modq_matches_the_per_candidate_scan(rng, monkeypatch):
-    # caps that run out inside the first scan (1, 37), right after it
-    # (q^m), the default and none at all; a search that runs to the end
-    # must also fit a cap of exactly its units spent and not one less
-    seen = {True: 0, False: 0}
-    for _ in range(300):
+def test_mod4_classification_matches_exhaustive_search():
+    # over Z/4 a unimodular form is determined by its rank, parity and
+    # signature mod 8, so the closed form decides exactly what the search
+    # decides wherever the search finishes within its cap
+    rng = random.Random(14)
+    seen = {True: 0, False: 0, None: 0}
+    for _ in range(3000):
         a, b = _random_small_pair(rng)
-        k = rng.choice([-3, -2, -1, 1, 2, 3])
-        q = rng.choice([2, 3, 4])
-        for cap in (1, 37, q ** a.rank, 200_000, 10**9):
-            monkeypatch.setattr(solver, "_MODQ_NODE_CAP", cap)
-            unsolvable, spent = _reference_modq(a.matrix, b.matrix, k, q)
-            assert _modq_unsolvable(a.matrix, b.matrix, k, q) == unsolvable, (
-                a.matrix.to_rows(), b.matrix.to_rows(), k, q, cap
+        k = rng.choice([x for x in range(-8, 9) if x])
+        expected = _reference_modq(a.matrix, b.matrix, k, 4, cap=5_000)
+        seen[expected] += 1
+        if expected is not None:
+            assert _modq_unsolvable(a, b, k) == expected, (
+                a.matrix.to_rows(), b.matrix.to_rows(), k
             )
-            if spent > 200_000:
-                break  # a search past the default cap is too long to run out here
-        seen[unsolvable] += 1
-        if unsolvable:
-            for cap, expected in ((spent, True), (spent - 1, False)):
-                monkeypatch.setattr(solver, "_MODQ_NODE_CAP", cap)
-                assert _modq_unsolvable(a.matrix, b.matrix, k, q) == expected
-    assert min(seen.values()) >= 20, seen
+    assert seen[True] >= 20 and seen[False] >= 20, seen
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -299,8 +298,39 @@ def test_table_driven_modq_matches_the_per_candidate_scan(rng, monkeypatch):
     "a", [diag_form([1, 1, 1, -1, -1, -1]), hyperbolic_form(3)], ids=["I(3,3)", "H^3"]
 )
 def test_table_driven_modq_matches_on_rank_six(a, k):
-    expected, _ = _reference_modq(a.matrix, a.matrix, k, 4)
-    assert _modq_unsolvable(a.matrix, a.matrix, k, 4) == expected
+    # named after the table-driven search that the closed form replaced
+    expected = _reference_modq(a.matrix, a.matrix, k, 4)
+    assert expected is not None
+    assert _modq_unsolvable(a, a, k) == expected
+
+
+def test_mod4_filter_nos_are_never_contradicted():
+    # every pair of rank <= 8 that the closed form obstructs has no witness
+    # in the oracle's box and none in a radius-4 search that skips the
+    # filters
+    rng = random.Random(8)
+    counts = {"fired": 0, "oracle": 0, "search": 0}
+    for _ in range(800):
+        m = rng.randint(1, 8)
+        a, b = _block_sum_form(rng, m), _block_sum_form(rng, rng.randint(1, m))
+        k = rng.choice([x for x in range(-8, 9) if x])
+        if not _modq_unsolvable(a, b, k):
+            continue
+        counts["fired"] += 1
+        bound = feasible_bound(a.rank, b.rank, limit=20_000)
+        if bound is not None:
+            counts["oracle"] += 1
+            assert brute_force_oracle(a, b, k, bound) is None, (
+                a.matrix.to_rows(), b.matrix.to_rows(), k
+            )
+        stream = solver._witness_stream(a, b, k, SearchConfig(radius=4, node_budget=3_000), None)
+        try:
+            witness = next(stream, None)
+        except solver._OutOfBudget:
+            continue
+        counts["search"] += 1
+        assert witness is None, (a.matrix.to_rows(), b.matrix.to_rows(), k)
+    assert counts["fired"] >= 150 and counts["oracle"] >= 100 and counts["search"] >= 100, counts
 
 
 # ---------------------------------------------------------------------------
@@ -462,9 +492,9 @@ def test_accept_predicate_maps_to_each_verdict():
 
 
 def test_searches_leave_no_reference_cycles():
-    # a search's recursive closures must not keep its candidate lists and
-    # tables alive until the next cyclic collection: with the collector off,
-    # definite, box, mod-q, level and budget-stopped searches and a whole
+    # a search's recursive closures must not keep its candidate lists alive
+    # until the next cyclic collection: with the collector off, definite,
+    # box, level and budget-stopped searches, the mod-4 filter and a whole
     # CLI call leave no garbage; the parser, whose construction leaves
     # argparse formatter cycles, is built once per process beforehand
     build_parser()
@@ -475,7 +505,7 @@ def test_searches_leave_no_reference_cycles():
         assert congruence_solve(I2, I1, 5, accept=lambda col, vec: False).is_no
         assert congruence_solve(A3, A3, 5).is_yes
         assert congruence_solve(A3, A3, 5, SearchConfig(node_budget=10)).budget_exhausted
-        assert not _modq_unsolvable(A3.matrix, A3.matrix, 5, 4)
+        assert not _modq_unsolvable(A3, A3, 5)
         # canonical_basis and the level source, to a witness, to the end of
         # every level, and stopped by the budget
         i21 = make_form(IntMatrix.from_rows([[1, 2, 0], [2, 3, 0], [0, 0, 1]]), SYMMETRIC)
