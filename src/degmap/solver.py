@@ -42,6 +42,20 @@ Both are exhaustive on the box of max-norm ``radius``, so an Unknown's
 radius is measured in the coordinates the search ran in: the canonical
 ones where ``canonical_basis`` covers A, A's own otherwise.
 
+Before any column is enumerated, the witness stream tries one
+construction, after the paper's self-map m * id of degree m^2:
+
+* scaled isometry: for symmetric A, k = m^2 with m >= 2 and U.T A U == B,
+  (m U).T A (m U) == k B.  U is the identity when A and B have the same
+  matrix; else, for equal signature and parity, U_A U_B^-1 from the two
+  ``canonical_basis`` results of an indefinite A and B, or the first
+  witness of the complete k = 1 search for a definite A of rank at most
+  ``DEFINITE_CAP``, charged to the query's node budget and run only when A
+  and B have as many vectors of norm +-1 (which, with rank and parity,
+  classifies them up to rank 12).  m U is yielded first when every column
+  passes ``accept``, and the column search follows unchanged, so the step
+  can only add a verified Yes, never change a No.
+
 The filters are each complete arguments, never heuristics:
 
 * rank: a target of larger rank cannot be hit;
@@ -613,6 +627,12 @@ def _enumerates_completely(a: IntersectionForm) -> bool:
     return a.is_definite() and a.rank <= DEFINITE_CAP
 
 
+def _definite_elimination(f: IntersectionForm) -> tuple:
+    """(sign, tri): the sign making sign * f positive definite, and its elimination."""
+    sign = 1 if f.signature[1] == 0 else -1
+    return sign, symmetric_elimination([[sign * x for x in row] for row in f.matrix.to_rows()])
+
+
 def _column_order(b: IntMatrix) -> list:
     return sorted(range(b.rows), key=lambda j: (-abs(b[j, j]), j))
 
@@ -620,16 +640,85 @@ def _column_order(b: IntMatrix) -> list:
 def _witness_stream(
     a: IntersectionForm, b: IntersectionForm, k: int, cfg: SearchConfig, accept
 ) -> Iterator[IntMatrix]:
+    """Every witness of P.T A P == k B in search order, under one node budget.
+
+    The scaled isometry m U of ``_scaled_isometry`` comes first, when there
+    is one and every column passes ``accept``; the column search follows,
+    unchanged, and may yield m U again.
+    """
+    budget = _Budget(cfg.node_budget)
+    basis = None if _enumerates_completely(a) else canonical_basis(a, budget)
+    scaled = _scaled_isometry(a, b, k, cfg, budget, basis)
+    if scaled is not None and (
+        accept is None or all(accept(j, scaled.column(j)) for j in range(b.rank))
+    ):
+        yield scaled
+    yield from _column_search(a, b, k, cfg, budget, basis, accept)
+
+
+def _scaled_isometry(
+    a: IntersectionForm,
+    b: IntersectionForm,
+    k: int,
+    cfg: SearchConfig,
+    budget: _Budget,
+    basis: IntMatrix | None,
+) -> IntMatrix | None:
+    """m U with U.T A U == B, a witness in degree k = m^2 >= 4, or None.
+
+    U is the identity when A and B have the same matrix.  Otherwise A and B
+    need the same signature and parity, and U is U_A U_B^-1 from the two
+    ``canonical_basis`` results (``basis`` is A's) when A is indefinite, or
+    the first witness of the complete k = 1 search, charged to ``budget``,
+    when A is definite of rank at most ``DEFINITE_CAP`` and has as many
+    vectors of norm +-1 as B.  None when k is no such square, A is
+    antisymmetric or of another rank than B, or no U is at hand.
+    """
+    m = isqrt(k) if k > 0 else 0
+    if m < 2 or m * m != k or a.symmetry != SYMMETRIC or a.rank != b.rank:
+        return None
+    if a.matrix == b.matrix:
+        return IntMatrix.identity(a.rank).scaled(m)
+    if a.signature != b.signature or a.parity != b.parity:
+        return None
+    if _enumerates_completely(a):
+        # an isometry keeps the vectors of norm +-1; up to rank 12 their
+        # number, with rank and parity, tells I_n, E8 + I_(n-8) and D12+
+        # apart (Conway-Sloane, SPLAG ch. 16), so the k = 1 search below
+        # runs only on isomorphic pairs and ends in an isometry
+        units = [len(_definite_solutions(_definite_elimination(f)[1], 1)) for f in (a, b)]
+        if units[0] != units[1]:
+            return None
+        u = next(_column_search(a, b, 1, cfg, budget, None, None), None)
+    elif basis is not None:
+        # equal invariants give both the same canonical matrix
+        u_b = canonical_basis(b, budget)
+        u = None if u_b is None else basis @ u_b.inverse_unimodular()
+    else:
+        u = None
+    return None if u is None else u.scaled(m)
+
+
+def _column_search(
+    a: IntersectionForm,
+    b: IntersectionForm,
+    k: int,
+    cfg: SearchConfig,
+    budget: _Budget,
+    basis: IntMatrix | None,
+    accept,
+) -> Iterator[IntMatrix]:
+    """Every witness that ``_backtrack`` finds, column by column.
+
+    ``basis`` is A's ``canonical_basis`` (None when A enumerates completely
+    or is not covered); with it the search runs in canonical coordinates.
+    """
     m = a.rank
     arows = [list(a.matrix.row(i)) for i in range(m)]
     target = [[k * x for x in row] for row in b.matrix.to_rows()]
-    budget = _Budget(cfg.node_budget)
-    complete = _enumerates_completely(a)
-    basis = None if complete else canonical_basis(a, budget)
 
-    if complete:
-        sign = 1 if a.signature[1] == 0 else -1
-        tri = symmetric_elimination([[sign * x for x in row] for row in arows])
+    if _enumerates_completely(a):
+        sign, tri = _definite_elimination(a)
         definite_cache: dict = {}
 
         def candidates(col: int, lin: list) -> Iterator[tuple]:
@@ -685,9 +774,10 @@ def open_search(
 
     Returns (filter_verdict, stream).  filter_verdict is a No verdict when
     a complete filter fired, and the stream is then empty; otherwise it is
-    None and the stream yields every witness in search order, raising
-    ``_OutOfBudget`` once the node budget runs out.  ``accept(col, x)``
-    prunes candidate columns as in ``_backtrack``.
+    None and the stream yields the scaled isometry m U first, when there is
+    one, then every witness in search order, raising ``_OutOfBudget`` once
+    the node budget runs out.  ``accept(col, x)`` prunes candidate columns
+    as in ``_backtrack``, and m U whole.
     """
     if a.symmetry != b.symmetry:
         raise SymmetryMismatch("source and target forms have different symmetry")

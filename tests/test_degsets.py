@@ -369,7 +369,8 @@ def _random_definite_hc8(rng, model, rank):
 def test_column_pruning_matches_the_unpruned_witness_loop():
     # 300 random definite 8-manifold pairs with torsion in {2, 3, 5}: the
     # pruned search finds the same first witness, keeps every decided
-    # verdict, and only ever gets further within the budget
+    # verdict, and only ever gets further within the budget; the square
+    # degrees 4 and 9 also try the scaled isometry m U first
     rng = random.Random(20260)
     cfg = SearchConfig(node_budget=200_000)
     kinds = []
@@ -379,7 +380,7 @@ def test_column_pruning_matches_the_unpruned_witness_loop():
         m = rng.randrange(1, 5)
         src = _random_definite_hc8(rng, model, m)
         tgt = _random_definite_hc8(rng, model, rng.randrange(1, m + 1))
-        k = rng.choice([1, 2, 3, 5, 6])
+        k = rng.choice([1, 2, 3, 4, 5, 6, 9])
         ref = _unpruned_homotopy_verdict(src, tgt, k, cfg)
         new = degree_realizable(src, tgt, k, cfg)
         case = (src.form.matrix, tgt.form.matrix, src.homotopy_data, tgt.homotopy_data, k)
@@ -399,6 +400,26 @@ def test_column_pruning_matches_the_unpruned_witness_loop():
             assert new.reason == ref.reason, case
     assert kinds.count(("yes", "yes")) >= 20
     assert kinds.count(("no", "no")) >= 150
+
+
+@pytest.mark.parametrize("order, k, kind", [(3, 4, "yes"), (2, 4, "no"), (2, 9, "yes")])
+def test_square_degree_self_map_failing_the_column_check_is_searched(order, k, kind):
+    # m I solves the congruence, but for these data it fails the homotopy
+    # check, so the column search decides: with the same first witness, or
+    # the same HomotopyObstruction, as the unpruned witness loop
+    model = pi_model(4, [order], [1])
+    form = make_form(IntMatrix.identity(2), SYMMETRIC)
+    data = [element(model, 1, [0]), element(model, 1, [1])]
+    m8 = manifold("D", 4, form, True, True, model, data)
+    m = 3 if k == 9 else 2
+    scaled = IntMatrix.identity(2).scaled(m)
+    assert not check_homotopy_condition(form, data, form, data, scaled, k).ok
+    ref = _unpruned_homotopy_verdict(m8, m8, k, CFG)
+    new = degree_realizable(m8, m8, k, CFG)
+    assert (new.kind, new.witness, new.reason) == (ref.kind, ref.witness, ref.reason)
+    assert new.kind == kind and new.witness != scaled
+    if kind == "no":
+        assert new.reason == REASON_HOMOTOPY
 
 
 def test_budget_stopped_degree_set_row_names_the_budget():

@@ -1,3 +1,4 @@
+import collections
 import contextlib
 import gc
 import io
@@ -23,7 +24,7 @@ from degmap.errors import (
     WitnessRejected,
     ZeroK,
 )
-from degmap.canonical import canonical_matrix
+from degmap.canonical import canonical_basis, canonical_matrix
 from degmap.intform import (
     ANTISYMMETRIC,
     PARITY_EVEN,
@@ -36,6 +37,7 @@ from degmap.intform import (
     transform_form,
 )
 from degmap.solver import (
+    DEFAULT_CONFIG,
     SearchConfig,
     Verdict,
     congruence_solve,
@@ -64,6 +66,7 @@ I1 = make_form(IntMatrix.identity(1), SYMMETRIC)
 I2 = make_form(IntMatrix.identity(2), SYMMETRIC)
 D = make_form(IntMatrix.diagonal([1, -1]), SYMMETRIC)
 A1 = make_form(hyperbolic_matrix(1), SYMMETRIC)
+E8 = make_form(IntMatrix.from_rows(E8_CARTAN), SYMMETRIC)
 FIXTURES = Path(__file__).parent / "fixtures"
 A3 = make_form(hyperbolic_matrix(3), SYMMETRIC)
 
@@ -494,9 +497,10 @@ def test_accept_predicate_maps_to_each_verdict():
 def test_searches_leave_no_reference_cycles():
     # a search's recursive closures must not keep its candidate lists alive
     # until the next cyclic collection: with the collector off, definite,
-    # box, level and budget-stopped searches, the mod-4 filter and a whole
-    # CLI call leave no garbage; the parser, whose construction leaves
-    # argparse formatter cycles, is built once per process beforehand
+    # box, level and budget-stopped searches, the scaled isometry, the
+    # mod-4 filter and a whole CLI call leave no garbage; the parser, whose
+    # construction leaves argparse formatter cycles, is built once per
+    # process beforehand
     build_parser()
     gc.collect()
     gc.disable()
@@ -511,7 +515,14 @@ def test_searches_leave_no_reference_cycles():
         i21 = make_form(IntMatrix.from_rows([[1, 2, 0], [2, 3, 0], [0, 0, 1]]), SYMMETRIC)
         assert congruence_solve(i21, i21, 1).is_yes
         assert congruence_solve(i21, i21, 1, SearchConfig(radius=2), lambda c, v: False).radius == 2
-        assert congruence_solve(i21, i21, 4, SearchConfig(node_budget=3)).budget_exhausted
+        assert congruence_solve(i21, D, 2, SearchConfig(node_budget=3)).budget_exhausted
+        # the scaled isometry: 2 I at once, and a definite k = 1 search to
+        # an isometry and stopped by the budget
+        two = IntMatrix.identity(3).scaled(2)
+        assert congruence_solve(i21, i21, 4, SearchConfig(node_budget=3)).witness == two
+        e8s = make_form(E8.matrix.transform_by(random_unimodular(random.Random(8), 8)), SYMMETRIC)
+        assert congruence_solve(e8s, E8, 4).is_yes
+        assert congruence_solve(e8s, E8, 4, SearchConfig(node_budget=5)).budget_exhausted
         # a whole CLI call with JSON output
         with contextlib.redirect_stdout(io.StringIO()):
             assert main(["deg1", "--M", f"@{FIXTURES}/h-i11.mat", "--L", "S2xS2", "--json"]) == 0
@@ -591,6 +602,128 @@ def test_indefinite_witness_is_mapped_back_from_canonical_coordinates(rng):
         v = congruence_solve(a, b, k, SearchConfig(node_budget=200_000))
         assert v.is_yes
         verify_witness(a, b, k, v.witness)
+
+
+# ---------------------------------------------------------------------------
+# the scaled isometry m U
+# ---------------------------------------------------------------------------
+
+
+def _count_calls(monkeypatch, name):
+    """Record the arguments of every call of solver.<name> from now on."""
+    calls = []
+    fn = getattr(solver, name)
+
+    def counted(*args):
+        calls.append(args)
+        return fn(*args)
+
+    monkeypatch.setattr(solver, name, counted)
+    return calls
+
+
+def _unscaled(witness, m):
+    """U with witness == m U; fails when an entry is not a multiple of m."""
+    assert all(x % m == 0 for x in witness.entries()), witness
+    return IntMatrix.from_rows([[x // m for x in row] for row in witness.to_rows()])
+
+
+@pytest.mark.parametrize(
+    "form, k", [(E8, 4), (E8, 9), (make_form(IntMatrix.identity(10), SYMMETRIC), 4)]
+)
+def test_square_degree_self_maps_are_m_times_the_identity(monkeypatch, form, k):
+    # the paper's m * id, before any enumeration: E8 -> E8 at k = 9 used to
+    # enumerate all 181,680 vectors of norm 18
+    calls = _count_calls(monkeypatch, "_definite_solutions")
+    v = congruence_solve(form, form, k)
+    assert v.is_yes and v.witness == IntMatrix.identity(form.rank).scaled(math.isqrt(k))
+    assert calls == []
+
+
+def test_scrambled_definite_sources_get_a_scaled_isometry(monkeypatch):
+    # the complete k = 1 search finds U with U.T A U == B; it enumerates
+    # vectors of the norms on B's diagonal only, never k times them
+    calls = _count_calls(monkeypatch, "_definite_solutions")
+    rng = random.Random(1505)
+    targets = [E8] * 3 + [make_form(IntMatrix.identity(n), SYMMETRIC) for n in range(2, 11)]
+    for b in targets:
+        a = make_form(b.matrix.transform_by(random_unimodular(rng, b.rank)), SYMMETRIC)
+        for m in (2, 3):
+            v = congruence_solve(a, b, m * m)
+            u = _unscaled(v.witness, m)
+            assert u.transpose() @ a.matrix @ u == b.matrix, (a.matrix, m)
+    assert calls and max(value for _, value in calls) <= 2
+
+
+def test_scrambled_indefinite_forms_get_the_canonical_isometry(monkeypatch):
+    # U_A U_B^-1 from the two canonical bases, without a box or level search
+    calls = _count_calls(monkeypatch, "_box_candidates")
+    rng = random.Random(1506)
+    bases = [IntMatrix.diagonal(d) for d in ([1, -1, -1], [1, 1, -1, -1], [1, 1, 1, -1, -1])]
+    bases += [hyperbolic_matrix(copies) for copies in (1, 2, 3)]
+    for base in bases:
+        for _ in range(3):
+            a, b = (
+                make_form(base.transform_by(random_unimodular(rng, base.rows)), SYMMETRIC)
+                for _ in range(2)
+            )
+            v = congruence_solve(a, b, 4)
+            u_a, u_b = canonical_basis(a), canonical_basis(b)
+            assert u_a is not None and u_b is not None
+            assert v.witness == (u_a @ u_b.inverse_unimodular()).scaled(2)
+    assert calls == []
+
+
+def test_definite_isometry_search_is_charged_to_the_query_budget():
+    # the k = 1 search runs under the query's own budget, so --budget still
+    # bounds the whole query; E8 -> E8 needs at least one node per column
+    e8s = make_form(E8.matrix.transform_by(random_unimodular(random.Random(9), 8)), SYMMETRIC)
+    with pytest.raises(solver._OutOfBudget):
+        solver._scaled_isometry(e8s, E8, 4, DEFAULT_CONFIG, solver._Budget(5), None)
+    v = congruence_solve(e8s, E8, 4, SearchConfig(node_budget=5))
+    assert v.is_unknown and v.budget_exhausted
+    assert congruence_solve(e8s, E8, 4).is_yes
+
+
+@pytest.mark.parametrize("n", [9, 10, 11, 12])
+def test_definite_isometry_search_skips_forms_with_other_unit_vectors(n):
+    # I_n and E8 + I_(n-8) share rank, parity and signature but not their
+    # vectors of norm 1; the k = 1 search between them would exhaust a
+    # large tree (I9 -> E8 + I1 ran out a budget of 2,000,000 nodes)
+    # where the column search finds a Yes
+    i_n = make_form(IntMatrix.identity(n), SYMMETRIC)
+    e8_i = make_form(block_diagonal(E8.matrix, IntMatrix.identity(n - 8)), SYMMETRIC)
+    for a, b in ((i_n, e8_i), (e8_i, i_n)):
+        budget = solver._Budget(100)
+        assert solver._scaled_isometry(a, b, 4, DEFAULT_CONFIG, budget, None) is None
+        assert budget.remaining == 100
+    if n == 9:
+        assert congruence_solve(i_n, e8_i, 4, SearchConfig(node_budget=200_000)).is_yes
+
+
+def test_scaled_isometry_keeps_every_no():
+    # with the step and without it, on the same pairs: every No keeps its
+    # reason, every Yes stays a Yes, and an Unknown can only become a Yes,
+    # because m U reaches beyond the search's radius or budget
+    rng = random.Random(1507)
+    cfg = SearchConfig(radius=3, node_budget=20_000)
+    cases = []
+    for _ in range(300):
+        a, b = _random_small_pair(rng)
+        k = rng.choice([-9, -4, 4, 9])
+        cases.append((a, b, k, congruence_solve(a, b, k, cfg)))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "_scaled_isometry", lambda *args: None)
+        before = [congruence_solve(a, b, k, cfg) for a, b, k, _ in cases]
+    kinds = collections.Counter()
+    for (a, b, k, new), old in zip(cases, before):
+        case = (a.matrix, b.matrix, k)
+        kinds[old.kind, new.kind] += 1
+        if old.is_unknown and new.is_yes:
+            continue
+        assert new.kind == old.kind and new.reason == old.reason, case
+    assert kinds["no", "no"] >= 100 and kinds["yes", "yes"] >= 50
+    assert kinds["unknown", "yes"] > 0
 
 
 def test_solver_is_deterministic():
