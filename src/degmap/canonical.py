@@ -6,9 +6,10 @@ diag(1, ..., 1, -1, ..., -1), and every even one to H^a + E8(+-1)^b (Serre,
 ``canonical_basis`` finds the change of basis for the odd forms and for the
 even forms of signature 0, and ``level_candidates`` enumerates the vectors
 of a given norm in those coordinates norm level by norm level, which is how
-the solver's box search runs on such a source.  E8 blocks are not handled:
-such forms get no canonical basis.  It imports no degmap module but
-``intform``.
+the solver's box search runs on such a source; ``block_witness`` builds
+witnesses between canonical matrices from fixed blocks, without any search.
+E8 blocks are not handled: such forms get no canonical basis.  It imports
+no degmap module but ``intform``.
 
 >>> from degmap.intform import make_form
 >>> f = make_form(IntMatrix.from_rows([[1, 2], [2, 3]]), SYMMETRIC)
@@ -361,3 +362,180 @@ def level_candidates(
 
 def _within(vectors: list, bound: int) -> list:
     return [x for x in vectors if max(map(abs, x)) <= bound]
+
+
+# ---------------------------------------------------------------------------
+# Witnesses from fixed blocks
+# ---------------------------------------------------------------------------
+
+# Largest degree whose sums of two and four squares are searched for; a
+# larger degree keeps only the blocks that need no search.
+_SQUARES_CAP = 1 << 20
+
+
+def block_witness(a: tuple, b: tuple, k: int) -> IntMatrix | None:
+    """P' with P'.T C_A P' == k C_B, or None, for the ``canonical_matrix``
+    C_A of a = (pos, neg, parity) and C_B of b, built from fixed blocks
+    placed greedily into disjoint rows of C_A (Serre, *A Course in
+    Arithmetic*, ch. V):
+
+    * C_B embeds into C_A coordinate by coordinate, times m, when k = m^2
+      and the parities agree;
+    * kH in H by diag(k, 1);
+    * kH in I(1, 1) for even k, by the columns (1, 1) and (k/2, -k/2);
+    * k I(1, 1) and k<+-1> in H for even k, by (1, k/2) and (1, -k/2);
+    * k I(1, 1) in I(1, 1) for odd k or 4 | k, by the columns (x, y) and
+      (y, x) with x^2 - y^2 = k, and k<+-1> by one of them;
+    * k I_l in I_n on the lines of one sign, by m e for k = m^2, else by
+      2 x 2 blocks [[x, -y], [y, x]] for k = x^2 + y^2, else by the 4 x 4
+      blocks of a Lagrange quaternion (the last two for k up to
+      ``_SQUARES_CAP``);
+    * negative k by the sign swap of B: (-k)(-C_B), where -C_B is a
+      canonical matrix in permuted coordinates.
+
+    None when no placement fits; an indefinite C_A may still carry k C_B.
+
+    >>> block_witness((1, 1, "even"), (1, 1, "even"), 11).to_rows()
+    [[11, 0], [0, 1]]
+    """
+    pos_a, neg_a, par_a = a
+    pos_b, neg_b, par_b = b
+    even_a, even_b = par_a == PARITY_EVEN, par_b == PARITY_EVEN
+    if (even_a and pos_a != neg_a) or (even_b and pos_b != neg_b):
+        return None
+    if k < 0:
+        p = block_witness(a, (neg_b, pos_b, par_b), -k)
+        return None if p is None else p @ _sign_swap(pos_b, neg_b, even_b)
+    n = pos_a + neg_a
+    m = isqrt(k)
+    if m * m == k and even_a == even_b:
+        if pos_b > pos_a or neg_b > neg_a:
+            return None
+        # the planes in order, or the lines of each sign in order
+        rows = range(2 * pos_b) if even_a else [*range(pos_b), *range(pos_a, pos_a + neg_b)]
+        cols = [_unit(n, (i, m)) for i in rows]
+    elif even_a and even_b:
+        if pos_b > pos_a:
+            return None
+        cols = [_unit(n, (i, k if i % 2 == 0 else 1)) for i in range(2 * pos_b)]
+    elif even_a:
+        # a line of either sign of B on its own plane of A, shared by the
+        # positive and the negative line of the same index
+        if k % 2 or max(pos_b, neg_b) > pos_a:
+            return None
+        h = k // 2
+        cols = [_unit(n, (2 * i, 1), (2 * i + 1, h)) for i in range(pos_b)]
+        cols += [_unit(n, (2 * i, 1), (2 * i + 1, -h)) for i in range(neg_b)]
+    elif even_b:
+        if k % 2 or pos_b > min(pos_a, neg_a):
+            return None
+        h = k // 2
+        cols = []
+        for i in range(pos_b):
+            cols += [_unit(n, (i, 1), (pos_a + i, 1)), _unit(n, (i, h), (pos_a + i, -h))]
+    else:
+        cols = _odd_columns(pos_a, neg_a, pos_b, neg_b, k)
+        if cols is None:
+            return None
+    return IntMatrix.from_columns(cols, n)
+
+
+def _unit(n: int, *entries: tuple) -> list:
+    """The vector of length n with the given (index, value) entries."""
+    col = [0] * n
+    for i, v in entries:
+        col[i] = v
+    return col
+
+
+def _sign_swap(pos: int, neg: int, even: bool) -> IntMatrix:
+    """S with S.T C S == -canonical_matrix(pos, neg), C = canonical_matrix(neg, pos)."""
+    if even:
+        return IntMatrix.diagonal([1, -1] * pos)
+    order = list(range(neg, neg + pos)) + list(range(neg))
+    return IntMatrix.from_columns([_unit(pos + neg, (i, 1)) for i in order], pos + neg)
+
+
+def _odd_columns(pos_a: int, neg_a: int, pos_b: int, neg_b: int, k: int) -> list | None:
+    """Columns of P' for k I(pos_b, neg_b) in I(pos_a, neg_a), k > 0.
+
+    c pairs of lines of B of opposite sign take a line of each sign of A
+    by the mixed block, t_p further positive and t_n further negative lines
+    of B take one each, and the rest go to definite blocks on the lines of
+    A left over on their own side.  The few plans tried cover every
+    residue of the definite block size.
+    """
+    block = _definite_block(k)
+    size = len(block) if block else 0
+    mixed = _unit_difference(k)
+
+    def rows_for(count: int) -> int:
+        if not count:
+            return 0
+        return size * -(-count // size) if size else pos_a + neg_a + 1
+
+    top = min(pos_b, neg_b) if mixed else 0
+    for c in dict.fromkeys([0, *range(max(0, top - 3), top + 1)]):
+        singles_p = dict.fromkeys([*range(4), pos_b - c]) if mixed else [0]
+        singles_n = dict.fromkeys([*range(4), neg_b - c]) if mixed else [0]
+        for tp in singles_p:
+            for tn in singles_n:
+                used = c + tp + tn
+                lp, ln = pos_b - c - tp, neg_b - c - tn
+                if lp < 0 or ln < 0 or rows_for(lp) > pos_a - used or rows_for(ln) > neg_a - used:
+                    continue
+                x, y = mixed or (0, 0)
+                n = pos_a + neg_a
+                pos_cols = [_unit(n, (i, x), (pos_a + i, y)) for i in range(c + tp)]
+                neg_cols = [_unit(n, (i, y), (pos_a + i, x)) for i in range(c)]
+                neg_cols += [_unit(n, (i, y), (pos_a + i, x)) for i in range(c + tp, used)]
+                pos_cols += _definite_columns(block, range(used, pos_a), lp, n)
+                neg_cols += _definite_columns(block, range(pos_a + used, n), ln, n)
+                return pos_cols + neg_cols
+    return None
+
+
+def _definite_columns(block, rows: Sequence[int], count: int, n: int) -> list:
+    """count columns of norm k on the given rows, from copies of ``block``."""
+    size = len(block or ())
+    return [
+        _unit(n, *((rows[j - j % size + r], block[r][j % size]) for r in range(size)))
+        for j in range(count)
+    ]
+
+
+def _unit_difference(k: int) -> tuple | None:
+    """(x, y) with x^2 - y^2 == k, for odd k or 4 | k; None for k = 2 mod 4."""
+    if k % 2:
+        return (k + 1) // 2, (k - 1) // 2
+    if k % 4 == 0:
+        return k // 4 + 1, k // 4 - 1
+    return None
+
+
+def _definite_block(k: int) -> list | None:
+    """Rows of a square block whose columns are orthogonal of norm k: [[m]],
+    [[x, -y], [y, x]] or a Lagrange quaternion block, the smallest there is."""
+    m = isqrt(k)
+    if m * m == k:
+        return [[m]]
+    if k > _SQUARES_CAP:
+        return None
+    two = _squares(k, 2)
+    if two is not None:
+        x, y = two
+        return [[x, -y], [y, x]]
+    a, b, c, d = _squares(k, 4)
+    return [[a, -b, -c, -d], [b, a, -d, c], [c, d, a, -b], [d, -c, b, a]]
+
+
+def _squares(k: int, count: int) -> tuple | None:
+    """count squares summing to k >= 0, largest first, or None."""
+    if count == 1:
+        r = isqrt(k)
+        return (r,) if r * r == k else None
+    for x in range(isqrt(k), isqrt(k // count) - 1, -1):
+        rest = _squares(k - x * x, count - 1)
+        if rest is not None:
+            return (x, *rest)
+    return None

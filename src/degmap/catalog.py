@@ -26,6 +26,7 @@ import re
 from dataclasses import dataclass
 from typing import Sequence
 
+from .canonical import block_witness
 from .errors import (
     DimensionMismatch,
     InvalidManifold,
@@ -46,6 +47,7 @@ from .homotopy import (
 from .intform import (
     ANTISYMMETRIC,
     HYPERBOLIC,
+    PARITY_EVEN,
     SYMMETRIC,
     IntMatrix,
     IntersectionForm,
@@ -137,8 +139,10 @@ def diag_form(diag: Sequence[int]) -> IntersectionForm:
 
 
 def hyperbolic_scaling_matrix(copies: int, k: int) -> IntMatrix:
-    """copies blocks of [[0,k],[1,0]]; conjugates l hyperbolic planes to k times themselves."""
-    return block_diagonal(*[IntMatrix.from_rows([[0, k], [1, 0]])] * copies)
+    """P with P.T H^copies P == k H^copies: m I for k = m^2, else blocks
+    diag(k, 1), from ``canonical.block_witness``."""
+    planes = (copies, copies, PARITY_EVEN)
+    return block_witness(planes, planes, k)
 
 
 # ---------------------------------------------------------------------------

@@ -13,8 +13,8 @@ An optional predicate ``accept(col, x)`` restricts the search, and so the
 verdict, to witnesses whose every column passes it, x always in A's own
 coordinates; the manifold layer passes the per-column homotopy condition.
 
-``isomorphic`` decides isomorphism of forms, the equal-rank, k = 1 case,
-and never answers Unknown.
+``isomorphic`` decides isomorphism of forms, the equal-rank, k = 1 case;
+it answers Unknown only when the node budget stops a definite search.
 
 Columns of P are chosen one at a time.  When A (or -A) is positive
 definite, of rank at most ``DEFINITE_CAP``, the candidate vectors for each
@@ -43,18 +43,42 @@ radius is measured in the coordinates the search ran in: the canonical
 ones where ``canonical_basis`` covers A, A's own otherwise.
 
 Before any column is enumerated, the witness stream tries one
-construction, after the paper's self-map m * id of degree m^2:
+construction, built from explicit pieces as the paper builds its maps:
 
-* scaled isometry: for symmetric A, k = m^2 with m >= 2 and U.T A U == B,
-  (m U).T A (m U) == k B.  U is the identity when A and B have the same
-  matrix; else, for equal signature and parity, U_A U_B^-1 from the two
-  ``canonical_basis`` results of an indefinite A and B, or the first
+* fixed blocks, for an A that ``canonical_basis`` covers: P' with
+  P'.T C_A P' == k C_B from ``canonical.block_witness``, where C_A = U_A.T
+  A U_A and C_B = U_B.T B U_B are I(p, q) or H^a, and P = U_A P' U_B^-1.
+  U_B is the identity when B's matrix is canonical already (every definite
+  diagonal target), else B's ``canonical_basis``.  The blocks, placed
+  greedily into disjoint rows of C_A, are:
+
+  ==========================  ===============  ================================
+  piece of k C_B              rows of C_A      columns of P'
+  ==========================  ===============  ================================
+  C_B, k = m^2                C_B              m e_i
+  kH                          H                diag(k, 1)
+  kH, k even                  I(1, 1)          (1, 1), (k/2, -k/2)
+  k I(1, 1), k even           H                (1, k/2), (1, -k/2)
+  k<+-1>, k even              H                (1, +-k/2)
+  k I(1, 1), k odd or 4 | k   I(1, 1)          (x, y), (y, x); x^2 - y^2 = k
+  k<+-1>, k odd or 4 | k      I(1, 1)          (x, y) or (y, x)
+  k I_2 or k<1>, one sign     I_2, that sign   [[x, -y], [y, x]]; x^2 + y^2 = k
+  k I_l, l <= 4, one sign     I_4, that sign   a Lagrange quaternion block
+  ==========================  ===============  ================================
+
+  Negative k uses the sign swap of B.  When no placement fits, nothing is
+  built;
+* scaled isometry, for every other symmetric A: for k = m^2 and
+  U.T A U == B, (m U).T A (m U) == k B.  U is the identity when A and B
+  have the same matrix, for every m >= 1; else, for m >= 2, the first
   witness of the complete k = 1 search for a definite A of rank at most
-  ``DEFINITE_CAP``, charged to the query's node budget and run only when A
-  and B have as many vectors of norm +-1 (which, with rank and parity,
-  classifies them up to rank 12).  m U is yielded first when every column
-  passes ``accept``, and the column search follows unchanged, so the step
-  can only add a verified Yes, never change a No.
+  ``DEFINITE_CAP`` with B's signature and parity, charged to the query's
+  node budget and run only when A and B have as many vectors of norm +-1
+  (which, with rank and parity, classifies them up to rank 12).
+
+The built witness is yielded first when every column passes ``accept``,
+and the column search follows unchanged, so the step can only add a
+verified Yes, never change a No.
 
 The filters are each complete arguments, never heuristics:
 
@@ -105,7 +129,7 @@ from dataclasses import dataclass
 from math import isqrt, lcm
 from typing import Iterator, Sequence
 
-from .canonical import canonical_basis, canonical_matrix, level_candidates
+from .canonical import block_witness, canonical_basis, canonical_matrix, level_candidates
 from .errors import CapExceeded, ShapeMismatch, SymmetryMismatch, WitnessRejected, ZeroK
 from .intform import (
     ANTISYMMETRIC,
@@ -126,6 +150,7 @@ REASON_MOD2 = "Mod2Filter"
 REASON_MOD4 = "Mod4Filter"
 REASON_HASSE = "HasseFilter"
 REASON_EXHAUSTIVE = "ExhaustiveDefinite"
+REASON_THETA = "ThetaFilter"
 
 # Complete reasons double as "never contradicted by any witness search".
 COMPLETE_REASONS = frozenset(
@@ -139,6 +164,7 @@ COMPLETE_REASONS = frozenset(
         REASON_HASSE,
         REASON_EXHAUSTIVE,
         REASON_SYMMETRY,
+        REASON_THETA,
     }
 )
 
@@ -642,18 +668,48 @@ def _witness_stream(
 ) -> Iterator[IntMatrix]:
     """Every witness of P.T A P == k B in search order, under one node budget.
 
-    The scaled isometry m U of ``_scaled_isometry`` comes first, when there
-    is one and every column passes ``accept``; the column search follows,
-    unchanged, and may yield m U again.
+    A witness built without enumeration comes first, when there is one and
+    every column passes ``accept``: ``_block_witness`` when A has a
+    canonical basis, ``_scaled_isometry`` otherwise.  The column search
+    follows, unchanged, and may yield the same witness again.
     """
     budget = _Budget(cfg.node_budget)
     basis = None if _enumerates_completely(a) else canonical_basis(a, budget)
-    scaled = _scaled_isometry(a, b, k, cfg, budget, basis)
-    if scaled is not None and (
-        accept is None or all(accept(j, scaled.column(j)) for j in range(b.rank))
+    if basis is not None:
+        built = _block_witness(a, b, k, budget, basis)
+    else:
+        built = _scaled_isometry(a, b, k, cfg, budget)
+    if built is not None and (
+        accept is None or all(accept(j, built.column(j)) for j in range(b.rank))
     ):
-        yield scaled
+        yield built
     yield from _column_search(a, b, k, cfg, budget, basis, accept)
+
+
+def _block_witness(
+    a: IntersectionForm, b: IntersectionForm, k: int, budget: _Budget, basis: IntMatrix
+) -> IntMatrix | None:
+    """U_A P' U_B^-1 with P' from ``canonical.block_witness``, or None.
+
+    ``basis`` is U_A.  U_B is the identity when B's matrix is already
+    canonical, as every definite diagonal target is, else B's own
+    ``canonical_basis``, charged to ``budget``.
+    """
+    pos, neg, _ = b.signature
+    u_b = None
+    if b.matrix != canonical_matrix(pos, neg, b.parity):
+        u_b = canonical_basis(b, budget)
+        if u_b is None:
+            return None
+    p = block_witness((*a.signature[:2], a.parity), (pos, neg, b.parity), k)
+    if p is None:
+        return None
+    return basis @ p if u_b is None else basis @ p @ u_b.inverse_unimodular()
+
+
+def _unit_vector_count(f: IntersectionForm) -> int:
+    """The number of vectors of norm +-1 of a definite form."""
+    return len(_definite_solutions(_definite_elimination(f)[1], 1))
 
 
 def _scaled_isometry(
@@ -662,40 +718,32 @@ def _scaled_isometry(
     k: int,
     cfg: SearchConfig,
     budget: _Budget,
-    basis: IntMatrix | None,
 ) -> IntMatrix | None:
-    """m U with U.T A U == B, a witness in degree k = m^2 >= 4, or None.
+    """m U with U.T A U == B, a witness in degree k = m^2, or None.
 
-    U is the identity when A and B have the same matrix.  Otherwise A and B
-    need the same signature and parity, and U is U_A U_B^-1 from the two
-    ``canonical_basis`` results (``basis`` is A's) when A is indefinite, or
-    the first witness of the complete k = 1 search, charged to ``budget``,
-    when A is definite of rank at most ``DEFINITE_CAP`` and has as many
-    vectors of norm +-1 as B.  None when k is no such square, A is
-    antisymmetric or of another rank than B, or no U is at hand.
+    U is the identity when A and B have the same matrix, for every m >= 1.
+    Otherwise, for m >= 2, U is the first witness of the complete k = 1
+    search, charged to ``budget``, when A is definite of rank at most
+    ``DEFINITE_CAP`` and has the signature, parity and number of vectors of
+    norm +-1 of B.  None when k is no such square, A is antisymmetric or of
+    another rank than B, or no U is at hand.
     """
     m = isqrt(k) if k > 0 else 0
-    if m < 2 or m * m != k or a.symmetry != SYMMETRIC or a.rank != b.rank:
+    if m * m != k or a.symmetry != SYMMETRIC or a.rank != b.rank:
         return None
     if a.matrix == b.matrix:
         return IntMatrix.identity(a.rank).scaled(m)
-    if a.signature != b.signature or a.parity != b.parity:
+    if m < 2 or a.signature != b.signature or a.parity != b.parity:
         return None
-    if _enumerates_completely(a):
-        # an isometry keeps the vectors of norm +-1; up to rank 12 their
-        # number, with rank and parity, tells I_n, E8 + I_(n-8) and D12+
-        # apart (Conway-Sloane, SPLAG ch. 16), so the k = 1 search below
-        # runs only on isomorphic pairs and ends in an isometry
-        units = [len(_definite_solutions(_definite_elimination(f)[1], 1)) for f in (a, b)]
-        if units[0] != units[1]:
-            return None
-        u = next(_column_search(a, b, 1, cfg, budget, None, None), None)
-    elif basis is not None:
-        # equal invariants give both the same canonical matrix
-        u_b = canonical_basis(b, budget)
-        u = None if u_b is None else basis @ u_b.inverse_unimodular()
-    else:
-        u = None
+    if not _enumerates_completely(a):
+        return None
+    # an isometry keeps the vectors of norm +-1; up to rank 12 their
+    # number, with rank and parity, tells I_n, E8 + I_(n-8) and D12+
+    # apart (Conway-Sloane, SPLAG ch. 16), so the k = 1 search below
+    # runs only on isomorphic pairs and ends in an isometry
+    if _unit_vector_count(a) != _unit_vector_count(b):
+        return None
+    u = next(_column_search(a, b, 1, cfg, budget, None, None), None)
     return None if u is None else u.scaled(m)
 
 
@@ -774,10 +822,11 @@ def open_search(
 
     Returns (filter_verdict, stream).  filter_verdict is a No verdict when
     a complete filter fired, and the stream is then empty; otherwise it is
-    None and the stream yields the scaled isometry m U first, when there is
-    one, then every witness in search order, raising ``_OutOfBudget`` once
-    the node budget runs out.  ``accept(col, x)`` prunes candidate columns
-    as in ``_backtrack``, and m U whole.
+    None and the stream yields the witness built without enumeration first,
+    when there is one, then every witness in search order, raising
+    ``_OutOfBudget`` once the node budget runs out.  ``accept(col, x)``
+    prunes candidate columns as in ``_backtrack``, and the built witness
+    whole.
     """
     if a.symmetry != b.symmetry:
         raise SymmetryMismatch("source and target forms have different symmetry")
@@ -820,8 +869,10 @@ def isomorphic(f: IntersectionForm, g: IntersectionForm) -> Verdict:
     symmetric forms are classified by their invariants, so Yes is settled;
     its witness is U_f U_g^-1 from the two ``canonical_basis`` results, or,
     for forms that ``canonical_basis`` does not cover (E8 blocks), whatever
-    a radius-2 search finds, possibly nothing.  Definite forms take
-    the complete enumeration, up to rank ``DEFINITE_CAP`` (else CapExceeded).
+    a radius-2 search finds, possibly nothing.  Definite forms with
+    different numbers of vectors of norm +-1 get a ThetaFilter No; the rest
+    take the complete enumeration, up to rank ``DEFINITE_CAP`` (else
+    CapExceeded), which only the default node budget can leave Unknown.
     """
     if f.symmetry != g.symmetry:
         return Verdict.no(REASON_SYMMETRY)
@@ -849,6 +900,7 @@ def isomorphic(f: IntersectionForm, g: IntersectionForm) -> Verdict:
         return Verdict("yes", witness=probe.witness if probe.is_yes else None)
     if not _enumerates_completely(f):
         raise CapExceeded(f"complete definite enumeration is capped at rank {DEFINITE_CAP}")
-    verdict = congruence_solve(f, g, 1)
-    assert not verdict.is_unknown, "definite enumeration is complete"
-    return verdict
+    if _unit_vector_count(f) != _unit_vector_count(g):
+        return Verdict.no(REASON_THETA)
+    # complete, so only the node budget can leave it Unknown
+    return congruence_solve(f, g, 1)

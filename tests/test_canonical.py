@@ -3,7 +3,7 @@ import random
 import pytest
 
 from degmap import canonical, solver
-from degmap.canonical import LINE_PLUS_PLANE, canonical_basis, canonical_matrix
+from degmap.canonical import LINE_PLUS_PLANE, block_witness, canonical_basis, canonical_matrix
 from degmap.intform import (
     HYPERBOLIC as HYPER,
     NOT_COMPUTED,
@@ -118,3 +118,48 @@ def test_canonical_basis_is_none_where_it_cannot_split():
     assert canonical_basis(empty_form()) is None
     assert canonical_matrix(2, 1, PARITY_ODD) == IntMatrix.diagonal([1, 1, -1])
     assert canonical_matrix(2, 2, PARITY_EVEN) == block_diagonal(HYPER, HYPER)
+
+
+# ---------------------------------------------------------------------------
+# fixed blocks
+# ---------------------------------------------------------------------------
+
+H1 = (1, 1, PARITY_EVEN)
+I11 = (1, 1, PARITY_ODD)
+
+
+def _block(a, b, k):
+    """block_witness(a, b, k), checked against the canonical matrices."""
+    p = block_witness(a, b, k)
+    assert p.transpose() @ canonical_matrix(*a) @ p == canonical_matrix(*b).scaled(k)
+    return p.to_rows()
+
+
+def test_each_fixed_block_identity():
+    # one instance of every block of the table, entry by entry
+    assert _block(H1, H1, 9) == [[3, 0], [0, 3]]  # m e for k = m^2
+    assert _block((2, 1, PARITY_ODD), (1, 1, PARITY_ODD), 4) == [[2, 0], [0, 0], [0, 2]]
+    assert _block(H1, H1, 11) == [[11, 0], [0, 1]]  # kH in H
+    assert _block(I11, H1, 6) == [[1, 3], [1, -3]]  # kH in I(1,1), k even
+    assert _block(H1, I11, 6) == [[1, 1], [3, -3]]  # k I(1,1) in H, k even
+    assert _block(H1, (1, 0, PARITY_ODD), 6) == [[1], [3]]  # k<1> in H
+    assert _block(H1, (0, 1, PARITY_ODD), 6) == [[1], [-3]]  # k<-1> in H
+    assert _block(I11, I11, 7) == [[4, 3], [3, 4]]  # k I(1,1) in I(1,1), k odd
+    assert _block(I11, I11, 12) == [[4, 2], [2, 4]]  # and 4 | k
+    assert _block(I11, (1, 0, PARITY_ODD), 7) == [[4], [3]]
+    assert _block((2, 0, PARITY_ODD), (2, 0, PARITY_ODD), 5) == [[2, -1], [1, 2]]
+    assert _block((4, 0, PARITY_ODD), (4, 0, PARITY_ODD), 7) == [
+        [2, -1, -1, -1], [1, 2, -1, 1], [1, 1, 2, -1], [1, -1, 1, 2]]  # 4 + 1 + 1 + 1
+    assert _block(H1, H1, -11) == [[11, 0], [0, -1]]  # the sign swap of B
+    assert _block(I11, I11, -1) == [[0, 1], [1, 0]]
+
+
+def test_fixed_blocks_are_absent_where_no_block_fits():
+    # k = 2 mod 4 has no x^2 - y^2 = k; 2 I(3,3) in I(3,3) needs a
+    # placement beyond the table; an even form of nonzero signature is no
+    # canonical shape here; odd A carries H in odd degree only beyond it
+    assert block_witness(I11, I11, 6) is None
+    assert block_witness((3, 3, PARITY_ODD), (3, 3, PARITY_ODD), 2) is None
+    assert block_witness((8, 0, PARITY_EVEN), (8, 0, PARITY_EVEN), 4) is None
+    assert block_witness((3, 3, PARITY_ODD), H1, 1) is None
+    assert block_witness(I11, I11, (1 << 40) + 2) is None  # no search for squares

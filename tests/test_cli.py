@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -440,24 +441,56 @@ def test_the_parser_is_built_once_and_reused(capsys):
 
 
 def test_unknown_verdict_exit_code(capsys):
-    # a search that exhausts its radius without filters deciding: force a
-    # tiny budget on a large indefinite instance
-    code, out, _ = run(
-        capsys, "solve", "--A", "T4", "--B", "T4", "--k", "5", "--budget", "10",
-    )
+    # a search that no filter decides and no fixed block answers: force a
+    # tiny budget on I(3,3) -> I(3,3) at k = 2
+    i33 = f"@{FIXTURES}/I33.mat"
+    code, out, _ = run(capsys, "solve", "--A", i33, "--B", i33, "--k", "2", "--budget", "10")
     assert code == 2
     assert out.startswith("Unknown")
 
 
 def test_budget_stopped_unknown_claims_no_radius(capsys):
-    args = ["solve", "--A", f"@{FIXTURES}/A3.mat", "--B", f"@{FIXTURES}/A3.mat",
-            "--k", "5", "--budget", "10"]
+    args = ["solve", "--A", f"@{FIXTURES}/I33.mat", "--B", f"@{FIXTURES}/I33.mat",
+            "--k", "2", "--budget", "10"]
     code, out, _ = run(capsys, *args)
     assert code == 2
     assert out == "Unknown (node budget exhausted)\n"
     code, raw, _ = run(capsys, *args, "--json")
     assert code == 2
-    assert json.loads(raw) == {"verdict": "unknown", "k": 5, "budget_exhausted": True}
+    assert json.loads(raw) == {"verdict": "unknown", "k": 2, "budget_exhausted": True}
+
+
+@pytest.mark.parametrize("a, k, witness", [
+    ("T4", "5", [5, 0, 0, 1]),
+    (f"@{FIXTURES}/A3.mat", "5", [5, 0, 0, 1]),
+    ("S2xS2", "11", [11, 0, 0, 1]),
+    ("S2xS2", "-11", [11, 0, 0, -1]),
+])
+def test_fixed_blocks_answer_hyperbolic_degrees_without_enumeration(capsys, a, k, witness):
+    # kH in H by diag(k, 1), before any enumeration: a budget of one node
+    # would stop any search; T4 -> T4 at k = 5 under --budget 10 used to be
+    # the budget-stopped Unknown of the tests above
+    code, raw, _ = run(capsys, "solve", "--A", a, "--B", a, "--k", k, "--budget", "1", "--json")
+    assert code == 0
+    doc = json.loads(raw)
+    assert doc["verdict"] == "yes"
+    n = doc["witness"]["rows"]
+    assert doc["witness"]["cols"] == n
+    blocks = [doc["witness"]["entries"][i * n + j] for i in range(2) for j in range(2)]
+    assert blocks == witness
+
+
+def test_form_iso_separates_i9_from_e8_plus_i1_by_unit_vectors(capsys):
+    # same rank, parity and signature, but 18 vectors of norm 1 against 2:
+    # a complete No at once, where the k = 1 search used to crash after
+    # outgrowing its budget
+    args = ["form-iso", "--f", f"@{FIXTURES}/I9.mat", "--g", f"@{FIXTURES}/E8I1.mat"]
+    start = time.perf_counter()
+    code, out, _ = run(capsys, *args)
+    assert time.perf_counter() - start < 0.1
+    assert (code, out) == (0, "No (ThetaFilter)\n")
+    code, raw, _ = run(capsys, *args, "--json")
+    assert json.loads(raw) == {"verdict": "no", "reason": "ThetaFilter"}
 
 
 def test_importing_the_cli_leaves_numpy_unloaded():

@@ -287,13 +287,19 @@ def test_homotopy_regime_identity_data_passes():
 
 
 def test_homotopy_regime_budget_exhaustion_is_unknown():
+    # I(3,3) -> I(3,3) at k = 2 has no fixed-block witness, so the search runs
     model = pi_model(4, [3], [1])
-    h = make_form(hyperbolic_matrix(1), SYMMETRIC)
-    data = (element(model, 0, [0]), element(model, 0, [0]))
-    src = manifold("s", 4, h, True, True, model, data)
-    ans = degree_realizable(src, src, 1, SearchConfig(node_budget=2))
+    i33 = make_form(IntMatrix.diagonal([1, 1, 1, -1, -1, -1]), SYMMETRIC)
+    data = [element(model, d, [0]) for d in (1, 1, 1, -1, -1, -1)]
+    src = manifold("s", 4, i33, True, True, model, data)
+    ans = degree_realizable(src, src, 2, SearchConfig(node_budget=2))
     assert ans.kind == "unknown"
     assert ans.budget_exhausted and ans.radius is None
+    # the old instance, H -> H at k = 1, is the identity within this budget
+    h = make_form(hyperbolic_matrix(1), SYMMETRIC)
+    h8 = manifold("h", 4, h, True, True, model, (element(model, 0, [0]), element(model, 0, [0])))
+    ans = degree_realizable(h8, h8, 1, SearchConfig(node_budget=2))
+    assert ans.kind == "yes" and ans.witness == IntMatrix.identity(2)
 
 
 def _identity_hc8(rank, torsion):
@@ -423,7 +429,14 @@ def test_square_degree_self_map_failing_the_column_check_is_searched(order, k, k
 
 
 def test_budget_stopped_degree_set_row_names_the_budget():
-    rep = degree_set(preset("T4"), preset("T4"), 1, SearchConfig(node_budget=10))
+    # I(3,3) onto H in odd degree has no fixed-block witness; T4 -> T4, the
+    # old instance, passes its necessary conditions by blocks within the
+    # same budget
+    i33 = manifold("I33", 2, make_form(IntMatrix.diagonal([1, 1, 1, -1, -1, -1]), SYMMETRIC),
+                   True, False)
+    old = degree_set(preset("T4"), preset("T4"), 1, SearchConfig(node_budget=10))
+    assert old.necessary_pass_set == {-1, 1}
+    rep = degree_set(i33, preset("S2xS2"), 1, SearchConfig(node_budget=10))
     assert rep.unknown_set == {-1, 1}
     rows = _degset_lines(rep)[3:]
     assert rows == [

@@ -32,9 +32,10 @@ from degmap.intform import (
     symplectic_basis_transform,
     transform_form,
 )
-from degmap.solver import isomorphic
+from degmap import solver
+from degmap.solver import SearchConfig, isomorphic
 
-from conftest import random_antisymmetric_form, random_symmetric_form, random_unimodular
+from conftest import E8_CARTAN, random_antisymmetric_form, random_symmetric_form, random_unimodular
 
 HYPER = IntMatrix.from_rows([[0, 1], [1, 0]])
 
@@ -329,6 +330,31 @@ def test_iso_definite_conjugates(rng):
         v = isomorphic(base, g)
         assert v.is_yes
         assert v.witness.transpose() @ base.matrix @ v.witness == g.matrix
+
+
+def test_iso_definite_forms_with_other_unit_vectors_are_a_theta_no():
+    # I9 has 18 vectors of norm 1 and E8 + I1 has 2: a complete No at once,
+    # where the k = 1 search outgrew its budget and tripped an assertion
+    i9 = make_form(IntMatrix.identity(9), SYMMETRIC)
+    e8_i1 = make_form(block_diagonal(IntMatrix.from_rows(E8_CARTAN), IntMatrix.identity(1)),
+                      SYMMETRIC)
+    for f, g in ((i9, e8_i1), (e8_i1, i9)):
+        v = isomorphic(f, g)
+        assert v.is_no and v.reason == "ThetaFilter"
+    assert "ThetaFilter" in solver.COMPLETE_REASONS
+    # a change of basis keeps the count, so it never denies an isomorphic pair
+    rng = random.Random(16)
+    for base in (i9, e8_i1):
+        scrambled = transform_form(base, random_unimodular(rng, 9))
+        assert solver._unit_vector_count(scrambled) == solver._unit_vector_count(base)
+
+
+def test_iso_definite_search_stopped_by_the_budget_is_unknown(monkeypatch):
+    e8 = make_form(IntMatrix.from_rows(E8_CARTAN), SYMMETRIC)
+    e8s = transform_form(e8, random_unimodular(random.Random(9), 8))
+    monkeypatch.setattr(solver, "DEFAULT_CONFIG", SearchConfig(node_budget=5))
+    v = isomorphic(e8s, e8)
+    assert v.is_unknown and v.budget_exhausted
 
 
 def test_iso_indefinite_same_invariants():

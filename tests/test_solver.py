@@ -24,7 +24,7 @@ from degmap.errors import (
     WitnessRejected,
     ZeroK,
 )
-from degmap.canonical import canonical_basis, canonical_matrix
+from degmap.canonical import block_witness, canonical_basis, canonical_matrix
 from degmap.intform import (
     ANTISYMMETRIC,
     PARITY_EVEN,
@@ -69,6 +69,7 @@ A1 = make_form(hyperbolic_matrix(1), SYMMETRIC)
 E8 = make_form(IntMatrix.from_rows(E8_CARTAN), SYMMETRIC)
 FIXTURES = Path(__file__).parent / "fixtures"
 A3 = make_form(hyperbolic_matrix(3), SYMMETRIC)
+I33 = make_form(IntMatrix.diagonal([1, 1, 1, -1, -1, -1]), SYMMETRIC)
 
 
 def feasible_bound(m, l, preferred=6, limit=2_000_000):
@@ -465,10 +466,12 @@ def test_yes_verdicts_verify_on_construction():
 
 def test_budget_exhaustion_is_reported():
     cfg = SearchConfig(radius=8, node_budget=10)
-    v = congruence_solve(A3, A3, 5, cfg)
+    v = congruence_solve(I33, I33, 2, cfg)
     assert v.is_unknown and v.budget_exhausted
     assert v.radius is None
     assert _verdict_text(v) == "Unknown (node budget exhausted)"
+    # the old instance, H^3 at k = 5, is a fixed-block Yes within this budget
+    assert congruence_solve(A3, A3, 5, cfg).witness == hyperbolic_scaling_matrix(3, 5)
 
 
 def test_accept_predicate_maps_to_each_verdict():
@@ -508,7 +511,7 @@ def test_searches_leave_no_reference_cycles():
         assert congruence_solve(I2, I1, 5).is_yes
         assert congruence_solve(I2, I1, 5, accept=lambda col, vec: False).is_no
         assert congruence_solve(A3, A3, 5).is_yes
-        assert congruence_solve(A3, A3, 5, SearchConfig(node_budget=10)).budget_exhausted
+        assert congruence_solve(I33, I33, 2, SearchConfig(node_budget=10)).budget_exhausted
         assert not _modq_unsolvable(A3, A3, 5)
         # canonical_basis and the level source, to a witness, to the end of
         # every level, and stopped by the budget
@@ -523,6 +526,12 @@ def test_searches_leave_no_reference_cycles():
         e8s = make_form(E8.matrix.transform_by(random_unimodular(random.Random(8), 8)), SYMMETRIC)
         assert congruence_solve(e8s, E8, 4).is_yes
         assert congruence_solve(e8s, E8, 4, SearchConfig(node_budget=5)).budget_exhausted
+        # fixed blocks, on canonical forms and through both canonical bases
+        assert congruence_solve(A3, A3, 5, SearchConfig(node_budget=10)).is_yes
+        rng16 = random.Random(16)
+        i21s = transform_form(make_form(IntMatrix.diagonal([1, 1, -1]), SYMMETRIC),
+                              random_unimodular(rng16, 3))
+        assert congruence_solve(transform_form(I33, random_unimodular(rng16, 6)), i21s, -3).is_yes
         # a whole CLI call with JSON output
         with contextlib.redirect_stdout(io.StringIO()):
             assert main(["deg1", "--M", f"@{FIXTURES}/h-i11.mat", "--L", "S2xS2", "--json"]) == 0
@@ -679,7 +688,7 @@ def test_definite_isometry_search_is_charged_to_the_query_budget():
     # bounds the whole query; E8 -> E8 needs at least one node per column
     e8s = make_form(E8.matrix.transform_by(random_unimodular(random.Random(9), 8)), SYMMETRIC)
     with pytest.raises(solver._OutOfBudget):
-        solver._scaled_isometry(e8s, E8, 4, DEFAULT_CONFIG, solver._Budget(5), None)
+        solver._scaled_isometry(e8s, E8, 4, DEFAULT_CONFIG, solver._Budget(5))
     v = congruence_solve(e8s, E8, 4, SearchConfig(node_budget=5))
     assert v.is_unknown and v.budget_exhausted
     assert congruence_solve(e8s, E8, 4).is_yes
@@ -695,7 +704,7 @@ def test_definite_isometry_search_skips_forms_with_other_unit_vectors(n):
     e8_i = make_form(block_diagonal(E8.matrix, IntMatrix.identity(n - 8)), SYMMETRIC)
     for a, b in ((i_n, e8_i), (e8_i, i_n)):
         budget = solver._Budget(100)
-        assert solver._scaled_isometry(a, b, 4, DEFAULT_CONFIG, budget, None) is None
+        assert solver._scaled_isometry(a, b, 4, DEFAULT_CONFIG, budget) is None
         assert budget.remaining == 100
     if n == 9:
         assert congruence_solve(i_n, e8_i, 4, SearchConfig(node_budget=200_000)).is_yes
@@ -704,7 +713,9 @@ def test_definite_isometry_search_skips_forms_with_other_unit_vectors(n):
 def test_scaled_isometry_keeps_every_no():
     # with the step and without it, on the same pairs: every No keeps its
     # reason, every Yes stays a Yes, and an Unknown can only become a Yes,
-    # because m U reaches beyond the search's radius or budget
+    # because m U reaches beyond the search's radius or budget; m U_A U_B^-1
+    # between indefinite forms now comes from the fixed blocks, so both
+    # constructions are switched off together
     rng = random.Random(1507)
     cfg = SearchConfig(radius=3, node_budget=20_000)
     cases = []
@@ -714,6 +725,7 @@ def test_scaled_isometry_keeps_every_no():
         cases.append((a, b, k, congruence_solve(a, b, k, cfg)))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(solver, "_scaled_isometry", lambda *args: None)
+        mp.setattr(solver, "_block_witness", lambda *args: None)
         before = [congruence_solve(a, b, k, cfg) for a, b, k, _ in cases]
     kinds = collections.Counter()
     for (a, b, k, new), old in zip(cases, before):
@@ -724,6 +736,112 @@ def test_scaled_isometry_keeps_every_no():
         assert new.kind == old.kind and new.reason == old.reason, case
     assert kinds["no", "no"] >= 100 and kinds["yes", "yes"] >= 50
     assert kinds["unknown", "yes"] > 0
+
+
+# ---------------------------------------------------------------------------
+# witnesses from fixed blocks in canonical coordinates
+# ---------------------------------------------------------------------------
+
+
+def _canonical_shapes(max_rank):
+    """(pos, neg, parity) of every I(p, q) and H^a of rank 1 to max_rank."""
+    for n in range(1, max_rank + 1):
+        yield from ((pos, n - pos, PARITY_ODD) for pos in range(n + 1))
+        if n % 2 == 0:
+            yield n // 2, n // 2, PARITY_EVEN
+
+
+def test_fixed_blocks_never_contradict_a_filter():
+    # every canonical pair with A indefinite of rank <= 4 and every
+    # 0 < |k| <= 20: a built P' verifies, and no complete filter objects
+    built = 0
+    for a in _canonical_shapes(4):
+        if 0 in a[:2]:
+            continue
+        fa = make_form(canonical_matrix(*a), SYMMETRIC)
+        for b in _canonical_shapes(fa.rank):
+            fb = make_form(canonical_matrix(*b), SYMMETRIC)
+            for k in range(-20, 21):
+                p = block_witness(a, b, k) if k else None
+                if p is not None:
+                    built += 1
+                    assert solver._prefilter(fa, fb, k) is None, (a, b, k)
+                    verify_witness(fa, fb, k, p)
+    assert built >= 1400  # of the 1726 queries that pass every filter
+
+
+@pytest.mark.parametrize("a, b, k", [
+    ((1, 1, PARITY_EVEN), (1, 1, PARITY_EVEN), 11),
+    ((3, 3, PARITY_EVEN), (2, 2, PARITY_EVEN), -13),
+    ((1, 1, PARITY_ODD), (1, 1, PARITY_EVEN), 6),
+    ((2, 2, PARITY_EVEN), (1, 1, PARITY_ODD), -10),
+    ((1, 1, PARITY_ODD), (1, 0, PARITY_ODD), 17),
+    ((1, 1, PARITY_ODD), (1, 1, PARITY_ODD), -19),
+    ((3, 1, PARITY_ODD), (1, 1, PARITY_ODD), -19),
+    ((3, 1, PARITY_ODD), (3, 1, PARITY_ODD), 17),
+    ((2, 3, PARITY_ODD), (2, 2, PARITY_EVEN), 6),
+    ((5, 2, PARITY_ODD), (4, 1, PARITY_ODD), 7),
+])
+def test_fixed_blocks_answer_scrambled_pairs_without_enumeration(monkeypatch, a, b, k):
+    # U_A P' U_B^-1 through both canonical bases, without a box or level
+    # search; I(3,1) -> I(1,1) at k = -19 took 13 s of search at radius 20
+    calls = _count_calls(monkeypatch, "_box_candidates")
+    rng = random.Random(1601)
+    fa, fb = (
+        make_form(canonical_matrix(*s).transform_by(random_unimodular(rng, s[0] + s[1])), SYMMETRIC)
+        for s in (a, b)
+    )
+    v = congruence_solve(fa, fb, k)
+    assert v.is_yes and calls == []
+
+
+def test_fixed_blocks_reach_definite_diagonal_targets_only():
+    # U_B is the identity for a canonical target; a scrambled definite
+    # target has no canonical basis, so the search answers it
+    i31 = make_form(canonical_matrix(3, 1, PARITY_ODD), SYMMETRIC)
+    budget = solver._Budget(10)
+    target = make_form(IntMatrix.identity(2), SYMMETRIC)
+    assert solver._block_witness(i31, target, 5, budget, IntMatrix.identity(4)) is not None
+    scrambled = make_form(IntMatrix.from_rows([[1, 1], [1, 2]]), SYMMETRIC)
+    assert solver._block_witness(i31, scrambled, 5, budget, IntMatrix.identity(4)) is None
+    assert congruence_solve(i31, scrambled, 5).is_yes
+
+
+def test_fixed_blocks_keep_every_no():
+    # with the step and without it, on the same pairs: every No keeps its
+    # reason, every Yes stays a Yes, and an Unknown can only become a Yes,
+    # because the blocks reach beyond the search's radius or budget
+    rng = random.Random(1602)
+    cfg = SearchConfig(radius=3, node_budget=20_000)
+    cases = []
+    for _ in range(300):
+        a, b = _random_small_pair(rng)
+        k = rng.choice([k for k in range(-20, 21) if k])
+        cases.append((a, b, k, congruence_solve(a, b, k, cfg)))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "_block_witness", lambda *args: None)
+        before = [congruence_solve(a, b, k, cfg) for a, b, k, _ in cases]
+    kinds = collections.Counter()
+    for (a, b, k, new), old in zip(cases, before):
+        case = (a.matrix, b.matrix, k)
+        kinds[old.kind, new.kind] += 1
+        if old.is_unknown and new.is_yes:
+            continue
+        assert new.kind == old.kind and new.reason == old.reason, case
+    assert kinds["no", "no"] >= 100 and kinds["yes", "yes"] >= 30
+    assert kinds["unknown", "yes"] > 0
+
+
+def test_equal_matrices_in_degree_one_get_the_identity(monkeypatch):
+    # no enumeration for k = 1 between equal matrices, also where the
+    # form has no canonical basis (E8 + H) and the box scan would run
+    definite = _count_calls(monkeypatch, "_definite_solutions")
+    box = _count_calls(monkeypatch, "_box_candidates")
+    e8h = make_form(block_diagonal(E8.matrix, hyperbolic_matrix(1)), SYMMETRIC)
+    for form in (E8, e8h):
+        v = congruence_solve(form, form, 1)
+        assert v.is_yes and v.witness == IntMatrix.identity(form.rank)
+    assert definite == [] and box == []
 
 
 def test_solver_is_deterministic():
