@@ -139,11 +139,12 @@ def _render_json(value, depth: int = 0) -> str:
     return brackets[0] + inner + ("," + inner).join(items) + "\n" + "  " * depth + brackets[1]
 
 
-def _emit(args, doc: dict, lines: list) -> None:
+def _emit(args, doc: dict, lines) -> None:
+    """Print ``doc`` under --json, else the text lines that ``lines()`` builds."""
     if args.json:
         print(_render_json(doc))
     else:
-        for line in lines:
+        for line in lines():
             print(line)
 
 
@@ -203,12 +204,17 @@ def _emit_verdict(args, verdict: Verdict, complement: IntersectionForm | None = 
     """
     doc = _verdict_doc(verdict)
     doc["verdict"] = doc.pop("kind")
-    lines = [_verdict_text(verdict)]
     if complement is not None:
         doc["complement"] = matrix_to_doc(complement.matrix, complement.symmetry)
-        lines += _matrix_lines("complement form", complement.matrix)
-    elif verdict.witness is not None:
-        lines += _matrix_lines("witness", verdict.witness)
+
+    def lines() -> list:
+        out = [_verdict_text(verdict)]
+        if complement is not None:
+            out += _matrix_lines("complement form", complement.matrix)
+        elif verdict.witness is not None:
+            out += _matrix_lines("witness", verdict.witness)
+        return out
+
     _emit(args, doc, lines)
     return EXIT_UNKNOWN if verdict.is_unknown else EXIT_OK
 
@@ -304,8 +310,12 @@ def _cmd_form_info(args) -> int:
     if form.symmetry == SYMMETRIC:
         fields += [("signature", form.signature), ("parity", form.parity)]
     doc = dict(fields, matrix=matrix_to_doc(form.matrix, form.symmetry))
-    lines = [f"{name:<11} {value}" for name, value in fields]
-    _emit(args, doc, lines + _matrix_lines("matrix", form.matrix))
+
+    def lines() -> list:
+        rows = [f"{name:<11} {value}" for name, value in fields]
+        return rows + _matrix_lines("matrix", form.matrix)
+
+    _emit(args, doc, lines)
     return EXIT_OK
 
 
@@ -324,7 +334,7 @@ def _cmd_degset(args) -> int:
     source = _load_manifold(args.M)
     target = _load_manifold(args.L)
     report = degree_set(source, target, args.range, _config(args))
-    _emit(args, _degset_doc(report), _degset_lines(report))
+    _emit(args, _degset_doc(report), lambda: _degset_lines(report))
     return EXIT_UNKNOWN if report.unknown_set else EXIT_OK
 
 
@@ -352,8 +362,8 @@ def _cmd_selfmap(args) -> int:
         "witness": matrix_to_doc(verdict.witness),
         "homotopy_checked": True,
     }
-    lines = [f"degree {verdict.k} self-map of {m.name}", f"witness: {args.k} * identity"]
-    _emit(args, doc, lines)
+    _emit(args, doc, lambda: [f"degree {verdict.k} self-map of {m.name}",
+                              f"witness: {args.k} * identity"])
     return EXIT_OK
 
 
@@ -368,20 +378,24 @@ def _cmd_dominate(args) -> int:
     if args.dot:
         print(_dominance_dot(report))
     else:
-        _emit(args, _dominance_doc(report), _dominance_lines(report))
+        _emit(args, _dominance_doc(report), lambda: _dominance_lines(report))
     return EXIT_OK
 
 
 def _cmd_catalog_list(args) -> int:
     presets = fixed_presets()
-    lines = [
-        f"{m.name:<12} rank {m.form.rank}  {m.form.symmetry}"
-        f"  signature {m.form.signature}  parity {m.form.parity}"
-        f"  simply connected: {m.simply_connected}"
-        for m in presets
-    ]
-    lines.append("FsxFr(s,r)   surface product family, 2rs+1 hyperbolic planes")
-    lines.append("#q(S2xS2)    q-fold connected sum, q hyperbolic planes")
+
+    def lines() -> list:
+        return [
+            f"{m.name:<12} rank {m.form.rank}  {m.form.symmetry}"
+            f"  signature {m.form.signature}  parity {m.form.parity}"
+            f"  simply connected: {m.simply_connected}"
+            for m in presets
+        ] + [
+            "FsxFr(s,r)   surface product family, 2rs+1 hyperbolic planes",
+            "#q(S2xS2)    q-fold connected sum, q hyperbolic planes",
+        ]
+
     _emit(args, {"presets": [manifold_to_doc(m) for m in presets]}, lines)
     return EXIT_OK
 

@@ -21,6 +21,8 @@ degmap module but ``errors``; isomorphism is ``solver.isomorphic``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
+from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -52,6 +54,14 @@ class IntMatrix:
         self.rows = rows
         self.cols = cols
         self._entries = entries
+
+    @classmethod
+    def _of(cls, rows: int, cols: int, entries: tuple) -> "IntMatrix":
+        """A matrix on a tuple of rows * cols Python ints, taken unchecked:
+        for results of exact arithmetic on matrices that passed ``__init__``."""
+        m = object.__new__(cls)
+        m.rows, m.cols, m._entries = rows, cols, entries
+        return m
 
     # -- constructors ---------------------------------------------------
 
@@ -99,7 +109,7 @@ class IntMatrix:
         return self._entries[i * self.cols : (i + 1) * self.cols]
 
     def column(self, j: int) -> tuple:
-        return tuple(self._entries[i * self.cols + j] for i in range(self.rows))
+        return self._entries[j :: self.cols]
 
     def to_rows(self) -> list:
         return [list(self.row(i)) for i in range(self.rows)]
@@ -114,43 +124,32 @@ class IntMatrix:
     # -- arithmetic (all exact) -------------------------------------------
 
     def transpose(self) -> "IntMatrix":
-        return IntMatrix(
-            self.cols,
-            self.rows,
-            [self._entries[i * self.cols + j] for j in range(self.cols) for i in range(self.rows)],
-        )
+        columns = map(self.column, range(self.cols))
+        return IntMatrix._of(self.cols, self.rows, tuple(chain.from_iterable(columns)))
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
             raise ShapeMismatch(f"cannot multiply {self.shape} by {other.shape}")
-        a, b = self, other
-        out = []
-        brows = [b.row(i) for i in range(b.rows)]
-        for i in range(a.rows):
-            arow = a.row(i)
-            for j in range(b.cols):
-                out.append(sum(arow[t] * brows[t][j] for t in range(a.cols)))
-        return IntMatrix(a.rows, b.cols, out)
+        bcols = list(map(other.column, range(other.cols)))
+        arows = list(map(self.row, range(self.rows)))
+        out = tuple(sum(map(mul, r, col)) for r in arows for col in bcols)
+        return IntMatrix._of(self.rows, other.cols, out)
 
     def __neg__(self) -> "IntMatrix":
-        return IntMatrix(self.rows, self.cols, [-x for x in self._entries])
+        return IntMatrix._of(self.rows, self.cols, tuple(-x for x in self._entries))
 
     def scaled(self, c: int) -> "IntMatrix":
-        return IntMatrix(self.rows, self.cols, [c * x for x in self._entries])
+        return IntMatrix._of(self.rows, self.cols, tuple(c * x for x in self._entries))
 
     def transform_by(self, p: "IntMatrix") -> "IntMatrix":
         """Congruence transform: p.T @ self @ p."""
         return p.transpose() @ self @ p
 
     def is_symmetric(self) -> bool:
-        return self.rows == self.cols and all(
-            self[i, j] == self[j, i] for i in range(self.rows) for j in range(i + 1, self.cols)
-        )
+        return self.rows == self.cols and self._entries == self.transpose()._entries
 
     def is_antisymmetric(self) -> bool:
-        return self.rows == self.cols and all(
-            self[i, j] == -self[j, i] for i in range(self.rows) for j in range(i, self.cols)
-        )
+        return self.rows == self.cols and self._entries == (-self.transpose())._entries
 
     def det(self) -> int:
         """Exact determinant by fraction-free (Bareiss) elimination."""
@@ -233,7 +232,7 @@ def block_diagonal(*blocks: IntMatrix) -> IntMatrix:
             out[start : start + b.cols] = b.row(i)
         r0 += b.rows
         c0 += b.cols
-    return IntMatrix(rows, cols, out)
+    return IntMatrix._of(rows, cols, tuple(out))
 
 
 def hstack(a: IntMatrix, b: IntMatrix) -> IntMatrix:
@@ -243,7 +242,7 @@ def hstack(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     for i in range(a.rows):
         out.extend(a.row(i))
         out.extend(b.row(i))
-    return IntMatrix(a.rows, a.cols + b.cols, out)
+    return IntMatrix._of(a.rows, a.cols + b.cols, tuple(out))
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,10 @@ definite, of rank at most ``DEFINITE_CAP``, the candidate vectors for each
 column form the finite solution set of a definite quadratic equation,
 enumerated completely by integer Fincke-Pohst bounds on the fraction-free
 ``symmetric_elimination`` of A, so running out of candidates proves No.
+The last coordinate must use up what is left of the norm exactly, so it is
+solved in closed form (at most two roots) rather than scanned, and one sort
+keyed by a rank lookup (0, 1, -1, 2, -2, ... -> 0, 1, 2, 3, 4, ...) puts
+the vectors in centered-lexicographic order.
 In the indefinite case candidates range over a max-norm box and
 exhaustion only proves the absence of small witnesses, hence Unknown.
 ``_box_candidates`` yields every solution in that box, in one of two ways:
@@ -127,6 +131,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import isqrt, lcm
+from operator import mul
 from typing import Iterator, Sequence
 
 from .canonical import block_witness, canonical_basis, canonical_matrix, level_candidates
@@ -447,23 +452,20 @@ def _prefilter(a: IntersectionForm, b: IntersectionForm, k: int) -> Verdict | No
 # ---------------------------------------------------------------------------
 
 
-def _centered_rank(v: int) -> int:
-    # 0, 1, -1, 2, -2, ... -> 0, 1, 2, 3, 4, ...
-    return 2 * abs(v) - (1 if v > 0 else 0)
-
-
-def _centered_key(vec: Sequence[int]) -> tuple:
-    return tuple(_centered_rank(v) for v in vec)
-
-
 def _definite_solutions(tri: list, value: int) -> list:
-    """All integer x with Q(x) == value for a positive definite Q.
+    """All integer x with Q(x) == value for a positive definite Q, in
+    centered-lexicographic order: x_0 first, each coordinate ranked
+    0, 1, -1, 2, -2, ...
 
     ``tri`` is Q's ``symmetric_elimination``, so that
     Q(x) = sum_i (p_i x_i + s_i)^2 / (p_{i-1} p_i).  Scaled by the lcm of
     those denominators every term has an integer weight, and each
-    coordinate is confined to the exact interval that an integer square
-    root of the remaining budget allows: complete by construction.
+    coordinate but x_0 is confined to the exact interval that an integer
+    square root of the remaining budget allows.  x_0 must use up the rest
+    r exactly, w_0 (p_0 x_0 + s_0)^2 == r, so it is one of the at most two
+    roots (+-sqrt(r / w_0) - s_0) / p_0: complete by construction.  The
+    order comes from one sort, keyed by a rank lookup built for the values
+    the coordinates take.
     """
     m = len(tri)
     if value < 0:
@@ -476,28 +478,40 @@ def _definite_solutions(tri: list, value: int) -> list:
     denominators = [p * q for p, q in zip([1] + pivots, pivots)]
     scale = lcm(*denominators)
     weights = [scale // den for den in denominators]
+    tails = [tri[i][i + 1 :] for i in range(m)]
     out = []
     x = [0] * m
 
     def rec(i: int, rem: int):
-        p, w, row = pivots[i], weights[i], tri[i]
-        s = sum(row[j] * x[j] for j in range(i + 1, m))
+        if i == 0:
+            # rem == w_0 * (p_0 * x_0 + s)^2 in closed form
+            q, r = divmod(rem, weights[0])
+            y = isqrt(q)
+            if r or y * y != q:
+                return
+            s = sum(map(mul, tails[0], x[1:]))
+            for root in (y - s, -y - s) if y else (-s,):
+                x0, r = divmod(root, pivots[0])
+                if not r:
+                    x[0] = x0
+                    out.append(tuple(x))
+            return
+        p, w = pivots[i], weights[i]
+        s = sum(map(mul, tails[i], x[i + 1 :]))
         # integer x_i with w * (p * x_i + s)^2 <= rem
         ymax = isqrt(rem // w)
         for xi in range(-((ymax + s) // p), (ymax - s) // p + 1):
             y = p * xi + s
-            term = w * y * y
             x[i] = xi
-            if i == 0:
-                if term == rem:
-                    out.append(tuple(x))
-            else:
-                rec(i - 1, rem - term)
-        x[i] = 0
+            rec(i - 1, rem - w * y * y)
 
     rec(m - 1, scale * value)
     del rec  # see _backtrack
-    out.sort(key=_centered_key)
+    if out:
+        lo, hi = min(map(min, out)), max(map(max, out))
+        # 0, 1, -1, 2, -2, ... -> 0, 1, 2, 3, 4, ...
+        rank = {v: 2 * abs(v) - (v > 0) for v in range(lo, hi + 1)}.__getitem__
+        out.sort(key=lambda vec: tuple(map(rank, vec)))
     return out
 
 
@@ -775,9 +789,11 @@ def _column_search(
                 definite_cache[value] = _definite_solutions(tri, sign * value)
             for cand in definite_cache[value]:
                 budget.spend()
-                if any(sum(c * v for c, v in zip(crow, cand)) != t for crow, t in lin):
-                    continue
-                yield cand
+                for crow, t in lin:
+                    if sum(map(mul, crow, cand)) != t:
+                        break
+                else:
+                    yield cand
     else:
         levels = None
         if basis is not None:
@@ -797,7 +813,7 @@ def _column_search(
                 brows = [basis.row(i) for i in range(m)]
 
                 def accept(col: int, vec: tuple) -> bool:
-                    return given(col, tuple(sum(c * v for c, v in zip(row, vec)) for row in brows))
+                    return given(col, tuple(sum(map(mul, row, vec)) for row in brows))
 
         # x.T A x vanishes identically when A is antisymmetric
         qrows = arows if a.symmetry == SYMMETRIC else [[0] * m for _ in range(m)]
@@ -805,10 +821,10 @@ def _column_search(
         def candidates(col: int, lin: list) -> Iterator[tuple]:
             return _box_candidates(qrows, cfg.radius, target[col][col], lin, budget, levels)
 
+    acols = list(zip(*arows))
+
     def pairing_row(vec: tuple) -> tuple:
-        return tuple(
-            sum(vec[s] * arows[s][t] for s in range(m)) for t in range(m)
-        )
+        return tuple(sum(map(mul, vec, col)) for col in acols)
 
     for columns in _backtrack(_column_order(b.matrix), target, candidates, pairing_row, accept):
         witness = IntMatrix.from_columns(columns, nrows=m)
@@ -873,6 +889,9 @@ def isomorphic(f: IntersectionForm, g: IntersectionForm) -> Verdict:
     different numbers of vectors of norm +-1 get a ThetaFilter No; the rest
     take the complete enumeration, up to rank ``DEFINITE_CAP`` (else
     CapExceeded), which only the default node budget can leave Unknown.
+    It runs onto the form whose largest diagonal entry is smaller in
+    absolute value, as its columns are vectors of those norms; run from g
+    onto f, its witness Q gives the answer Q^-1.
     """
     if f.symmetry != g.symmetry:
         return Verdict.no(REASON_SYMMETRY)
@@ -903,4 +922,13 @@ def isomorphic(f: IntersectionForm, g: IntersectionForm) -> Verdict:
     if _unit_vector_count(f) != _unit_vector_count(g):
         return Verdict.no(REASON_THETA)
     # complete, so only the node budget can leave it Unknown
-    return congruence_solve(f, g, 1)
+    if _largest_diagonal(g) <= _largest_diagonal(f):
+        return congruence_solve(f, g, 1)
+    verdict = congruence_solve(g, f, 1)
+    if not verdict.is_yes:
+        return verdict
+    return Verdict.yes_checked(f, g, 1, verdict.witness.inverse_unimodular())
+
+
+def _largest_diagonal(f: IntersectionForm) -> int:
+    return max(abs(f.matrix[i, i]) for i in range(f.rank))

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import degmap
 from degmap.cli import _render_json, build_parser, main
-from degmap.intform import IntMatrix
+from degmap.intform import SYMMETRIC, IntMatrix, make_form, parse_matrix_text
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -491,6 +491,21 @@ def test_form_iso_separates_i9_from_e8_plus_i1_by_unit_vectors(capsys):
     assert (code, out) == (0, "No (ThetaFilter)\n")
     code, raw, _ = run(capsys, *args, "--json")
     assert json.loads(raw) == {"verdict": "no", "reason": "ThetaFilter"}
+
+
+def test_form_iso_finds_i9_in_its_scramble(capsys):
+    # the fixture is I9 in the basis random_unimodular(Random(16), 9), whose
+    # diagonal reaches 33; the search runs onto I9 and inverts its witness
+    f = make_form(parse_matrix_text((FIXTURES / "I9.mat").read_text()), SYMMETRIC)
+    g = make_form(parse_matrix_text((FIXTURES / "I9-scrambled.mat").read_text()), SYMMETRIC)
+    start = time.perf_counter()
+    code, raw, _ = run(capsys, "form-iso", "--f", f"@{FIXTURES}/I9.mat",
+                       "--g", f"@{FIXTURES}/I9-scrambled.mat", "--json")
+    assert time.perf_counter() - start < 1
+    doc = json.loads(raw)
+    assert code == 0 and doc["verdict"] == "yes"
+    p = IntMatrix(9, 9, doc["witness"]["entries"])
+    assert p.transpose() @ f.matrix @ p == g.matrix
 
 
 def test_importing_the_cli_leaves_numpy_unloaded():

@@ -1,4 +1,6 @@
+import itertools
 import random
+import time
 from dataclasses import replace
 
 import pytest
@@ -7,6 +9,7 @@ from degmap.errors import (
     AntisymmetricInput,
     NotSquare,
     NotUnimodular,
+    ShapeMismatch,
     SymmetryMismatch,
 )
 from degmap.intform import (
@@ -60,6 +63,43 @@ def test_matmul_transpose_det():
     assert a.det() == -2
     assert IntMatrix.identity(3).det() == 1
     assert IntMatrix.zeros(0, 0).det() == 1
+
+
+def test_products_transpose_and_symmetry_match_naive_loops(rng):
+    # every shape up to 3 x 3, the empty ones (0 x n, n x 0) included
+    for rows, inner, cols in itertools.product(range(4), repeat=3):
+        a = IntMatrix(rows, inner, [rng.randrange(-5, 6) for _ in range(rows * inner)])
+        b = IntMatrix(inner, cols, [rng.randrange(-5, 6) for _ in range(inner * cols)])
+        prod = [[sum(a[i, t] * b[t, j] for t in range(inner)) for j in range(cols)]
+                for i in range(rows)]
+        assert a @ b == IntMatrix(rows, cols, [x for row in prod for x in row])
+        assert a.transpose().shape == (inner, rows)
+        assert a.transpose().entries() == tuple(a[i, j] for j in range(inner) for i in range(rows))
+        assert (-a).entries() == tuple(-x for x in a.entries())
+        assert a.scaled(3).entries() == tuple(3 * x for x in a.entries())
+    for n in range(4):
+        for _ in range(20):
+            m = IntMatrix(n, n, [rng.randrange(-2, 3) for _ in range(n * n)])
+            sums = [IntMatrix(n, n, [m[i, j] + sign * m[j, i] for i in range(n) for j in range(n)])
+                    for sign in (1, -1)]
+            for c in [m] + sums:
+                sym = all(c[i, j] == c[j, i] for i in range(n) for j in range(n))
+                anti = all(c[i, j] == -c[j, i] for i in range(n) for j in range(n))
+                assert c.is_symmetric() == sym and c.is_antisymmetric() == anti
+    assert not IntMatrix.zeros(2, 3).is_symmetric() and not IntMatrix.zeros(3, 2).is_antisymmetric()
+    assert IntMatrix.zeros(0, 0).is_symmetric() and IntMatrix.zeros(0, 0).is_antisymmetric()
+
+
+def test_public_constructors_check_their_shapes():
+    for make in (
+        lambda: IntMatrix(2, 2, [1, 2, 3]),
+        lambda: IntMatrix(-1, 0, []),
+        lambda: IntMatrix.from_rows([[1, 2], [3]]),
+        lambda: parse_matrix_text("2 2\n1 2\n3\n"),
+        lambda: IntMatrix.identity(2) @ IntMatrix.zeros(3, 1),
+    ):
+        with pytest.raises(ShapeMismatch):
+            make()
 
 
 def test_det_matches_expansion_on_random(rng):
@@ -355,6 +395,19 @@ def test_iso_definite_search_stopped_by_the_budget_is_unknown(monkeypatch):
     monkeypatch.setattr(solver, "DEFAULT_CONFIG", SearchConfig(node_budget=5))
     v = isomorphic(e8s, e8)
     assert v.is_unknown and v.budget_exhausted
+
+
+def test_iso_definite_search_runs_onto_the_smaller_diagonal():
+    # the scrambled I9's diagonal reaches 33: searched onto it, the k = 1
+    # search enumerates the vectors of I9 of norms up to 33 and took 34 s to
+    # end Unknown; onto I9 it takes the norm-1 vectors of the scrambled form
+    i9 = make_form(IntMatrix.identity(9), SYMMETRIC)
+    scrambled = transform_form(i9, random_unimodular(random.Random(16), 9))
+    for f, g in ((i9, scrambled), (scrambled, i9)):
+        start = time.perf_counter()
+        v = isomorphic(f, g)
+        assert time.perf_counter() - start < 1
+        assert v.is_yes and v.witness.transpose() @ f.matrix @ v.witness == g.matrix
 
 
 def test_iso_indefinite_same_invariants():

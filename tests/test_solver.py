@@ -20,6 +20,7 @@ from degmap.catalog import (
 )
 from degmap.cli import _verdict_text, build_parser, main
 from degmap.errors import (
+    ShapeMismatch,
     SymmetryMismatch,
     WitnessRejected,
     ZeroK,
@@ -880,6 +881,79 @@ def test_definite_solutions_match_box_enumeration(rng):
             if q == value:
                 box.add(x)
         assert box <= got
+
+
+def _definite_solutions_reference(tri: list, value: int) -> list:
+    """``_definite_solutions`` as it read before the closed-form last
+    coordinate and the rank-lookup sort, kept verbatim as the reference."""
+
+    def _centered_rank(v: int) -> int:
+        # 0, 1, -1, 2, -2, ... -> 0, 1, 2, 3, 4, ...
+        return 2 * abs(v) - (1 if v > 0 else 0)
+
+    def _centered_key(vec) -> tuple:
+        return tuple(_centered_rank(v) for v in vec)
+
+    m = len(tri)
+    if value < 0:
+        return []
+    if m == 0:
+        return [()] if value == 0 else []
+    pivots = [tri[i][i] for i in range(m)]
+    if min(pivots) <= 0:
+        raise ShapeMismatch("matrix is not positive definite")
+    denominators = [p * q for p, q in zip([1] + pivots, pivots)]
+    scale = math.lcm(*denominators)
+    weights = [scale // den for den in denominators]
+    out = []
+    x = [0] * m
+
+    def rec(i: int, rem: int):
+        p, w, row = pivots[i], weights[i], tri[i]
+        s = sum(row[j] * x[j] for j in range(i + 1, m))
+        # integer x_i with w * (p * x_i + s)^2 <= rem
+        ymax = math.isqrt(rem // w)
+        for xi in range(-((ymax + s) // p), (ymax - s) // p + 1):
+            y = p * xi + s
+            term = w * y * y
+            x[i] = xi
+            if i == 0:
+                if term == rem:
+                    out.append(tuple(x))
+            else:
+                rec(i - 1, rem - term)
+        x[i] = 0
+
+    rec(m - 1, scale * value)
+    del rec  # see _backtrack
+    out.sort(key=_centered_key)
+    return out
+
+
+def test_definite_solutions_match_the_reference_in_order():
+    # the same lists, in the same order, on scrambles of I_n, E8 and E8 + I_k
+    rng = random.Random(17)
+    bases = [IntMatrix.identity(n) for n in range(1, 9)]
+    bases.append(IntMatrix.from_rows(E8_CARTAN))
+    bases += [block_diagonal(IntMatrix.from_rows(E8_CARTAN), IntMatrix.identity(k)) for k in (1, 2)]
+    for base in bases:
+        for gram in (base, base.transform_by(random_unimodular(rng, base.rows, steps=2, cap=3))):
+            tri = symmetric_elimination(gram.to_rows())
+            for value in range(7):
+                assert _definite_solutions(tri, value) == _definite_solutions_reference(tri, value)
+
+
+def test_definite_solutions_match_the_reference_where_the_closed_form_level_leads(rng):
+    # rank 1: x_0 is the only level; rank 2: it is the first level below the top
+    for rows in ([[1]], [[2]], [[3]], [[7]], [[1, 0], [0, 1]], [[2, 1], [1, 2]], [[2, -1], [-1, 5]]):
+        tri = symmetric_elimination(rows)
+        for value in range(-1, 30):
+            assert _definite_solutions(tri, value) == _definite_solutions_reference(tri, value)
+    for _ in range(20):
+        rank = rng.randrange(1, 3)
+        tri = symmetric_elimination(random_posdef(rng, rank).to_rows())
+        for value in range(15):
+            assert _definite_solutions(tri, value) == _definite_solutions_reference(tri, value)
 
 
 def test_definite_solutions_give_the_e8_theta_series():
