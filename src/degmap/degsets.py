@@ -16,7 +16,12 @@ Which criterion applies depends on the hypotheses:
   r-th condition reads only column r, so ``congruence_solve`` takes it as
   a column predicate and skips each candidate that fails it; a complete No
   names the homotopy obstruction when a column was rejected, and the
-  exhausted enumeration otherwise;
+  exhausted enumeration otherwise.  The predicate compares k * u_r with
+  sum_v c_v * t_v + q(c) * W, where W is the Whitehead square and
+  q(c) = sum_v C(c_v, 2) * a_vv + sum_{v<w} c_v * c_w * a_vw, on integer
+  dot products (nu-coefficients exactly, torsion residues mod each cyclic
+  order); a Yes witness is re-checked in full by
+  ``homotopy.check_homotopy_condition``;
 * anything else: only necessity is available.  A solver Yes is then
   downgraded to the distinct kind ``necessary_pass`` so the tool never
   overclaims, while a solver No stays a genuine No.
@@ -25,7 +30,8 @@ Which criterion applies depends on the hypotheses:
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Iterable
+from operator import mul
+from typing import Callable, Iterable, Sequence
 
 from .canonical import canonical_basis
 from .catalog import ManifoldModel
@@ -37,11 +43,11 @@ from .errors import (
     WitnessRejected,
 )
 from .homotopy import (
+    PiElement,
+    PiModel,
     check_homotopy_condition,
     elements_from_diagonal,
     pi_model,
-    pi_scale,
-    pushed_column,
     required_multiple,
 )
 from .intform import (
@@ -103,22 +109,70 @@ def degree_realizable(
     return replace(verdict, k=k, regime=regime)
 
 
+def _column_test(
+    a: IntMatrix, data: Sequence[PiElement], model: PiModel, k: int, targets: Sequence[PiElement]
+) -> Callable[[int, tuple], bool]:
+    """The homotopy condition on one column, as a predicate on plain integers.
+
+    With source data t_v, target data u_r and Whitehead square W, column c
+    passes as column r when
+
+        k * u_r == sum_v c_v * t_v + q(c) * W,
+        q(c) = sum_v C(c_v, 2) * a_vv + sum_{v<w} c_v * c_w * a_vw,
+
+    which is ``pushed_column(a, data, model, c) == pi_scale(k, u_r)``.  The
+    nu-coefficients compare exactly and each torsion residue mod its cyclic
+    order, all as dot products over the basis vectors on lists built once;
+    no group element is made.  q takes the strict upper triangle of A rather
+    than (c.A c - sum_v c_v a_vv) / 2, which is 0 for an antisymmetric A
+    (odd n).
+    """
+    rows = a.to_rows()
+    diag = [row[v] for v, row in enumerate(rows)]
+    # the strict upper triangle, each row padded with zeros up to column v
+    upper = [[0] * (v + 1) + row[v + 1 :] for v, row in enumerate(rows)]
+    nus = [t.nu for t in data]
+    wh = model.whitehead
+    orders = model.torsion_orders
+    residues = [[t.torsion[j] for t in data] for j in range(len(orders))]
+    # per target column: k times its nu-coefficient, and per cyclic factor
+    # (order, source residues, Whitehead residue, k times its residue)
+    wanted = [
+        (k * u.nu, list(zip(orders, residues, wh.torsion, [k * x for x in u.torsion])))
+        for u in targets
+    ]
+
+    def passes(col: int, vec: tuple) -> bool:
+        nu, factors = wanted[col]
+        q = sum(map(mul, vec, [sum(map(mul, row, vec)) for row in upper]))
+        q += sum(map(mul, [c * (c - 1) // 2 for c in vec], diag))
+        return sum(map(mul, nus, vec)) + q * wh.nu == nu and not any(
+            (sum(map(mul, res, vec)) + q * w - r) % d for d, res, w, r in factors
+        )
+
+    return passes
+
+
 def _homotopy_verdict(
     source: ManifoldModel, target: ManifoldModel, k: int, cfg: SearchConfig | None
 ) -> Verdict:
     """The congruence verdict restricted to witnesses that also pass the
-    homotopy check, tested on each candidate column before it is placed.
-    A Yes witness is re-checked in full; a complete No is a
-    HomotopyObstruction when that test rejected any candidate.
+    homotopy check, tested on each candidate column before it is placed
+    by ``_column_test``.  A Yes witness is re-checked in full by
+    ``check_homotopy_condition``, which goes through ``pushed_column``; a
+    complete No is a HomotopyObstruction when the column test rejected any
+    candidate.
     """
     if source.pi != target.pi:
         raise NotApplicable("source and target carry different homotopy models")
-    wanted = [pi_scale(k, u) for u in target.homotopy_data]
+    passes = _column_test(
+        source.form.matrix, source.homotopy_data, source.pi, k, target.homotopy_data
+    )
     rejected = False
 
     def accept(col: int, vec: tuple) -> bool:
         nonlocal rejected
-        ok = pushed_column(source.form.matrix, source.homotopy_data, source.pi, vec) == wanted[col]
+        ok = passes(col, vec)
         rejected = rejected or not ok
         return ok
 

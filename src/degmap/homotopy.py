@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import prod
 from typing import Sequence
 
@@ -55,9 +56,13 @@ class PiModel:
         """Order of the torsion subgroup (1 when there is none)."""
         return prod(self.torsion_orders) if self.torsion_orders else 1
 
-    @property
+    @cached_property
     def whitehead(self) -> "PiElement":
-        """The Whitehead square of the generator; Hopf invariant 2 when n is even."""
+        """The Whitehead square of the generator; Hopf invariant 2 when n is even.
+
+        Built once per model object and kept outside the dataclass fields,
+        so equality and hashing of models are unchanged.
+        """
         nu = int(2 * self.lam) if self.has_nu else 0
         return PiElement(self, nu, self.whitehead_torsion)
 
@@ -182,6 +187,11 @@ def pushed_column(a: IntMatrix, elements: Sequence[PiElement], model: PiModel, c
 
     where C(x, 2) = x*(x-1)/2, always an integer.  With no data (a rank-0
     source) this is the zero element of ``model``.
+
+    This is the reference computation in group elements.  The column
+    search of ``degsets`` tests the same identity on plain integers, and
+    ``check_homotopy_condition``, which goes through this function, re-checks
+    every Yes witness it accepts.
     """
     nz = [(v, c) for v, c in enumerate(col) if c]
     wh_coeff = sum(c * (c - 1) // 2 * a[v, v] for v, c in nz)

@@ -261,8 +261,9 @@ class IntersectionForm:
     'even' or 'odd'; both are None for antisymmetric forms.  ``pivots``
     holds the pivots p_0, ..., p_{n-1} of the form's
     ``symmetric_elimination``, so that the form is <p_{i-1} * p_i> over Q
-    (p_{-1} = 1) and the last pivot is the determinant; it is None for
-    antisymmetric forms and takes no part in equality, hashing or repr.
+    (p_{-1} = 1) and the last pivot is the determinant; ``tri`` is that
+    whole eliminated matrix, as a tuple of rows.  Both are None for
+    antisymmetric forms and take no part in equality, hashing or repr.
     ``canonical`` keeps the result of ``canonical.canonical_basis``, which
     runs at most once per form object; it is ``NOT_COMPUTED`` until then,
     is not an argument of the constructor and, like ``pivots``, takes no
@@ -275,6 +276,7 @@ class IntersectionForm:
     signature: tuple | None
     parity: str | None
     pivots: tuple | None = field(compare=False, repr=False)
+    tri: tuple | None = field(compare=False, repr=False)
     canonical: object = field(default=NOT_COMPUTED, init=False, compare=False, repr=False)
 
     @property
@@ -364,7 +366,7 @@ def make_form(matrix: IntMatrix, symmetry: str) -> IntersectionForm:
             raise NotUnimodular(f"determinant {det}")
         if rank % 2 != 0:
             raise NotUnimodular("antisymmetric unimodular forms have even rank")
-        return IntersectionForm(matrix, symmetry, rank, None, None, None)
+        return IntersectionForm(matrix, symmetry, rank, None, None, None, None)
     tri = symmetric_elimination(matrix.to_rows())
     pivots = (1,) + tuple(tri[i][i] for i in range(rank))
     if pivots[-1] not in (1, -1):
@@ -373,7 +375,7 @@ def make_form(matrix: IntMatrix, symmetry: str) -> IntersectionForm:
     neg = sum(1 for p, q in zip(pivots, pivots[1:]) if (p > 0) != (q > 0))
     sig = (rank - neg, neg, 0)
     par = PARITY_EVEN if all(matrix[i, i] % 2 == 0 for i in range(rank)) else PARITY_ODD
-    return IntersectionForm(matrix, symmetry, rank, sig, par, pivots[1:])
+    return IntersectionForm(matrix, symmetry, rank, sig, par, pivots[1:], tuple(map(tuple, tri)))
 
 
 def infer_symmetry(matrix: IntMatrix) -> str:

@@ -668,9 +668,15 @@ def _enumerates_completely(a: IntersectionForm) -> bool:
 
 
 def _definite_elimination(f: IntersectionForm) -> tuple:
-    """(sign, tri): the sign making sign * f positive definite, and its elimination."""
-    sign = 1 if f.signature[1] == 0 else -1
-    return sign, symmetric_elimination([[sign * x for x in row] for row in f.matrix.to_rows()])
+    """(sign, tri): the sign making sign * f positive definite, and its elimination.
+
+    A positive definite f reuses the elimination ``make_form`` kept (a
+    definite matrix never pivots, so it is the same matrix); only a
+    negative definite one is eliminated again, as -f.
+    """
+    if f.signature[1] == 0:
+        return 1, f.tri
+    return -1, symmetric_elimination([[-x for x in row] for row in f.matrix.to_rows()])
 
 
 def _column_order(b: IntMatrix) -> list:

@@ -639,3 +639,20 @@ def test_loaders_survive_arbitrary_files(tmp_path, content, suffix, argv):
     assert code in (0, 1, 2)
     if code == 1:
         assert err.getvalue().startswith("error:"), err.getvalue()
+
+
+def test_degset_names_the_homotopy_obstruction_on_the_hc8_fixtures(capsys):
+    # a scrambled I6 with torsion-free data onto I2 with torsion 1 and 2 mod
+    # 3, Whitehead square torsion-free: every congruence witness fails the
+    # column test in degrees 1 and 2, and the signature rules out -1 and -2
+    args = ["degset", "--M", f"@{FIXTURES}/hc8-I6-obstructed.json",
+            "--L", f"@{FIXTURES}/hc8-I2.json", "--range", "2", "--json"]
+    code, raw, _ = run(capsys, *args)
+    assert code == 0
+    answers = {a["k"]: (a["kind"], a["reason"]) for a in json.loads(raw)["answers"]}
+    assert answers == {
+        -2: ("no", "SignatureFilter"),
+        -1: ("no", "SignatureFilter"),
+        1: ("no", "HomotopyObstruction"),
+        2: ("no", "HomotopyObstruction"),
+    }

@@ -24,7 +24,14 @@ from degmap.errors import (
     NotApplicable,
     WitnessRejected,
 )
-from degmap.homotopy import ConditionReport, check_homotopy_condition, element, pi_model
+from degmap.homotopy import (
+    ConditionReport,
+    check_homotopy_condition,
+    element,
+    pi_model,
+    pi_scale,
+    pushed_column,
+)
 from degmap.intform import IntMatrix, SYMMETRIC, make_form
 from degmap.solver import REASON_EXHAUSTIVE, SearchConfig, Verdict, isomorphic
 
@@ -426,6 +433,65 @@ def test_square_degree_self_map_failing_the_column_check_is_searched(order, k, k
     assert new.kind == kind and new.witness != scaled
     if kind == "no":
         assert new.reason == REASON_HOMOTOPY
+
+
+def _pushed_column_verdict(source, target, k):
+    # the homotopy verdict with the column predicate as it was: pushed_column
+    # on group elements, compared with the dataclass ==
+    wanted = [pi_scale(k, u) for u in target.homotopy_data]
+    rejected = []
+
+    def accept(col, vec):
+        ok = pushed_column(source.form.matrix, source.homotopy_data, source.pi, vec) == wanted[col]
+        rejected.append(not ok)
+        return ok
+
+    verdict = solver.congruence_solve(source.form, target.form, k, None, accept)
+    if any(rejected) and verdict.reason == REASON_EXHAUSTIVE:
+        return Verdict.no(REASON_HOMOTOPY)
+    return verdict
+
+
+def _hc8(matrix, model, torsion):
+    # an 8-manifold with Hopf invariants on the diagonal and the given torsion
+    form = make_form(matrix, SYMMETRIC)
+    data = [element(model, form.matrix[i, i], t) for i, t in enumerate(torsion)]
+    return manifold("hc8", 4, form, True, True, model, data)
+
+
+@pytest.mark.parametrize("order", [3, 5])
+def test_degree_set_matches_the_pushed_column_search_on_hc8_pairs(order):
+    # the obstructed benchmark shape: a scrambled I6 with zero torsion onto
+    # I2 with nonzero torsion and torsion-free Whitehead square; and two
+    # pairs with Yes answers, one definite and one indefinite (searched in
+    # canonical coordinates)
+    rng = random.Random(order)
+    model = pi_model(4, [order], [0])
+    i6 = IntMatrix.identity(6).transform_by(random_unimodular(rng, 6, steps=2, cap=2))
+    obstructed = (
+        _hc8(i6, model, [[0]] * 6),
+        _hc8(IntMatrix.identity(2), model, [[rng.randrange(1, order)] for _ in range(2)]),
+    )
+    model = pi_model(4, [order], [1])
+    definite = (
+        _hc8(IntMatrix.identity(4), model, [[0], [1], [2], [0]]),
+        _hc8(IntMatrix.identity(1), model, [[1]]),
+    )
+    u = IntMatrix.from_rows([[1, 1, 0], [0, 1, 1], [1, 1, 1]])
+    i21 = IntMatrix.diagonal([1, 1, -1]).transform_by(u)
+    indefinite = (
+        _hc8(i21, model, [[0]] * 3),
+        _hc8(IntMatrix.diagonal([1, -1]), model, [[0], [0]]),
+    )
+    reports = []
+    for source, target in (obstructed, definite, indefinite):
+        reports.append(degree_set(source, target, 2))
+        for k in (-2, -1, 1, 2):
+            new, ref = reports[-1].answer_for(k), _pushed_column_verdict(source, target, k)
+            assert (new.kind, new.reason, new.witness) == (ref.kind, ref.reason, ref.witness), k
+    assert reports[0].no_set == {-2, -1, 1, 2}
+    assert {reports[0].answer_for(k).reason for k in (1, 2)} == {REASON_HOMOTOPY}
+    assert 1 in reports[1].yes_set and reports[2].yes_set
 
 
 def test_budget_stopped_degree_set_row_names_the_budget():

@@ -1,5 +1,8 @@
+import random
+
 import pytest
 
+from degmap.degsets import _column_test
 from degmap.errors import (
     ModelMismatch,
     NonIntegralHopf,
@@ -278,6 +281,36 @@ def test_pushed_column_is_the_induced_column(rng):
         assert pushed_column(a, t, model, col) == expected
         p = IntMatrix.from_columns([col], nrows=m)
         assert induced_invariant(a, t, p) == (expected,)
+
+
+@pytest.mark.parametrize("model, ranks", [
+    (pi_model(2), (1, 2, 3, 4)),
+    (pi_model(4, [3], [1]), (1, 2, 3, 4)),
+    (pi_model(4, [2, 3], [1, 2]), (1, 2, 3, 4)),
+    (pi_model(6, [2], [1]), (1, 2, 3, 4)),  # lambda = 1/2, Whitehead nu 1
+    (pi_model(5, [4], [2]), (2, 4, 6)),  # antisymmetric sources, no nu part
+], ids=["n2", "n4-Z3", "n4-Z2xZ3", "n6-Z2", "n5-Z4"])
+def test_integer_column_test_agrees_with_pushed_column(model, ranks):
+    # the column test of the degree search against the group algebra it
+    # replaced, on seeded vectors with entries in -3..3, the zero vector
+    # first; the second target column is what one of the vectors pushes
+    # to, so that both outcomes occur
+    rng = random.Random(f"column-test/{model}")
+    outcomes = {True: 0, False: 0}
+    for rank in ranks:
+        for _ in range(25):
+            a = _random_pairing(rng, rank, model)
+            data = [random_element(rng, model) for _ in range(rank)]
+            vecs = [(0,) * rank] + [tuple(rng.randrange(-3, 4) for _ in range(rank)) for _ in range(12)]
+            for k in (rng.choice([-3, -2, -1, 2, 3]), 1):
+                targets = [random_element(rng, model), pushed_column(a, data, model, rng.choice(vecs))]
+                passes = _column_test(a, data, model, k, targets)
+                for vec in vecs:
+                    for col, u in enumerate(targets):
+                        expected = pushed_column(a, data, model, vec) == pi_scale(k, u)
+                        assert passes(col, vec) is expected, (a, data, k, u, vec)
+                        outcomes[expected] += 1
+    assert min(outcomes.values()) >= 100, outcomes
 
 
 def test_rank_zero_source_pushes_to_zero():

@@ -231,7 +231,8 @@ def test_form_keeps_its_pivots_outside_equality(rng):
         tri = symmetric_elimination(m.to_rows())
         assert f.pivots == tuple(tri[i][i] for i in range(m.rows))
         assert f.determinant == m.det()
-        other = replace(f, pivots=(7,) * f.rank)
+        assert f.tri == tuple(map(tuple, tri))
+        other = replace(f, pivots=(7,) * f.rank, tri=())
         assert other == f and hash(other) == hash(f) and repr(other) == repr(f)
         assert "pivots" not in repr(f)
     assert empty_form().pivots == () and empty_form().determinant == 1

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from degmap import solver
+from degmap import intform, solver
 from degmap.catalog import (
     diag_form,
     hyperbolic_form,
@@ -961,6 +961,39 @@ def test_definite_solutions_give_the_e8_theta_series():
     tri = symmetric_elimination(E8_CARTAN)
     counts = [len(_definite_solutions(tri, value)) for value in range(9)]
     assert counts == [1, 0, 240, 0, 2160, 0, 6720, 0, 17520]
+
+
+def test_definite_search_reuses_the_elimination_of_make_form(monkeypatch):
+    # a definite matrix never pivots, so the elimination make_form kept is
+    # the fresh one; only a negative definite source is eliminated again
+    rng = random.Random(18)
+    bases = [IntMatrix.identity(n) for n in range(1, 9)] + [IntMatrix.from_rows(E8_CARTAN)]
+    forms = []
+    for base in bases:
+        for gram in (base, base.transform_by(random_unimodular(rng, base.rows, steps=2, cap=3))):
+            f = make_form(gram, SYMMETRIC)
+            assert f.tri == tuple(map(tuple, symmetric_elimination(gram.to_rows())))
+            assert solver._definite_elimination(f) == (1, f.tri)
+            negated = make_form(-gram, SYMMETRIC)
+            assert solver._definite_elimination(negated) == (-1, symmetric_elimination(gram.to_rows()))
+            forms.append((f, negated))
+    # f onto <a_00> is found by the definite column search (rank 1 would
+    # take the scaled identity instead)
+    minus_one = make_form(IntMatrix.identity(1).scaled(-1), SYMMETRIC)
+    calls = []
+
+    def counted(rows):
+        calls.append(len(rows))
+        return symmetric_elimination(rows)
+
+    monkeypatch.setattr(solver, "symmetric_elimination", counted)
+    monkeypatch.setattr(intform, "symmetric_elimination", counted)
+    for f, negated in forms[2:]:
+        assert congruence_solve(f, I1, f.matrix[0, 0]).is_yes
+        assert not calls
+        assert congruence_solve(negated, minus_one, f.matrix[0, 0]).is_yes
+        assert calls == [f.rank]
+        calls.clear()
 
 
 # ---------------------------------------------------------------------------
