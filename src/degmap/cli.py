@@ -289,8 +289,9 @@ _BUDGET_IGNORED = "ignored: no budgeted search here; accepted because bench/gen.
 def _add_flags(p: argparse.ArgumentParser, radius: bool = False, budget: str | None = None) -> None:
     """--json on every subcommand, --radius/--budget on those that search.
 
-    form-info, form-iso and selfmap read neither; they still accept
-    --budget because the benchmark's query lists (bench/gen.py) pass it.
+    form-iso reads --budget only, for its definite search.  form-info and
+    selfmap read neither; they still accept --budget because the
+    benchmark's query lists (bench/gen.py) pass it.
     """
     if radius:
         p.add_argument("--radius", type=int, default=8, help="max |entry| for indefinite searches")
@@ -320,7 +321,8 @@ def _cmd_form_info(args) -> int:
 
 
 def _cmd_form_iso(args) -> int:
-    return _emit_verdict(args, isomorphic(_load_form(args.f), _load_form(args.g)))
+    cfg = SearchConfig(node_budget=args.budget)
+    return _emit_verdict(args, isomorphic(_load_form(args.f), _load_form(args.g), cfg))
 
 
 def _cmd_solve(args) -> int:
@@ -418,7 +420,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("form-iso", help="decide isomorphism of two forms")
     p.add_argument("--f", required=True)
     p.add_argument("--g", required=True)
-    _add_flags(p, budget=_BUDGET_IGNORED)
+    _add_flags(p, budget=_BUDGET_READ)
     p.set_defaults(func=_cmd_form_iso)
 
     p = sub.add_parser("solve", help="find P with P.T A P = k B")

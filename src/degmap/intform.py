@@ -7,8 +7,9 @@ computes their invariants (rank, determinant, signature, parity) and
 symplectic bases with exact integer arithmetic only.  Entries are Python
 ints.  Determinant and signature of a symmetric form come from one
 fraction-free ``symmetric_elimination``, which the solver's definite
-enumeration shares; the form keeps its pivots, a rational diagonalisation
-that the solver's local (Hasse) filter reads.  Kernels, orthogonal splits
+enumeration shares; the form keeps that elimination, whose pivots are a
+rational diagonalisation that the solver's local (Hasse) filter reads.
+Determinants of plain matrices, kernels, orthogonal splits
 (``split_basis``), dual vectors, symplectic bases and unimodular inverses
 all come from one gcd column reduction, ``_column_reduce``.  It imports no
 degmap module but ``errors``; isomorphism is ``solver.isomorphic``.
@@ -20,8 +21,9 @@ degmap module but ``errors``; isomorphism is ``solver.isomorphic``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from itertools import chain
+from math import prod
 from operator import mul
 from typing import Iterable, Sequence
 
@@ -152,30 +154,13 @@ class IntMatrix:
         return self.rows == self.cols and self._entries == (-self.transpose())._entries
 
     def det(self) -> int:
-        """Exact determinant by fraction-free (Bareiss) elimination."""
+        """Exact determinant from ``_column_reduce``: self @ u == h with h
+        lower triangular (a zero diagonal entry when self is singular), so
+        det(self) = det(h) * det(u), det(u) = +-1."""
         if self.rows != self.cols:
             raise NotSquare(f"determinant of a {self.rows}x{self.cols} matrix")
-        n = self.rows
-        if n == 0:
-            return 1
-        a = self.to_rows()
-        sign = 1
-        prev = 1
-        for i in range(n - 1):
-            if a[i][i] == 0:
-                for r in range(i + 1, n):
-                    if a[r][i] != 0:
-                        a[i], a[r] = a[r], a[i]
-                        sign = -sign
-                        break
-                else:
-                    return 0
-            for r in range(i + 1, n):
-                for c in range(i + 1, n):
-                    a[r][c] = (a[r][c] * a[i][i] - a[r][i] * a[i][c]) // prev
-                a[r][i] = 0
-            prev = a[i][i]
-        return sign * a[n - 1][n - 1]
+        h, _, _, det_u = _column_reduce(self.to_rows(), self.rows)
+        return det_u * prod(row[i] for i, row in enumerate(h))
 
     def inverse_unimodular(self) -> "IntMatrix":
         """Exact inverse u @ h^-1 of a matrix with determinant +-1, where
@@ -184,7 +169,7 @@ class IntMatrix:
         if self.rows != self.cols:
             raise NotSquare(f"inverse of a {self.rows}x{self.cols} matrix")
         n = self.rows
-        h, u, _ = _column_reduce(self.to_rows(), n)
+        h, u, _, _ = _column_reduce(self.to_rows(), n)
         if any(h[i][i] not in (1, -1) for i in range(n)):
             raise NotUnimodular("matrix is not unimodular")
         hinv = []  # row i solves h[i][i] * hinv[i] = e_i - sum_{k<i} h[i][k] * hinv[k]
@@ -258,16 +243,15 @@ class IntersectionForm:
     """A unimodular (anti)symmetric pairing with its cached invariants.
 
     ``signature`` is the triple (n_plus, n_minus, n_zero) and ``parity`` is
-    'even' or 'odd'; both are None for antisymmetric forms.  ``pivots``
-    holds the pivots p_0, ..., p_{n-1} of the form's
-    ``symmetric_elimination``, so that the form is <p_{i-1} * p_i> over Q
-    (p_{-1} = 1) and the last pivot is the determinant; ``tri`` is that
-    whole eliminated matrix, as a tuple of rows.  Both are None for
-    antisymmetric forms and take no part in equality, hashing or repr.
+    'even' or 'odd'; both are None for antisymmetric forms.  ``tri`` is the
+    form's ``symmetric_elimination``, as a tuple of rows; ``pivots`` reads
+    its diagonal p_0, ..., p_{n-1}, so that the form is <p_{i-1} * p_i> over
+    Q (p_{-1} = 1) and the last pivot is the determinant.  Both are None
+    for antisymmetric forms and take no part in equality, hashing or repr.
     ``canonical`` keeps the result of ``canonical.canonical_basis``, which
     runs at most once per form object; it is ``NOT_COMPUTED`` until then,
-    is not an argument of the constructor and, like ``pivots``, takes no
-    part in equality, hashing or repr.
+    is not an argument of the constructor and, like ``tri``, takes no part
+    in equality, hashing or repr.
     """
 
     matrix: IntMatrix
@@ -275,14 +259,20 @@ class IntersectionForm:
     rank: int
     signature: tuple | None
     parity: str | None
-    pivots: tuple | None = field(compare=False, repr=False)
     tri: tuple | None = field(compare=False, repr=False)
+    # a keyword the constructor takes and drops, so that
+    # dataclasses.replace(form, pivots=...) still runs; the value is read off tri
+    pivots: InitVar[tuple | None] = None
     canonical: object = field(default=NOT_COMPUTED, init=False, compare=False, repr=False)
 
     @property
+    def pivots(self) -> tuple | None:
+        return None if self.tri is None else tuple([row[i] for i, row in enumerate(self.tri)])
+
+    @property
     def determinant(self) -> int:
-        # an antisymmetric unimodular form has det = Pfaffian^2 = 1
-        return self.pivots[-1] if self.pivots else 1
+        # the last pivot; an antisymmetric unimodular form has det = Pfaffian^2 = 1
+        return self.tri[-1][-1] if self.tri else 1
 
     def is_definite(self) -> bool:
         if self.symmetry != SYMMETRIC or self.rank == 0:
@@ -366,7 +356,7 @@ def make_form(matrix: IntMatrix, symmetry: str) -> IntersectionForm:
             raise NotUnimodular(f"determinant {det}")
         if rank % 2 != 0:
             raise NotUnimodular("antisymmetric unimodular forms have even rank")
-        return IntersectionForm(matrix, symmetry, rank, None, None, None, None)
+        return IntersectionForm(matrix, symmetry, rank, None, None, None)
     tri = symmetric_elimination(matrix.to_rows())
     pivots = (1,) + tuple(tri[i][i] for i in range(rank))
     if pivots[-1] not in (1, -1):
@@ -375,7 +365,7 @@ def make_form(matrix: IntMatrix, symmetry: str) -> IntersectionForm:
     neg = sum(1 for p, q in zip(pivots, pivots[1:]) if (p > 0) != (q > 0))
     sig = (rank - neg, neg, 0)
     par = PARITY_EVEN if all(matrix[i, i] % 2 == 0 for i in range(rank)) else PARITY_ODD
-    return IntersectionForm(matrix, symmetry, rank, sig, par, pivots[1:], tuple(map(tuple, tri)))
+    return IntersectionForm(matrix, symmetry, rank, sig, par, tuple(map(tuple, tri)))
 
 
 def infer_symmetry(matrix: IntMatrix) -> str:
@@ -433,14 +423,15 @@ def _xgcd(a: int, b: int) -> tuple:
 
 
 def _column_reduce(rows: list, m: int) -> tuple:
-    """(h, u, rank) with rows @ u == h, u unimodular and h in column-echelon form.
+    """(h, u, rank, det u) with rows @ u == h, u unimodular and h in column-echelon form.
 
     ``rows`` lists the rows of a matrix with m columns.  Taken top down, a
     row that is nonzero beyond the t columns already pivoted gets pivot
     column t (the gcd of those entries) and zeros right of it.  So h is
-    lower triangular for a nonsingular square matrix, and the last m - rank
-    columns of u are a basis of the integer kernel (Cohen, A Course in
-    Computational Algebraic Number Theory, 2.4).
+    lower triangular for a square matrix, and the last m - rank columns of
+    u are a basis of the integer kernel (Cohen, A Course in Computational
+    Algebraic Number Theory, 2.4).  Each gcd combination has determinant 1
+    and each column swap -1, which gives det u.
     """
     h = [list(r) for r in rows]
     u = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
@@ -453,6 +444,7 @@ def _column_reduce(rows: list, m: int) -> tuple:
             r[j0], r[j1] = a * r[j0] + b * r[j1], c * r[j0] + d * r[j1]
 
     done = 0
+    det_u = 1
     for row in h:
         piv = next((j for j in range(done, m) if row[j] != 0), None)
         if piv is None:
@@ -464,8 +456,9 @@ def _column_reduce(rows: list, m: int) -> tuple:
                 col_combine(piv, j, x, y, -q, p)
         if piv != done:
             col_combine(done, piv, 0, 1, 1, 0)
+            det_u = -det_u
         done += 1
-    return h, u, done
+    return h, u, done, det_u
 
 
 def integer_kernel(mat: IntMatrix) -> list:
@@ -475,14 +468,14 @@ def integer_kernel(mat: IntMatrix) -> list:
     full (saturated) kernel lattice.
     """
     m = mat.cols
-    _, u, rank = _column_reduce(mat.to_rows(), m)
+    _, u, rank, _ = _column_reduce(mat.to_rows(), m)
     return [tuple(u[i][j] for i in range(m)) for j in range(rank, m)]
 
 
 def dual_vector(row: Sequence[int]) -> list | None:
     """An integer w with row . w == 1 (column 0 of ``_column_reduce``'s u,
     up to sign), or None when the entries of row have a common factor."""
-    h, u, _ = _column_reduce([list(row)], len(row))
+    h, u, _, _ = _column_reduce([list(row)], len(row))
     if h[0][0] not in (1, -1):
         return None
     return [h[0][0] * r[0] for r in u]

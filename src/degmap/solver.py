@@ -13,8 +13,9 @@ An optional predicate ``accept(col, x)`` restricts the search, and so the
 verdict, to witnesses whose every column passes it, x always in A's own
 coordinates; the manifold layer passes the per-column homotopy condition.
 
-``isomorphic`` decides isomorphism of forms, the equal-rank, k = 1 case;
-it answers Unknown only when the node budget stops a definite search.
+``isomorphic`` decides isomorphism of forms, the equal-rank, k = 1 case,
+by ``congruence_solve`` past its own invariant checks; it answers Unknown
+only when the node budget stops a definite search.
 
 Columns of P are chosen one at a time.  When A (or -A) is positive
 definite, of rank at most ``DEFINITE_CAP``, the candidate vectors for each
@@ -72,13 +73,16 @@ construction, built from explicit pieces as the paper builds its maps:
 
   Negative k uses the sign swap of B.  When no placement fits, nothing is
   built;
-* scaled isometry, for every other symmetric A: for k = m^2 and
-  U.T A U == B, (m U).T A (m U) == k B.  U is the identity when A and B
-  have the same matrix, for every m >= 1; else, for m >= 2, the first
-  witness of the complete k = 1 search for a definite A of rank at most
-  ``DEFINITE_CAP`` with B's signature and parity, charged to the query's
-  node budget and run only when A and B have as many vectors of norm +-1
-  (which, with rank and parity, classifies them up to rank 12).
+* scaled isometry, for every other A of B's rank, signature and parity:
+  for k = m^2, m >= 1, and U.T A U == B, (m U).T A (m U) == k B.
+  ``_isometry`` gives U: the identity when A and B have the same matrix,
+  U_A U_B^-1 from the two symplectic bases when they are antisymmetric,
+  and for a definite A of rank at most ``DEFINITE_CAP`` the first witness
+  of the complete k = 1 search, charged to the query's node budget and
+  run only when A and B have as many vectors of norm +-1 (which, with
+  rank and parity, classifies them up to rank 12).  That search runs onto
+  the form whose largest diagonal entry is smaller in absolute value and
+  inverts its witness when that form is A.
 
 The built witness is yielded first when every column passes ``accept``,
 and the column search follows unchanged, so the step can only add a
@@ -124,7 +128,12 @@ The filters are each complete arguments, never heuristics:
   even with m even, l = m and sigma_A != 0, or with m odd, l = m - 1 and
   sigma_A in {3, 5}.  An antisymmetric A and k = 0 mod 4 never obstruct.
   Run after the Hasse filter, it still adds integral 2-adic obstructions
-  that no rational test sees, such as x^2 - y^2 = 2.
+  that no rational test sees, such as x^2 - y^2 = 2;
+* theta (last): at |k| = 1 between definite forms of equal rank, P is
+  unimodular and so matches the vectors of norm +-1 of B one to one with
+  those of A.  A and B must have as many; I9 and E8 + I1 (18 against 2)
+  do not.  They are counted up to rank ``DEFINITE_CAP``, and only for odd
+  forms, as even forms have none.
 """
 
 from __future__ import annotations
@@ -398,7 +407,8 @@ def _hasse_invariant(diag: Sequence[int], p: int) -> int:
 
 
 def _rational_diagonal(form: IntersectionForm) -> list:
-    return [p * q for p, q in zip((1,) + form.pivots, form.pivots)]
+    pivots = form.pivots
+    return [p * q for p, q in zip((1,) + pivots, pivots)]
 
 
 def _hasse_obstructed(a: IntersectionForm, b: IntersectionForm, k: int) -> bool:
@@ -444,6 +454,11 @@ def _prefilter(a: IntersectionForm, b: IntersectionForm, k: int) -> Verdict | No
         return Verdict.no(REASON_HASSE)
     if _modq_unsolvable(a, b, k):
         return Verdict.no(REASON_MOD4)
+    # a solution at |k| = 1 and equal rank is unimodular, so x -> P x maps
+    # the vectors of norm +-1 of B one to one onto those of A
+    unimodular = abs(k) == 1 and a.rank == b.rank
+    if unimodular and _enumerates_completely(a) and _unit_vectors_differ(a, b):
+        return Verdict.no(REASON_THETA)
     return None
 
 
@@ -732,6 +747,46 @@ def _unit_vector_count(f: IntersectionForm) -> int:
     return len(_definite_solutions(_definite_elimination(f)[1], 1))
 
 
+def _unit_vectors_differ(f: IntersectionForm, g: IntersectionForm) -> bool:
+    """Whether definite forms of one parity have different numbers of vectors
+    of norm +-1; even forms have none, so they are never counted."""
+    return f.parity != PARITY_EVEN and _unit_vector_count(f) != _unit_vector_count(g)
+
+
+def _largest_diagonal(f: IntersectionForm) -> int:
+    return max(abs(f.matrix[i, i]) for i in range(f.rank))
+
+
+def _isometry(
+    f: IntersectionForm, g: IntersectionForm, cfg: SearchConfig, budget: _Budget
+) -> IntMatrix | None:
+    """U with U.T F U == G for forms of equal rank, signature and parity, or None.
+
+    U is the identity for equal matrices, and U_f U_g^-1 from the two
+    ``symplectic_basis_transform`` results for antisymmetric forms.  For
+    definite forms of rank at most ``DEFINITE_CAP`` it is the first witness
+    of the complete k = 1 search, charged to ``budget``.  The search runs
+    onto the form whose largest diagonal entry is smaller in absolute value,
+    as its columns are vectors of those norms; run from G onto F, its
+    witness Q gives U = Q^-1.  It runs only when F and G have as many
+    vectors of norm +-1: up to rank 12 that count, with rank and parity,
+    tells I_n, E8 + I_(n-8) and D12+ apart (Conway-Sloane, SPLAG ch. 16), so
+    it runs only on isomorphic pairs and ends in an isometry.  None for
+    every other pair.
+    """
+    if f.matrix == g.matrix:
+        return IntMatrix.identity(f.rank)
+    if f.symmetry == ANTISYMMETRIC:
+        u_g = symplectic_basis_transform(g.matrix)
+        return symplectic_basis_transform(f.matrix) @ u_g.inverse_unimodular()
+    if not _enumerates_completely(f) or _unit_vectors_differ(f, g):
+        return None
+    if _largest_diagonal(g) <= _largest_diagonal(f):
+        return next(_column_search(f, g, 1, cfg, budget, None, None), None)
+    q = next(_column_search(g, f, 1, cfg, budget, None, None), None)
+    return None if q is None else q.inverse_unimodular()
+
+
 def _scaled_isometry(
     a: IntersectionForm,
     b: IntersectionForm,
@@ -739,31 +794,15 @@ def _scaled_isometry(
     cfg: SearchConfig,
     budget: _Budget,
 ) -> IntMatrix | None:
-    """m U with U.T A U == B, a witness in degree k = m^2, or None.
+    """m U with U from ``_isometry``, a witness in degree k = m^2, or None.
 
-    U is the identity when A and B have the same matrix, for every m >= 1.
-    Otherwise, for m >= 2, U is the first witness of the complete k = 1
-    search, charged to ``budget``, when A is definite of rank at most
-    ``DEFINITE_CAP`` and has the signature, parity and number of vectors of
-    norm +-1 of B.  None when k is no such square, A is antisymmetric or of
-    another rank than B, or no U is at hand.
+    None when k is no such square, A and B differ in rank, signature or
+    parity, or ``_isometry`` has no U.
     """
     m = isqrt(k) if k > 0 else 0
-    if m * m != k or a.symmetry != SYMMETRIC or a.rank != b.rank:
+    if m * m != k or (a.rank, a.signature, a.parity) != (b.rank, b.signature, b.parity):
         return None
-    if a.matrix == b.matrix:
-        return IntMatrix.identity(a.rank).scaled(m)
-    if m < 2 or a.signature != b.signature or a.parity != b.parity:
-        return None
-    if not _enumerates_completely(a):
-        return None
-    # an isometry keeps the vectors of norm +-1; up to rank 12 their
-    # number, with rank and parity, tells I_n, E8 + I_(n-8) and D12+
-    # apart (Conway-Sloane, SPLAG ch. 16), so the k = 1 search below
-    # runs only on isomorphic pairs and ends in an isometry
-    if _unit_vector_count(a) != _unit_vector_count(b):
-        return None
-    u = next(_column_search(a, b, 1, cfg, budget, None, None), None)
+    u = _isometry(a, b, cfg, budget)
     return None if u is None else u.scaled(m)
 
 
@@ -883,21 +922,22 @@ def congruence_solve(
     return Verdict("unknown", radius=cfg.radius)
 
 
-def isomorphic(f: IntersectionForm, g: IntersectionForm) -> Verdict:
+def isomorphic(
+    f: IntersectionForm, g: IntersectionForm, cfg: SearchConfig | None = None
+) -> Verdict:
     """Decide whether two unimodular forms are isomorphic over the integers.
 
     Invariant mismatches (symmetry, rank, parity, signature, in that order)
-    give No.  Antisymmetric forms get a symplectic-basis witness.  Indefinite
+    give No.  Every other pair is the equal-rank, k = 1 case of the
+    congruence, ``congruence_solve(f, g, 1, cfg)``: definite forms with
+    different numbers of vectors of norm +-1 get the ThetaFilter No, and
+    ``_isometry`` builds the witness of the rest.  Definite forms of rank
+    above ``DEFINITE_CAP`` with different matrices raise CapExceeded, and
+    only the node budget can leave a definite pair Unknown.  Indefinite
     symmetric forms are classified by their invariants, so Yes is settled;
-    its witness is U_f U_g^-1 from the two ``canonical_basis`` results, or,
-    for forms that ``canonical_basis`` does not cover (E8 blocks), whatever
-    a radius-2 search finds, possibly nothing.  Definite forms with
-    different numbers of vectors of norm +-1 get a ThetaFilter No; the rest
-    take the complete enumeration, up to rank ``DEFINITE_CAP`` (else
-    CapExceeded), which only the default node budget can leave Unknown.
-    It runs onto the form whose largest diagonal entry is smaller in
-    absolute value, as its columns are vectors of those norms; run from g
-    onto f, its witness Q gives the answer Q^-1.
+    its witness is whatever a search at radius 2 and 200 000 nodes finds,
+    U_f U_g^-1 from the fixed blocks where ``canonical_basis`` covers both
+    forms, possibly nothing where it does not (E8 blocks).
     """
     if f.symmetry != g.symmetry:
         return Verdict.no(REASON_SYMMETRY)
@@ -908,33 +948,9 @@ def isomorphic(f: IntersectionForm, g: IntersectionForm) -> Verdict:
             return Verdict.no(REASON_PARITY)
         if f.signature != g.signature:
             return Verdict.no(REASON_SIGNATURE)
-    if f.matrix == g.matrix:
-        return Verdict.yes_checked(f, g, 1, IntMatrix.identity(f.rank))
-    if f.symmetry == ANTISYMMETRIC:
-        uf = symplectic_basis_transform(f.matrix)
-        ug = symplectic_basis_transform(g.matrix)
-        return Verdict.yes_checked(f, g, 1, uf @ ug.inverse_unimodular())
-    if not f.is_definite():
-        uf, ug = canonical_basis(f), canonical_basis(g)
-        if uf is not None and ug is not None:
-            # equal invariants give both the same canonical matrix
-            verdict = Verdict.yes_checked(f, g, 1, uf @ ug.inverse_unimodular())
-            assert verdict.witness is not None, "a covered Yes carries a witness"
-            return verdict
-        probe = congruence_solve(f, g, 1, SearchConfig(radius=2, node_budget=200_000))
-        return Verdict("yes", witness=probe.witness if probe.is_yes else None)
-    if not _enumerates_completely(f):
-        raise CapExceeded(f"complete definite enumeration is capped at rank {DEFINITE_CAP}")
-    if _unit_vector_count(f) != _unit_vector_count(g):
-        return Verdict.no(REASON_THETA)
-    # complete, so only the node budget can leave it Unknown
-    if _largest_diagonal(g) <= _largest_diagonal(f):
-        return congruence_solve(f, g, 1)
-    verdict = congruence_solve(g, f, 1)
-    if not verdict.is_yes:
-        return verdict
-    return Verdict.yes_checked(f, g, 1, verdict.witness.inverse_unimodular())
-
-
-def _largest_diagonal(f: IntersectionForm) -> int:
-    return max(abs(f.matrix[i, i]) for i in range(f.rank))
+        if not f.is_definite():
+            probe = congruence_solve(f, g, 1, SearchConfig(radius=2, node_budget=200_000))
+            return Verdict("yes", witness=probe.witness)
+        if f.rank > DEFINITE_CAP and f.matrix != g.matrix:
+            raise CapExceeded(f"complete definite enumeration is capped at rank {DEFINITE_CAP}")
+    return congruence_solve(f, g, 1, cfg)

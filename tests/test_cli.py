@@ -493,6 +493,15 @@ def test_form_iso_separates_i9_from_e8_plus_i1_by_unit_vectors(capsys):
     assert json.loads(raw) == {"verdict": "no", "reason": "ThetaFilter"}
 
 
+def test_form_iso_reads_the_budget(capsys):
+    # the definite search runs under --budget: one node cannot place the
+    # nine columns of an isometry
+    code, raw, _ = run(capsys, "form-iso", "--f", f"@{FIXTURES}/I9.mat",
+                       "--g", f"@{FIXTURES}/I9-scrambled.mat", "--budget", "1", "--json")
+    assert code == 2
+    assert json.loads(raw) == {"verdict": "unknown", "budget_exhausted": True}
+
+
 def test_form_iso_finds_i9_in_its_scramble(capsys):
     # the fixture is I9 in the basis random_unimodular(Random(16), 9), whose
     # diagonal reaches 33; the search runs onto I9 and inverts its witness

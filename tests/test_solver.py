@@ -5,6 +5,7 @@ import io
 import itertools
 import math
 import random
+import time
 from pathlib import Path
 
 import numpy as np
@@ -34,7 +35,10 @@ from degmap.intform import (
     IntMatrix,
     block_diagonal,
     make_form,
+    parse_matrix_text,
+    standard_symplectic_matrix,
     symmetric_elimination,
+    symplectic_basis_transform,
     transform_form,
 )
 from degmap.solver import (
@@ -42,6 +46,7 @@ from degmap.solver import (
     SearchConfig,
     Verdict,
     congruence_solve,
+    isomorphic,
     verify_witness,
 )
 from degmap.solver import (
@@ -737,6 +742,116 @@ def test_scaled_isometry_keeps_every_no():
         assert new.kind == old.kind and new.reason == old.reason, case
     assert kinds["no", "no"] >= 100 and kinds["yes", "yes"] >= 50
     assert kinds["unknown", "yes"] > 0
+
+
+# ---------------------------------------------------------------------------
+# isomorphism as the degree-1 congruence, through one isometry routine
+# ---------------------------------------------------------------------------
+
+
+def _e8_plus_identity(n):
+    return make_form(block_diagonal(E8.matrix, IntMatrix.identity(n - 8)), SYMMETRIC)
+
+
+def _fixture_form(name):
+    return make_form(parse_matrix_text((FIXTURES / name).read_text()), SYMMETRIC)
+
+
+@pytest.mark.parametrize("n", [9, 10, 11, 12])
+def test_theta_filter_separates_i_n_from_e8_plus_i_in_degree_one(n):
+    # 2n vectors of norm 1 against 2(n - 8): a complete No before any
+    # enumeration, where the k = 1 search between them ran out its budget
+    i_n = make_form(IntMatrix.identity(n), SYMMETRIC)
+    e8_i = _e8_plus_identity(n)
+    for a, b in ((i_n, e8_i), (e8_i, i_n)):
+        for b_signed, k in ((b, 1), (make_form(-b.matrix, SYMMETRIC), -1)):
+            start = time.perf_counter()
+            v = congruence_solve(a, b_signed, k)
+            assert time.perf_counter() - start < 0.1
+            assert v.is_no and v.reason == solver.REASON_THETA, (n, k)
+
+
+def test_theta_filter_never_denies_a_change_of_basis():
+    # a change of basis keeps the vectors of norm +-1, so two scrambles of
+    # one base pass every filter in degree +-1
+    rng = random.Random(1901)
+    bases = [make_form(IntMatrix.identity(n), SYMMETRIC) for n in (1, 4, 9, 12)]
+    bases += [E8, _e8_plus_identity(9), _e8_plus_identity(12)]
+    for base in bases:
+        for _ in range(3):
+            f, g = (transform_form(base, random_unimodular(rng, base.rank, steps=2))
+                    for _ in range(2))
+            assert solver._prefilter(f, g, 1) is None, (f.matrix, g.matrix)
+            assert solver._prefilter(f, make_form(-g.matrix, SYMMETRIC), -1) is None
+
+
+def test_definite_isometries_onto_scrambled_targets_are_found_at_once():
+    # the k = 1 search runs onto the form with the smaller diagonal and
+    # inverts its witness; run onto the scrambled target, these ended
+    # Unknown after seconds or did not end within a minute
+    cfg = SearchConfig(node_budget=200_000)
+    i9, i9s = _fixture_form("I9.mat"), _fixture_form("I9-scrambled.mat")
+    e8_i4 = _e8_plus_identity(12)
+    cases = [(i9, i9s, 1), (i9, i9s, 4)]
+    cases += [
+        (e8_i4, transform_form(e8_i4, random_unimodular(random.Random(s), 12, steps=2)), 4)
+        for s in range(6)
+    ]
+    for a, b, k in cases:
+        start = time.perf_counter()
+        v = congruence_solve(a, b, k, cfg)
+        assert time.perf_counter() - start < 1, (b.matrix, k)
+        assert v.is_yes
+        verify_witness(a, b, k, v.witness)
+
+
+def test_symplectic_square_degrees_are_the_scaled_isometry(monkeypatch):
+    # m U_f U_g^-1 from the two symplectic bases, without a box search
+    calls = _count_calls(monkeypatch, "_box_candidates")
+    rng = random.Random(1902)
+    for genus in (1, 2, 3):
+        f = make_form(standard_symplectic_matrix(genus), ANTISYMMETRIC)
+        for _ in range(3):
+            g = random_antisymmetric_form(rng, genus)
+            u_g = symplectic_basis_transform(g.matrix)
+            u = symplectic_basis_transform(f.matrix) @ u_g.inverse_unimodular()
+            if f.matrix == g.matrix:
+                u = IntMatrix.identity(f.rank)
+            for m in (1, 2, 3):
+                v = congruence_solve(f, g, m * m)
+                assert v.is_yes and v.witness == u.scaled(m), (g.matrix, m)
+    assert calls == []
+
+
+def test_isomorphic_is_the_degree_one_congruence():
+    # past the invariant checks, isomorphic answers what congruence_solve
+    # answers at k = 1: the same kind, reason and witness
+    rng = random.Random(1903)
+    pairs = []
+    for base in (I2, make_form(IntMatrix.diagonal([-1] * 5), SYMMETRIC)):
+        for _ in range(3):
+            pairs.append(tuple(
+                transform_form(base, random_unimodular(rng, base.rank, steps=1)) for _ in range(2)
+            ))
+    # one side scrambled, in both orders: two scrambles of E8 can need the
+    # E8 vectors of norm 18 and more, which the default budget does not cover
+    for base in (E8, _e8_plus_identity(9)):
+        for _ in range(2):
+            scrambled = transform_form(base, random_unimodular(rng, base.rank, steps=1))
+            pairs += [(base, scrambled), (scrambled, base)]
+    pairs.append((_fixture_form("I9.mat"), _fixture_form("E8I1.mat")))
+    pairs.append((E8, E8))
+    pairs += [
+        (random_antisymmetric_form(rng, genus), random_antisymmetric_form(rng, genus))
+        for genus in (1, 2, 3) for _ in range(2)
+    ]
+    kinds = collections.Counter()
+    for f, g in pairs:
+        iso, solved = isomorphic(f, g), congruence_solve(f, g, 1)
+        assert (iso.kind, iso.reason, iso.witness) == (
+            solved.kind, solved.reason, solved.witness), (f.matrix, g.matrix)
+        kinds[iso.kind] += 1
+    assert kinds == {"yes": len(pairs) - 1, "no": 1}
 
 
 # ---------------------------------------------------------------------------
