@@ -21,7 +21,7 @@ degmap module but ``errors``; isomorphism is ``solver.isomorphic``.
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 from itertools import chain
 from math import prod
 from operator import mul
@@ -248,10 +248,12 @@ class IntersectionForm:
     its diagonal p_0, ..., p_{n-1}, so that the form is <p_{i-1} * p_i> over
     Q (p_{-1} = 1) and the last pivot is the determinant.  Both are None
     for antisymmetric forms and take no part in equality, hashing or repr.
-    ``canonical`` keeps the result of ``canonical.canonical_basis``, which
-    runs at most once per form object; it is ``NOT_COMPUTED`` until then,
-    is not an argument of the constructor and, like ``tri``, takes no part
-    in equality, hashing or repr.
+    ``canonical`` keeps the result of ``canonical.canonical_basis`` and
+    ``unit_vectors`` the number of vectors of norm +-1 of a definite form,
+    from ``solver._unit_vector_count``; each is computed at most once per
+    form object, is ``NOT_COMPUTED`` until then, is not an argument of the
+    constructor and, like ``tri``, takes no part in equality, hashing or
+    repr.
     """
 
     matrix: IntMatrix
@@ -260,10 +262,8 @@ class IntersectionForm:
     signature: tuple | None
     parity: str | None
     tri: tuple | None = field(compare=False, repr=False)
-    # a keyword the constructor takes and drops, so that
-    # dataclasses.replace(form, pivots=...) still runs; the value is read off tri
-    pivots: InitVar[tuple | None] = None
     canonical: object = field(default=NOT_COMPUTED, init=False, compare=False, repr=False)
+    unit_vectors: object = field(default=NOT_COMPUTED, init=False, compare=False, repr=False)
 
     @property
     def pivots(self) -> tuple | None:

@@ -82,7 +82,8 @@ construction, built from explicit pieces as the paper builds its maps:
   run only when A and B have as many vectors of norm +-1 (which, with
   rank and parity, classifies them up to rank 12).  That search runs onto
   the form whose largest diagonal entry is smaller in absolute value and
-  inverts its witness when that form is A.
+  inverts its witness when that form is A.  It is left out at k = 1 under
+  ``accept``, where the column search below covers it with pruning.
 
 The built witness is yielded first when every column passes ``accept``,
 and the column search follows unchanged, so the step can only add a
@@ -147,6 +148,7 @@ from .canonical import block_witness, canonical_basis, canonical_matrix, level_c
 from .errors import CapExceeded, ShapeMismatch, SymmetryMismatch, WitnessRejected, ZeroK
 from .intform import (
     ANTISYMMETRIC,
+    NOT_COMPUTED,
     PARITY_EVEN,
     SYMMETRIC,
     IntersectionForm,
@@ -706,14 +708,17 @@ def _witness_stream(
     A witness built without enumeration comes first, when there is one and
     every column passes ``accept``: ``_block_witness`` when A has a
     canonical basis, ``_scaled_isometry`` otherwise.  The column search
-    follows, unchanged, and may yield the same witness again.
+    follows, unchanged, and may yield the same witness again.  At k = 1
+    under ``accept`` the definite isometry search is left out: it would be
+    that column search, or its reverse, without the pruning, charged to
+    the same budget.
     """
     budget = _Budget(cfg.node_budget)
     basis = None if _enumerates_completely(a) else canonical_basis(a, budget)
     if basis is not None:
         built = _block_witness(a, b, k, budget, basis)
     else:
-        built = _scaled_isometry(a, b, k, cfg, budget)
+        built = _scaled_isometry(a, b, k, cfg, budget, k != 1 or accept is None)
     if built is not None and (
         accept is None or all(accept(j, built.column(j)) for j in range(b.rank))
     ):
@@ -743,8 +748,15 @@ def _block_witness(
 
 
 def _unit_vector_count(f: IntersectionForm) -> int:
-    """The number of vectors of norm +-1 of a definite form."""
-    return len(_definite_solutions(_definite_elimination(f)[1], 1))
+    """The number of vectors of norm +-1 of a definite form.
+
+    Counted at most once per form object and kept on ``f.unit_vectors``,
+    so ``_prefilter`` and ``_isometry`` share one enumeration per form.
+    """
+    if f.unit_vectors is NOT_COMPUTED:
+        count = len(_definite_solutions(_definite_elimination(f)[1], 1))
+        object.__setattr__(f, "unit_vectors", count)
+    return f.unit_vectors
 
 
 def _unit_vectors_differ(f: IntersectionForm, g: IntersectionForm) -> bool:
@@ -758,7 +770,11 @@ def _largest_diagonal(f: IntersectionForm) -> int:
 
 
 def _isometry(
-    f: IntersectionForm, g: IntersectionForm, cfg: SearchConfig, budget: _Budget
+    f: IntersectionForm,
+    g: IntersectionForm,
+    cfg: SearchConfig,
+    budget: _Budget,
+    search: bool = True,
 ) -> IntMatrix | None:
     """U with U.T F U == G for forms of equal rank, signature and parity, or None.
 
@@ -771,15 +787,15 @@ def _isometry(
     witness Q gives U = Q^-1.  It runs only when F and G have as many
     vectors of norm +-1: up to rank 12 that count, with rank and parity,
     tells I_n, E8 + I_(n-8) and D12+ apart (Conway-Sloane, SPLAG ch. 16), so
-    it runs only on isomorphic pairs and ends in an isometry.  None for
-    every other pair.
+    it runs only on isomorphic pairs and ends in an isometry.  Without
+    ``search`` it does not run.  None for every other pair.
     """
     if f.matrix == g.matrix:
         return IntMatrix.identity(f.rank)
     if f.symmetry == ANTISYMMETRIC:
         u_g = symplectic_basis_transform(g.matrix)
         return symplectic_basis_transform(f.matrix) @ u_g.inverse_unimodular()
-    if not _enumerates_completely(f) or _unit_vectors_differ(f, g):
+    if not search or not _enumerates_completely(f) or _unit_vectors_differ(f, g):
         return None
     if _largest_diagonal(g) <= _largest_diagonal(f):
         return next(_column_search(f, g, 1, cfg, budget, None, None), None)
@@ -793,16 +809,17 @@ def _scaled_isometry(
     k: int,
     cfg: SearchConfig,
     budget: _Budget,
+    search: bool = True,
 ) -> IntMatrix | None:
     """m U with U from ``_isometry``, a witness in degree k = m^2, or None.
 
     None when k is no such square, A and B differ in rank, signature or
-    parity, or ``_isometry`` has no U.
+    parity, or ``_isometry`` has no U; ``search`` is passed on to it.
     """
     m = isqrt(k) if k > 0 else 0
     if m * m != k or (a.rank, a.signature, a.parity) != (b.rank, b.signature, b.parity):
         return None
-    u = _isometry(a, b, cfg, budget)
+    u = _isometry(a, b, cfg, budget, search)
     return None if u is None else u.scaled(m)
 
 

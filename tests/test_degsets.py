@@ -35,7 +35,7 @@ from degmap.homotopy import (
 from degmap.intform import IntMatrix, SYMMETRIC, make_form
 from degmap.solver import REASON_EXHAUSTIVE, SearchConfig, Verdict, isomorphic
 
-from conftest import random_unimodular
+from conftest import E8_CARTAN, random_unimodular
 
 
 CFG = SearchConfig()
@@ -492,6 +492,20 @@ def test_degree_set_matches_the_pushed_column_search_on_hc8_pairs(order):
     assert reports[0].no_set == {-2, -1, 1, 2}
     assert {reports[0].answer_for(k).reason for k in (1, 2)} == {REASON_HOMOTOPY}
     assert 1 in reports[1].yes_set and reports[2].yes_set
+
+
+def test_homotopy_regime_degree_one_between_scrambles_keeps_the_pruned_budget():
+    # two scrambles of E8, the target's torsion out of the source's reach:
+    # the pruned column search rejects the 240 vectors of norm 2 for the
+    # first column and ends in a HomotopyObstruction within 240 nodes; an
+    # unpruned k = 1 isometry search ahead of it spent 878 in all
+    rng = random.Random(1)
+    model = pi_model(4, [3], [0])
+    e8 = IntMatrix.from_rows(E8_CARTAN)
+    f, g = (e8.transform_by(random_unimodular(rng, 8, steps=1)) for _ in range(2))
+    source, target = _hc8(f, model, [[0]] * 8), _hc8(g, model, [[1]] * 8)
+    ans = degree_realizable(source, target, 1, SearchConfig(node_budget=500))
+    assert ans.kind == "no" and ans.reason == REASON_HOMOTOPY
 
 
 def test_budget_stopped_degree_set_row_names_the_budget():
