@@ -1,13 +1,15 @@
-"""Canonical coordinates of indefinite symmetric forms.
+"""Canonical coordinates of indefinite symmetric forms, and of +-I_n as given.
 
 Every odd indefinite unimodular form is isomorphic to I(p, q) =
 diag(1, ..., 1, -1, ..., -1), and every even one to H^a + E8(+-1)^b (Serre,
 *A Course in Arithmetic*, ch. V; Milnor-Husemoller, ch. II).
 ``canonical_basis`` finds the change of basis for the odd forms and for the
-even forms of signature 0, and ``level_candidates`` enumerates the vectors
-of a given norm in those coordinates norm level by norm level, which is how
-the solver's box search runs on such a source; ``block_witness`` builds
-witnesses between canonical matrices from fixed blocks, without any search.
+even forms of signature 0, and recognises the definite I(n, 0) and I(0, n)
+when their matrix is already diagonal.  ``level_candidates`` enumerates the
+vectors of a given norm in indefinite canonical coordinates norm level by
+norm level, which is how the solver's box search runs on such a source;
+``block_witness`` builds witnesses between canonical matrices from fixed
+blocks, without any search.
 E8 blocks are not handled: such forms get no canonical basis.  It imports
 no degmap module but ``intform``.
 
@@ -67,7 +69,9 @@ def canonical_basis(f: IntersectionForm, budget=None) -> IntMatrix | None:
     Covered are the indefinite symmetric forms that are odd, whose canonical
     matrix is I(p, q), and the even ones of signature 0, with canonical
     matrix H^a (Serre, *A Course in Arithmetic*, ch. V; Milnor-Husemoller,
-    ch. II).  A canonical input gets the identity after an O(n^2) check.
+    ch. II).  A canonical input gets the identity after an O(n^2) check;
+    this one check also covers the definite I(n, 0) and I(0, n), and every
+    other definite form gets None, as definite forms are not split.
     Otherwise the form is split: its Gram matrix is size-reduced
     (``_size_reduce``), then, while the unsplit part is odd, a line of norm
     +-1 is split off (of a sign that leaves the part indefinite), else a
@@ -91,7 +95,7 @@ def canonical_basis(f: IntersectionForm, budget=None) -> IntMatrix | None:
 
 
 def _canonical_basis(f: IntersectionForm, budget) -> IntMatrix | None:
-    if f.symmetry != SYMMETRIC or not f.rank or f.is_definite():
+    if f.symmetry != SYMMETRIC or not f.rank:
         return None
     pos, neg, _ = f.signature
     if f.parity == PARITY_EVEN and pos != neg:
@@ -99,6 +103,8 @@ def _canonical_basis(f: IntersectionForm, budget) -> IntMatrix | None:
     target = canonical_matrix(pos, neg, f.parity)
     if f.matrix == target:
         return IntMatrix.identity(f.rank)
+    if f.is_definite():
+        return None
     lines = []  # (column in f's coordinates, its norm)
     planes = []  # (x, y) with x.x = y.y = 0 and x.y = 1
     # columns spanning the unsplit part, in f's coordinates, and their Gram matrix

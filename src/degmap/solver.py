@@ -53,9 +53,11 @@ construction, built from explicit pieces as the paper builds its maps:
 * fixed blocks, for an A that ``canonical_basis`` covers: P' with
   P'.T C_A P' == k C_B from ``canonical.block_witness``, where C_A = U_A.T
   A U_A and C_B = U_B.T B U_B are I(p, q) or H^a, and P = U_A P' U_B^-1.
-  U_B is the identity when B's matrix is canonical already (every definite
-  diagonal target), else B's ``canonical_basis``.  The blocks, placed
-  greedily into disjoint rows of C_A, are:
+  U_A and U_B are the identity where A's and B's matrices are canonical
+  already, which is how definite sources +-I_n and every definite
+  diagonal target take part; else they are the ``canonical_basis`` of an
+  indefinite form.  The blocks, placed greedily into disjoint rows of
+  C_A, are:
 
   ==========================  ===============  ================================
   piece of k C_B              rows of C_A      columns of P'
@@ -72,9 +74,11 @@ construction, built from explicit pieces as the paper builds its maps:
   ==========================  ===============  ================================
 
   Negative k uses the sign swap of B.  When no placement fits, nothing is
-  built;
-* scaled isometry, for every other A of B's rank, signature and parity:
-  for k = m^2, m >= 1, and U.T A U == B, (m U).T A (m U) == k B.
+  built by blocks, and the scaled isometry below is tried instead;
+* scaled isometry, for an A with no canonical basis or no fitting block,
+  of B's rank, signature and parity: for k = m^2, m >= 1, and U.T A U ==
+  B, (m U).T A (m U) == k B.  It answers I_n onto a scrambled I_n, which
+  has no U_B.
   ``_isometry`` gives U: the identity when A and B have the same matrix,
   U_A U_B^-1 from the two symplectic bases when they are antisymmetric,
   and for a definite A of rank at most ``DEFINITE_CAP`` the first witness
@@ -707,23 +711,25 @@ def _witness_stream(
 
     A witness built without enumeration comes first, when there is one and
     every column passes ``accept``: ``_block_witness`` when A has a
-    canonical basis, ``_scaled_isometry`` otherwise.  The column search
-    follows, unchanged, and may yield the same witness again.  At k = 1
-    under ``accept`` the definite isometry search is left out: it would be
-    that column search, or its reverse, without the pruning, charged to
-    the same budget.
+    canonical basis (an indefinite A that ``canonical_basis`` splits, or a
+    definite A whose matrix is I(n, 0) or I(0, n)), and ``_scaled_isometry``
+    when A has none or no block fits.  The column search follows,
+    unchanged, and may yield the same witness again; a definite A is
+    searched in its own coordinates, so the search stays complete.  At
+    k = 1 under ``accept`` the definite isometry search is left out: it
+    would be that column search, or its reverse, without the pruning,
+    charged to the same budget.
     """
     budget = _Budget(cfg.node_budget)
-    basis = None if _enumerates_completely(a) else canonical_basis(a, budget)
-    if basis is not None:
-        built = _block_witness(a, b, k, budget, basis)
-    else:
+    basis = canonical_basis(a, budget)
+    built = None if basis is None else _block_witness(a, b, k, budget, basis)
+    if built is None:
         built = _scaled_isometry(a, b, k, cfg, budget, k != 1 or accept is None)
     if built is not None and (
         accept is None or all(accept(j, built.column(j)) for j in range(b.rank))
     ):
         yield built
-    yield from _column_search(a, b, k, cfg, budget, basis, accept)
+    yield from _column_search(a, b, k, cfg, budget, None if a.is_definite() else basis, accept)
 
 
 def _block_witness(
@@ -733,9 +739,12 @@ def _block_witness(
 
     ``basis`` is U_A.  U_B is the identity when B's matrix is already
     canonical, as every definite diagonal target is, else B's own
-    ``canonical_basis``, charged to ``budget``.
+    ``canonical_basis``, charged to ``budget``.  An even B of nonzero
+    signature (E8 blocks) has no canonical matrix and gets None at once.
     """
     pos, neg, _ = b.signature
+    if b.parity == PARITY_EVEN and pos != neg:
+        return None
     u_b = None
     if b.matrix != canonical_matrix(pos, neg, b.parity):
         u_b = canonical_basis(b, budget)
@@ -834,8 +843,8 @@ def _column_search(
 ) -> Iterator[IntMatrix]:
     """Every witness that ``_backtrack`` finds, column by column.
 
-    ``basis`` is A's ``canonical_basis`` (None when A enumerates completely
-    or is not covered); with it the search runs in canonical coordinates.
+    ``basis`` is A's ``canonical_basis`` (None when A is definite or not
+    covered); with it the search runs in canonical coordinates.
     """
     m = a.rank
     arows = [list(a.matrix.row(i)) for i in range(m)]

@@ -113,7 +113,14 @@ def test_canonical_basis_recognises_canonical_input_and_runs_once_per_form(monke
 def test_canonical_basis_is_none_where_it_cannot_split():
     e8 = make_form(IntMatrix.from_rows(E8_CARTAN), SYMMETRIC)
     assert canonical_basis(direct_sum(e8, hyper_form())) is None  # even, signature 8
-    assert canonical_basis(make_form(IntMatrix.identity(3), SYMMETRIC)) is None
+    assert canonical_basis(e8) is None
+    # a definite form is recognised when diagonal, never split
+    i3 = IntMatrix.identity(3)
+    assert canonical_basis(make_form(i3, SYMMETRIC)) == i3
+    assert canonical_basis(make_form(i3.scaled(-1), SYMMETRIC)) == i3
+    scrambled = i3.transform_by(random_unimodular(random.Random(3), 3))
+    assert scrambled != i3
+    assert canonical_basis(make_form(scrambled, SYMMETRIC)) is None
     assert canonical_basis(random_antisymmetric_form(random.Random(1), 1)) is None
     assert canonical_basis(empty_form()) is None
     assert canonical_matrix(2, 1, PARITY_ODD) == IntMatrix.diagonal([1, 1, -1])

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from degmap import intform, solver
+from degmap import canonical, intform, solver
 from degmap.catalog import (
     diag_form,
     hyperbolic_form,
@@ -160,9 +160,10 @@ def test_determinant_filter():
     # negative k already fails the signature fit
     assert congruence_solve(d3, d3, -2).reason == "SignatureFilter"
     # even rank at k=2 carries no determinant obstruction: scaling the
-    # identity pairing by 2 is realized by [[1,1],[1,-1]]
+    # identity pairing by 2 is realized by the fixed block [[1,-1],[1,1]]
+    # of 1^2 + 1^2 = 2
     v = congruence_solve(I2, I2, 2)
-    assert v.is_yes and v.witness == IntMatrix.from_rows([[1, 1], [1, -1]])
+    assert v.is_yes and v.witness == IntMatrix.from_rows([[1, -1], [1, 1]])
 
 
 def test_mod4_filter_catches_twice_a_square_gap():
@@ -482,7 +483,8 @@ def test_budget_exhaustion_is_reported():
 def test_accept_predicate_maps_to_each_verdict():
     # a predicate rejecting every column leaves no witness: a complete
     # enumeration proves No, a box search ends at its radius, and a budget
-    # that runs out first is named as such
+    # that runs out first is named as such; the column e_0 of the fixed
+    # block is offered first, before the enumeration offers it again
     seen = []
 
     def reject(col, vec):
@@ -491,7 +493,8 @@ def test_accept_predicate_maps_to_each_verdict():
 
     v = congruence_solve(I2, I1, 1, accept=reject)
     assert v.is_no and v.reason == solver.REASON_EXHAUSTIVE
-    assert sorted(seen) == [(0, (-1, 0)), (0, (0, -1)), (0, (0, 1)), (0, (1, 0))]
+    assert seen[0] == (0, (1, 0))
+    assert sorted(seen) == [(0, (-1, 0)), (0, (0, -1)), (0, (0, 1)), (0, (1, 0)), (0, (1, 0))]
     assert congruence_solve(I2, I1, 1).is_yes
 
     v = congruence_solve(A1, A1, 1, SearchConfig(radius=3), reject)
@@ -870,12 +873,11 @@ def _canonical_shapes(max_rank):
 
 
 def test_fixed_blocks_never_contradict_a_filter():
-    # every canonical pair with A indefinite of rank <= 4 and every
-    # 0 < |k| <= 20: a built P' verifies, and no complete filter objects
+    # every canonical pair with A of rank <= 4, definite I(n, 0) and
+    # I(0, n) included, and every 0 < |k| <= 20: a built P' verifies, and
+    # no complete filter objects
     built = 0
     for a in _canonical_shapes(4):
-        if 0 in a[:2]:
-            continue
         fa = make_form(canonical_matrix(*a), SYMMETRIC)
         for b in _canonical_shapes(fa.rank):
             fb = make_form(canonical_matrix(*b), SYMMETRIC)
@@ -885,7 +887,7 @@ def test_fixed_blocks_never_contradict_a_filter():
                     built += 1
                     assert solver._prefilter(fa, fb, k) is None, (a, b, k)
                     verify_witness(fa, fb, k, p)
-    assert built >= 1400  # of the 1726 queries that pass every filter
+    assert built >= 2000  # of the 2294 queries that pass every filter
 
 
 @pytest.mark.parametrize("a, b, k", [
@@ -948,6 +950,89 @@ def test_fixed_blocks_keep_every_no():
         assert new.kind == old.kind and new.reason == old.reason, case
     assert kinds["no", "no"] >= 100 and kinds["yes", "yes"] >= 30
     assert kinds["unknown", "yes"] > 0
+
+
+def test_fixed_blocks_keep_every_no_on_diagonal_definite_pairs(monkeypatch):
+    # I(n, 0) -> I(l, 0) for n <= 8 and 0 < |k| <= 20, with the step and
+    # without it: the definite search is complete there, so kind and reason
+    # match exactly, with no Unknown that could become a Yes.  Every query
+    # of one source and degree enumerates the same vectors of norm k, so the
+    # last list is kept for the next query, as enumerating it again for
+    # every target and run would dominate the test
+    last = {}
+    enumerate_vectors = solver._definite_solutions
+
+    def shared(tri, value):
+        if (tri, value) not in last:
+            last.clear()
+            last[tri, value] = enumerate_vectors(tri, value)
+        return last[tri, value]
+
+    monkeypatch.setattr(solver, "_definite_solutions", shared)
+    targets = [make_form(IntMatrix.identity(l), SYMMETRIC) for l in range(1, 9)]
+    kinds = collections.Counter()
+    for n in range(1, 9):
+        a = make_form(IntMatrix.identity(n), SYMMETRIC)
+        for k in (k for k in range(-20, 21) if k):
+            for l, b in enumerate(targets[:n], 1):
+                new = congruence_solve(a, b, k)
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setattr(solver, "_block_witness", lambda *args: None)
+                    old = congruence_solve(a, b, k)
+                assert (new.kind, new.reason) == (old.kind, old.reason), (n, l, k)
+                kinds[new.kind] += 1
+    assert kinds == {"no": 836, "yes": 604}
+
+
+@pytest.mark.parametrize("n, l, k, sign", [
+    (4, 4, 5, 1), (4, 4, 7, 1), (8, 8, 2, 1), (6, 3, 3, 1), (4, 4, 5, -1),
+])
+def test_diagonal_definite_sources_take_fixed_blocks_without_enumeration(monkeypatch, n, l, k, sign):
+    # +-I_n is its own canonical matrix, so U_A is the identity and the
+    # blocks of sums of two and four squares answer before Fincke-Pohst
+    definite = _count_calls(monkeypatch, "_definite_solutions")
+    box = _count_calls(monkeypatch, "_box_candidates")
+    a, b = (make_form(IntMatrix.identity(r).scaled(sign), SYMMETRIC) for r in (n, l))
+    v = congruence_solve(a, b, k)
+    assert v.is_yes and definite == [] and box == []
+    verify_witness(a, b, k, v.witness)
+
+
+@pytest.mark.parametrize("n, k", [(16, 3), (16, 7), (20, 6)])
+def test_diagonal_definite_sources_beyond_the_cap_take_fixed_blocks(n, k):
+    # above DEFINITE_CAP these ran out a budget of 2,000,000 nodes after
+    # 2-3.5 s; the blocks need no node at all
+    i_n = make_form(IntMatrix.identity(n), SYMMETRIC)
+    v = congruence_solve(i_n, i_n, k, SearchConfig(node_budget=1))
+    assert v.is_yes
+    verify_witness(i_n, i_n, k, v.witness)
+
+
+def test_diagonal_definite_sources_fall_back_to_the_scaled_isometry(monkeypatch):
+    # a scrambled target has no canonical basis, so no block fits and the
+    # scaled isometry 2 U answers I4 onto it at k = 4
+    i4 = make_form(IntMatrix.identity(4), SYMMETRIC)
+    b = transform_form(i4, random_unimodular(random.Random(2001), 4))
+    assert b.matrix != i4.matrix
+    calls = _count_calls(monkeypatch, "_scaled_isometry")
+    v = congruence_solve(i4, b, 4)
+    u = _unscaled(v.witness, 2)
+    assert u.transpose() @ i4.matrix @ u == b.matrix
+    assert len(calls) == 1
+
+
+def test_block_witness_builds_no_matrix_for_even_targets_of_nonzero_signature(monkeypatch):
+    # E8 has no canonical matrix; canonical_matrix(8, 0, "even") would be a
+    # 16 x 16 H^8 compared against it
+    def strict(pos, neg, par):
+        assert par != PARITY_EVEN or pos == neg, (pos, neg, par)
+        return canonical_matrix(pos, neg, par)
+
+    monkeypatch.setattr(solver, "canonical_matrix", strict)
+    monkeypatch.setattr(canonical, "canonical_matrix", strict)
+    i8 = make_form(IntMatrix.identity(8), SYMMETRIC)
+    assert solver._block_witness(i8, E8, 2, solver._Budget(10), IntMatrix.identity(8)) is None
+    assert congruence_solve(i8, E8, 2).is_yes
 
 
 def test_equal_matrices_in_degree_one_get_the_identity(monkeypatch):
@@ -1094,8 +1179,10 @@ def test_definite_search_reuses_the_elimination_of_make_form(monkeypatch):
             negated = make_form(-gram, SYMMETRIC)
             assert solver._definite_elimination(negated) == (-1, symmetric_elimination(gram.to_rows()))
             forms.append((f, negated))
-    # f onto <a_00> is found by the definite column search (rank 1 would
-    # take the scaled identity instead)
+    # f onto <a_00> is found by the definite column search on the scrambled
+    # grams and E8 (+-I_n would take the fixed block e_0 instead)
+    searched = [pair for pair in forms if pair[0].matrix != IntMatrix.identity(pair[0].rank)]
+    assert len(searched) == 8  # the scrambles of I_1 and I_2 are the identity
     minus_one = make_form(IntMatrix.identity(1).scaled(-1), SYMMETRIC)
     calls = []
 
@@ -1105,7 +1192,7 @@ def test_definite_search_reuses_the_elimination_of_make_form(monkeypatch):
 
     monkeypatch.setattr(solver, "symmetric_elimination", counted)
     monkeypatch.setattr(intform, "symmetric_elimination", counted)
-    for f, negated in forms[2:]:
+    for f, negated in searched:
         assert congruence_solve(f, I1, f.matrix[0, 0]).is_yes
         assert not calls
         assert congruence_solve(negated, minus_one, f.matrix[0, 0]).is_yes
