@@ -89,8 +89,7 @@ def canonical_basis(f: IntersectionForm, budget=None) -> IntMatrix | None:
     leaves the form uncached.
     """
     if f.canonical is NOT_COMPUTED:
-        # the form is frozen; its one cache field is written once, here
-        object.__setattr__(f, "canonical", _canonical_basis(f, budget))
+        f.canonical = _canonical_basis(f, budget)
     return f.canonical
 
 

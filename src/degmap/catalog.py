@@ -23,8 +23,7 @@ simply_connected flag, which is all the degree criteria need.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .canonical import block_witness
 from .errors import (
@@ -61,8 +60,7 @@ from .intform import (
 )
 
 
-@dataclass(frozen=True)
-class ManifoldModel:
+class ManifoldModel(NamedTuple):
     """A named manifold reduced to the data the degree criteria consume."""
 
     name: str

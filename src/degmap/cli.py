@@ -21,7 +21,6 @@ import argparse
 import functools
 import json
 import sys
-from dataclasses import replace
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
@@ -329,7 +328,7 @@ def _cmd_solve(args) -> int:
     a = _load_form(args.A)
     b = _load_form(args.B)
     verdict = congruence_solve(a, b, args.k, _config(args))
-    return _emit_verdict(args, replace(verdict, k=args.k))
+    return _emit_verdict(args, verdict._replace(k=args.k))
 
 
 def _cmd_degset(args) -> int:

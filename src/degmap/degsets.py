@@ -29,9 +29,8 @@ Which criterion applies depends on the hypotheses:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from operator import mul
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .canonical import canonical_basis
 from .catalog import ManifoldModel
@@ -105,8 +104,8 @@ def degree_realizable(
     else:
         verdict = solver.congruence_solve(source.form, target.form, k, cfg)
         if verdict.is_yes and regime == REGIME_NECESSARY:
-            verdict = replace(verdict, kind="necessary_pass")
-    return replace(verdict, k=k, regime=regime)
+            verdict = verdict._replace(kind="necessary_pass")
+    return verdict._replace(k=k, regime=regime)
 
 
 def _column_test(
@@ -193,8 +192,7 @@ def _homotopy_verdict(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DegreeSetReport:
+class DegreeSetReport(NamedTuple):
     """All answers over the symmetric range [-bound, bound].
 
     Degree 0 always belongs to the set (the constant map) and has no entry.
@@ -275,7 +273,9 @@ def orthogonal_complement_form(
         raise WitnessRejected("complement is not orthogonal")
     complement = make_form(IntMatrix.from_rows([row[r:] for row in gram[r:]]), ambient.symmetry)
     u = canonical_basis(complement)
-    return complement if u is None else make_form(complement.matrix.transform_by(u), ambient.symmetry)
+    if u is None or u == IntMatrix.identity(complement.rank):
+        return complement
+    return make_form(complement.matrix.transform_by(u), ambient.symmetry)
 
 
 def degree_one_summand(
@@ -340,7 +340,7 @@ def selfmap_square(m: ManifoldModel, k: int) -> Verdict:
         raise WitnessRejected(
             f"scaled identity failed the homotopy check at indices {report.failing_indices}"
         )
-    return replace(verdict, k=k * k)
+    return verdict._replace(k=k * k)
 
 
 # ---------------------------------------------------------------------------
@@ -348,8 +348,7 @@ def selfmap_square(m: ManifoldModel, k: int) -> Verdict:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DominanceReport:
+class DominanceReport(NamedTuple):
     source: str
     bound: int
     dominated: tuple  # (name, k, witness)

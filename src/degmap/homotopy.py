@@ -20,11 +20,8 @@ attaching data).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
-from functools import cached_property
 from math import prod
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import (
     ModelMismatch,
@@ -32,39 +29,38 @@ from .errors import (
     OddN,
     ShapeMismatch,
 )
-from .intform import IntersectionForm, IntMatrix, json_int
+from .intform import IntersectionForm, IntMatrix, Record, json_int
 
 
-@dataclass(frozen=True)
-class PiModel:
+class PiModel(Record):
     """Structure constants of pi_{2n-1}(S^n) sufficient for this package."""
 
-    n: int
-    torsion_orders: tuple
-    whitehead_torsion: tuple
+    _fields = ("n", "torsion_orders", "whitehead_torsion")
+    __slots__ = _fields + ("whitehead",)
+
+    def __init__(self, n: int, torsion_orders: tuple, whitehead_torsion: tuple):
+        self.n, self.torsion_orders, self.whitehead_torsion = n, torsion_orders, whitehead_torsion
+        # the Whitehead square of the generator, Hopf invariant 2 when n is
+        # even: built once per model object, outside equality and hashing
+        self.whitehead = PiElement(self, self.two_lam if self.has_nu else 0, whitehead_torsion)
 
     @property
     def has_nu(self) -> bool:
         return self.n % 2 == 0
 
     @property
-    def lam(self) -> Fraction:
-        return Fraction(1) if self.n in (2, 4, 8) else Fraction(1, 2)
+    def two_lam(self) -> int:
+        """2 * lambda, an integer, so that lambda needs no fractions."""
+        return 2 if self.n in (2, 4, 8) else 1
+
+    @property
+    def lam(self) -> float:
+        return self.two_lam / 2  # 1 or 1/2, both exact
 
     @property
     def torsion_order(self) -> int:
         """Order of the torsion subgroup (1 when there is none)."""
         return prod(self.torsion_orders) if self.torsion_orders else 1
-
-    @cached_property
-    def whitehead(self) -> "PiElement":
-        """The Whitehead square of the generator; Hopf invariant 2 when n is even.
-
-        Built once per model object and kept outside the dataclass fields,
-        so equality and hashing of models are unchanged.
-        """
-        nu = int(2 * self.lam) if self.has_nu else 0
-        return PiElement(self, nu, self.whitehead_torsion)
 
 
 def pi_model(
@@ -95,22 +91,20 @@ def _zip_same(values, orders):
     return zip(values, orders)
 
 
-@dataclass(frozen=True)
-class PiElement:
+class PiElement(Record):
     """An element written as nu-coefficient plus torsion residues."""
 
-    model: PiModel
-    nu: int
-    torsion: tuple
+    __slots__ = _fields = ("model", "nu", "torsion")
 
-    def __post_init__(self):
-        if not self.model.has_nu and self.nu != 0:
+    def __init__(self, model: PiModel, nu: int, torsion: tuple):
+        if not model.has_nu and nu != 0:
             raise ShapeMismatch("no infinite-order part exists when n is odd")
-        if len(self.torsion) != len(self.model.torsion_orders):
+        if len(torsion) != len(model.torsion_orders):
             raise ShapeMismatch("torsion residue count does not match the model")
         assert all(
-            0 <= r < d for r, d in zip(self.torsion, self.model.torsion_orders)
+            0 <= r < d for r, d in zip(torsion, model.torsion_orders)
         ), "torsion residues must be reduced"
+        self.model, self.nu, self.torsion = model, nu, torsion
 
     def __str__(self) -> str:
         return f"{self.nu}*nu + {list(self.torsion)}"
@@ -152,10 +146,11 @@ def compose_disjoint(t1: PiElement, t2: PiElement, lk: int) -> PiElement:
 
 
 def hopf(t: PiElement) -> int:
-    """Hopf invariant from the nu-coefficient: H(t) = nu / lambda."""
+    """Hopf invariant from the nu-coefficient: H(t) = nu / lambda, computed
+    as 2 nu / (2 lambda) in integers."""
     if not t.model.has_nu:
         raise OddN("the Hopf invariant needs an even n")
-    return int(t.nu / t.model.lam)  # lambda is 1 or 1/2: always an integer
+    return 2 * t.nu // t.model.two_lam
 
 
 def elements_from_diagonal(model: PiModel, form) -> tuple:
@@ -169,12 +164,12 @@ def elements_from_diagonal(model: PiModel, form) -> tuple:
     matrix = form.matrix if isinstance(form, IntersectionForm) else form
     out = []
     for i in range(matrix.rows):
-        coeff = model.lam * matrix[i, i]
-        if coeff.denominator != 1:
+        coeff, half = divmod(model.two_lam * matrix[i, i], 2)
+        if half:  # only when lambda is 1/2
             raise NonIntegralHopf(
-                f"diagonal entry {matrix[i, i]} is incompatible with lambda {model.lam}"
+                f"diagonal entry {matrix[i, i]} is incompatible with lambda 1/2"
             )
-        out.append(element(model, int(coeff) if model.has_nu else 0))
+        out.append(element(model, coeff if model.has_nu else 0))
     return tuple(out)
 
 
@@ -223,8 +218,7 @@ def induced_invariant(form, elements: Sequence[PiElement], p: IntMatrix, model=N
     return tuple(pushed_column(a, elements, model, p.column(r)) for r in range(p.cols))
 
 
-@dataclass(frozen=True)
-class ConditionReport:
+class ConditionReport(NamedTuple):
     """Outcome of the degree-k compatibility check on attaching data."""
 
     ok: bool

@@ -21,7 +21,6 @@ degmap module but ``errors``; isomorphism is ``solver.isomorphic``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import chain
 from math import prod
 from operator import mul
@@ -238,8 +237,29 @@ def hstack(a: IntMatrix, b: IntMatrix) -> IntMatrix:
 NOT_COMPUTED = "not computed"
 
 
-@dataclass(frozen=True)
-class IntersectionForm:
+class Record:
+    """Equality, hashing and repr over the attributes that ``_fields``
+    names, for ``__slots__`` classes whose constructor validates its input
+    or fills caches; their other slots take no part in them."""
+
+    __slots__ = ()
+    _fields: tuple = ()
+
+    def _key(self) -> tuple:
+        return tuple(map(self.__getattribute__, self._fields))
+
+    def __eq__(self, other) -> bool:
+        return self is other or (other.__class__ is self.__class__ and self._key() == other._key())
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        args = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({args})"
+
+
+class IntersectionForm(Record):
     """A unimodular (anti)symmetric pairing with its cached invariants.
 
     ``signature`` is the triple (n_plus, n_minus, n_zero) and ``parity`` is
@@ -256,14 +276,21 @@ class IntersectionForm:
     repr.
     """
 
-    matrix: IntMatrix
-    symmetry: str
-    rank: int
-    signature: tuple | None
-    parity: str | None
-    tri: tuple | None = field(compare=False, repr=False)
-    canonical: object = field(default=NOT_COMPUTED, init=False, compare=False, repr=False)
-    unit_vectors: object = field(default=NOT_COMPUTED, init=False, compare=False, repr=False)
+    _fields = ("matrix", "symmetry", "rank", "signature", "parity")
+    __slots__ = _fields + ("tri", "canonical", "unit_vectors")
+
+    def __init__(
+        self,
+        matrix: IntMatrix,
+        symmetry: str,
+        rank: int,
+        signature: tuple | None,
+        parity: str | None,
+        tri: tuple | None,
+    ):
+        self.matrix, self.symmetry, self.rank = matrix, symmetry, rank
+        self.signature, self.parity, self.tri = signature, parity, tri
+        self.canonical = self.unit_vectors = NOT_COMPUTED
 
     @property
     def pivots(self) -> tuple | None:

@@ -143,10 +143,9 @@ The filters are each complete arguments, never heuristics:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import isqrt, lcm
 from operator import mul
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .canonical import block_witness, canonical_basis, canonical_matrix, level_candidates
 from .errors import CapExceeded, ShapeMismatch, SymmetryMismatch, WitnessRejected, ZeroK
@@ -157,6 +156,7 @@ from .intform import (
     SYMMETRIC,
     IntersectionForm,
     IntMatrix,
+    Record,
     symmetric_elimination,
     symplectic_basis_transform,
 )
@@ -193,23 +193,21 @@ COMPLETE_REASONS = frozenset(
 DEFINITE_CAP = 12
 
 
-@dataclass(frozen=True)
-class SearchConfig:
+class SearchConfig(Record):
     """Budgets for the backtracking search."""
 
-    radius: int = 8
-    node_budget: int = 10_000_000
+    __slots__ = _fields = ("radius", "node_budget")
 
-    def __post_init__(self):
-        if self.radius <= 0 or self.node_budget <= 0:
+    def __init__(self, radius: int = 8, node_budget: int = 10_000_000):
+        if radius <= 0 or node_budget <= 0:
             raise ShapeMismatch("search budgets must be positive")
+        self.radius, self.node_budget = radius, node_budget
 
 
 DEFAULT_CONFIG = SearchConfig()
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     """Answer to one congruence or degree query.
 
     ``kind`` is yes, no or unknown from the solver, or necessary_pass when
@@ -485,6 +483,9 @@ def _definite_solutions(tri: list, value: int) -> list:
     square root of the remaining budget allows.  x_0 must use up the rest
     r exactly, w_0 (p_0 x_0 + s_0)^2 == r, so it is one of the at most two
     roots (+-sqrt(r / w_0) - s_0) / p_0: complete by construction.  The
+    walk takes one of x and -x: while ``lead`` holds, every coordinate
+    above level i is 0, and x_i starts at 0 (x_0 takes the root +y only);
+    the negations of the nonzero vectors are appended after it.  The
     order comes from one sort, keyed by a rank lookup built for the values
     the coordinates take.
     """
@@ -503,7 +504,7 @@ def _definite_solutions(tri: list, value: int) -> list:
     out = []
     x = [0] * m
 
-    def rec(i: int, rem: int):
+    def rec(i: int, rem: int, lead: bool):
         if i == 0:
             # rem == w_0 * (p_0 * x_0 + s)^2 in closed form
             q, r = divmod(rem, weights[0])
@@ -511,7 +512,7 @@ def _definite_solutions(tri: list, value: int) -> list:
             if r or y * y != q:
                 return
             s = sum(map(mul, tails[0], x[1:]))
-            for root in (y - s, -y - s) if y else (-s,):
+            for root in (y,) if lead else (y - s, -y - s) if y else (-s,):
                 x0, r = divmod(root, pivots[0])
                 if not r:
                     x[0] = x0
@@ -521,13 +522,14 @@ def _definite_solutions(tri: list, value: int) -> list:
         s = sum(map(mul, tails[i], x[i + 1 :]))
         # integer x_i with w * (p * x_i + s)^2 <= rem
         ymax = isqrt(rem // w)
-        for xi in range(-((ymax + s) // p), (ymax - s) // p + 1):
+        for xi in range(0 if lead else -((ymax + s) // p), (ymax - s) // p + 1):
             y = p * xi + s
             x[i] = xi
-            rec(i - 1, rem - w * y * y)
+            rec(i - 1, rem - w * y * y, lead and not xi)
 
-    rec(m - 1, scale * value)
+    rec(m - 1, scale * value, True)
     del rec  # see _backtrack
+    out += [tuple(-v for v in vec) for vec in out if any(vec)]
     if out:
         lo, hi = min(map(min, out)), max(map(max, out))
         # 0, 1, -1, 2, -2, ... -> 0, 1, 2, 3, 4, ...
@@ -763,8 +765,7 @@ def _unit_vector_count(f: IntersectionForm) -> int:
     so ``_prefilter`` and ``_isometry`` share one enumeration per form.
     """
     if f.unit_vectors is NOT_COMPUTED:
-        count = len(_definite_solutions(_definite_elimination(f)[1], 1))
-        object.__setattr__(f, "unit_vectors", count)
+        f.unit_vectors = len(_definite_solutions(_definite_elimination(f)[1], 1))
     return f.unit_vectors
 
 

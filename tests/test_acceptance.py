@@ -244,7 +244,7 @@ def test_criterion_8_homotopy_algebra():
     while checked < 100:
         model = rng.choice(models)
         a_rr = rng.randrange(-4, 5)
-        if model.lam.denominator == 2 and a_rr % 2:
+        if model.lam != 1 and a_rr % 2:
             a_rr += 1
         k = rng.randrange(-5, 6)
         tor = [rng.randrange(d) for d in model.torsion_orders]

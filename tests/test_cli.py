@@ -529,6 +529,20 @@ def test_importing_the_cli_leaves_numpy_unloaded():
     assert out == "False\n"
 
 
+def test_importing_the_cli_leaves_record_and_rational_modules_unloaded():
+    # the CLI answers one query per process, so every module its import
+    # loads is paid for by every query: dataclasses pulls in inspect, ast,
+    # dis and tokenize, and fractions pulls in decimal
+    src = str(Path(degmap.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    heavy = ("dataclasses", "inspect", "fractions", "decimal")
+    probe = f"import sys, degmap.cli; print([m for m in {heavy!r} if m in sys.modules])"
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out == "[]\n"
+
+
 def test_runtime_needs_only_the_standard_library():
     tomllib = pytest.importorskip("tomllib")
     root = Path(__file__).resolve().parents[1]

@@ -157,6 +157,22 @@ def test_degree_one_summand_mixed_signs():
     assert comp.matrix == IntMatrix.diagonal([-1])
 
 
+def test_degree_one_summand_wraps_an_already_canonical_complement_once(monkeypatch):
+    # the complement [1] of CP2 # CP2 onto CP2 is I(1, 0) already, so its
+    # canonical basis is the identity and no second make_form is needed
+    source, target = preset("CP2#CP2"), preset("CP2")
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return make_form(*args)
+
+    monkeypatch.setattr(degsets, "make_form", counted)
+    ans, comp = degree_one_summand(source, target)
+    assert ans.kind == "yes" and comp.matrix == IntMatrix.diagonal([1])
+    assert len(calls) == 1
+
+
 def test_degree_one_summand_parity_obstruction():
     ans, comp = degree_one_summand(preset("S2xS2"), preset("CP2"))
     assert ans.kind == "no"
@@ -437,7 +453,7 @@ def test_square_degree_self_map_failing_the_column_check_is_searched(order, k, k
 
 def _pushed_column_verdict(source, target, k):
     # the homotopy verdict with the column predicate as it was: pushed_column
-    # on group elements, compared with the dataclass ==
+    # on group elements, compared with the PiElement ==
     wanted = [pi_scale(k, u) for u in target.homotopy_data]
     rejected = []
 

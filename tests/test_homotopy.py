@@ -215,7 +215,7 @@ def _random_pairing(rng, rank, model):
                 if model.n % 2 == 1:
                     continue
                 v = rng.randrange(-3, 4)
-                if model.lam.denominator == 2 and v % 2:
+                if model.lam != 1 and v % 2:
                     v += 1
                 rows[i][i] = v
             else:
@@ -232,7 +232,7 @@ def test_induced_single_class_closed_form(rng):
         a_val = rng.randrange(-4, 5)
         if model.n % 2 == 1:
             a_val = 0
-        if model.has_nu and model.lam.denominator == 2 and a_val % 2:
+        if model.has_nu and model.lam != 1 and a_val % 2:
             a_val += 1
         k = rng.randrange(-5, 6)
         t = random_element(rng, model)

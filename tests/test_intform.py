@@ -1,7 +1,6 @@
 import itertools
 import random
 import time
-from dataclasses import replace
 
 import pytest
 
@@ -12,9 +11,11 @@ from degmap.errors import (
     ShapeMismatch,
     SymmetryMismatch,
 )
+from degmap.homotopy import PiElement, pi_model
 from degmap.intform import (
     ANTISYMMETRIC,
     SYMMETRIC,
+    IntersectionForm,
     IntMatrix,
     block_diagonal,
     direct_sum,
@@ -36,7 +37,7 @@ from degmap.intform import (
     transform_form,
 )
 from degmap import solver
-from degmap.solver import SearchConfig, isomorphic
+from degmap.solver import SearchConfig, Verdict, isomorphic
 
 from conftest import E8_CARTAN, random_antisymmetric_form, random_symmetric_form, random_unimodular
 
@@ -232,12 +233,43 @@ def test_form_keeps_its_pivots_outside_equality(rng):
         assert f.pivots == tuple(tri[i][i] for i in range(m.rows))
         assert f.determinant == m.det()
         assert f.tri == tuple(map(tuple, tri))
-        other = replace(f, tri=())
+        other = IntersectionForm(f.matrix, f.symmetry, f.rank, f.signature, f.parity, ())
+        assert other == f and hash(other) == hash(f) and repr(other) == repr(f)
+        other.canonical, other.unit_vectors = IntMatrix.identity(f.rank), 7
         assert other == f and hash(other) == hash(f) and repr(other) == repr(f)
         assert "pivots" not in repr(f)
+        assert other != make_form(f.matrix.scaled(-1), SYMMETRIC)
     assert empty_form().pivots == () and empty_form().determinant == 1
     j = random_antisymmetric_form(rng, 2)
     assert j.pivots is None and j.determinant == j.matrix.det() == 1
+    assert repr(make_form(HYPER, SYMMETRIC)) == (
+        "IntersectionForm(matrix=IntMatrix.from_rows([[0, 1], [1, 0]]), "
+        "symmetry='symmetric', rank=2, signature=(1, 1, 0), parity='even')"
+    )
+
+
+def test_records_keep_their_checks_and_fields():
+    for radius, node_budget in ((0, 5), (3, 0), (-1, -1)):
+        with pytest.raises(ShapeMismatch):
+            SearchConfig(radius=radius, node_budget=node_budget)
+    assert SearchConfig() == SearchConfig(8, 10_000_000) != SearchConfig(radius=2)
+    assert hash(SearchConfig(radius=2)) == hash(SearchConfig(radius=2, node_budget=10_000_000))
+    assert repr(SearchConfig(radius=3)) == "SearchConfig(radius=3, node_budget=10000000)"
+    odd, even = pi_model(5, [2]), pi_model(4, [3], [1])
+    with pytest.raises(ShapeMismatch):
+        PiElement(odd, 1, (0,))  # no nu part when n is odd
+    with pytest.raises(ShapeMismatch):
+        PiElement(even, 0, (0, 0))  # one residue per torsion order
+    assert even.whitehead is even.whitehead
+    assert (even.whitehead.nu, even.whitehead.torsion) == (2, (1,))
+    assert even == pi_model(4, [3], [1]) and hash(even) == hash(pi_model(4, [3], [1]))
+    assert even != pi_model(4, [3], [2]) and "whitehead=" not in repr(even)
+    v = Verdict("unknown", reason="r", radius=4, budget_exhausted=True, regime="exact")
+    w = v._replace(k=3)
+    assert (w.kind, w.reason, w.radius, w.budget_exhausted, w.regime, w.k) == (
+        "unknown", "r", 4, True, "exact", 3
+    )
+    assert v.k is None and w == Verdict(**{**v._asdict(), "k": 3})
 
 
 def test_parity_worked_values():
