@@ -1,13 +1,15 @@
-"""Canonical coordinates of indefinite symmetric forms, and of +-I_n as given.
+"""Canonical coordinates of indefinite and antisymmetric forms, and of +-I_n as given.
 
 Every odd indefinite unimodular form is isomorphic to I(p, q) =
 diag(1, ..., 1, -1, ..., -1), and every even one to H^a + E8(+-1)^b (Serre,
-*A Course in Arithmetic*, ch. V; Milnor-Husemoller, ch. II).
-``canonical_basis`` finds the change of basis for the odd forms and for the
-even forms of signature 0, and recognises the definite I(n, 0) and I(0, n)
-when their matrix is already diagonal.  ``level_candidates`` enumerates the
-vectors of a given norm in indefinite canonical coordinates norm level by
-norm level, which is how the solver's box search runs on such a source;
+*A Course in Arithmetic*, ch. V; Milnor-Husemoller, ch. II); every
+antisymmetric one of rank 2g to J^g, J = [[0, 1], [-1, 0]]
+(Milnor-Husemoller, ch. I).  ``canonical_basis`` finds the change of basis
+for the odd forms, the even forms of signature 0 and the antisymmetric
+forms, and recognises the definite I(n, 0) and I(0, n) when their matrix
+is already diagonal.  ``level_candidates`` enumerates the vectors of a
+given norm in indefinite canonical coordinates norm level by norm level,
+which is how the solver's box search runs on such a source;
 ``block_witness`` builds witnesses between canonical matrices from fixed
 blocks, without any search.
 E8 blocks are not handled: such forms get no canonical basis.  It imports
@@ -24,6 +26,7 @@ from __future__ import annotations
 
 from itertools import islice
 from math import gcd, isqrt
+from operator import mul
 from typing import Callable, Iterator, Sequence
 
 from .intform import (
@@ -32,6 +35,7 @@ from .intform import (
     PARITY_EVEN,
     PARITY_ODD,
     SYMMETRIC,
+    SYMPLECTIC,
     IntersectionForm,
     IntMatrix,
     block_diagonal,
@@ -55,21 +59,32 @@ _SPLIT_CAP = 5_000
 _REDUCE_SWEEPS = 64
 
 
-def canonical_matrix(pos: int, neg: int, par: str) -> IntMatrix:
+def canonical_shape(f: IntersectionForm) -> tuple:
+    """(pos, neg, parity), the arguments of f's ``canonical_matrix``: the
+    signature and parity of a symmetric form, (g, g, None) for an
+    antisymmetric one of rank 2g."""
+    if f.symmetry == SYMMETRIC:
+        return (*f.signature[:2], f.parity)
+    return (f.rank // 2, f.rank // 2, None)
+
+
+def canonical_matrix(pos: int, neg: int, par: str | None) -> IntMatrix:
     """I(pos, neg) = diag(1, ..., 1, -1, ..., -1) for an odd form, H^pos for
-    an even one (which needs pos == neg)."""
+    an even one and J^pos for an antisymmetric one, parity None (both need
+    pos == neg)."""
     if par == PARITY_ODD:
         return IntMatrix.diagonal([1] * pos + [-1] * neg)
-    return block_diagonal(*[HYPERBOLIC] * pos)
+    return block_diagonal(*[HYPERBOLIC if par == PARITY_EVEN else SYMPLECTIC] * pos)
 
 
 def canonical_basis(f: IntersectionForm, budget=None) -> IntMatrix | None:
     """Unimodular U with U.T A U == ``canonical_matrix`` of f, or None.
 
     Covered are the indefinite symmetric forms that are odd, whose canonical
-    matrix is I(p, q), and the even ones of signature 0, with canonical
-    matrix H^a (Serre, *A Course in Arithmetic*, ch. V; Milnor-Husemoller,
-    ch. II).  A canonical input gets the identity after an O(n^2) check;
+    matrix is I(p, q), the even ones of signature 0, with canonical matrix
+    H^a (Serre, *A Course in Arithmetic*, ch. V; Milnor-Husemoller, ch. II),
+    and the antisymmetric ones, with canonical matrix J^g (Milnor-Husemoller,
+    ch. I).  A canonical input gets the identity after an O(n^2) check;
     this one check also covers the definite I(n, 0) and I(0, n), and every
     other definite form gets None, as definite forms are not split.
     Otherwise the form is split: its Gram matrix is size-reduced
@@ -77,11 +92,13 @@ def canonical_basis(f: IntersectionForm, budget=None) -> IntMatrix | None:
     +-1 is split off (of a sign that leaves the part indefinite), else a
     hyperbolic plane spanned by an isotropic vector and a partner; each
     complement comes from ``split_basis``.  Every plane is then merged with
-    a line by ``LINE_PLUS_PLANE``.  None for even forms of nonzero
-    signature (E8 blocks), for an even part of nonzero signature left over
-    from an odd form, and when a split finds no vector within
-    ``_SPLIT_CAP`` tries, which happens for some heavily scrambled forms
-    close to definite, such as I(1, q) with q >= 8.
+    a line by ``LINE_PLUS_PLANE``.  An antisymmetric form is not
+    size-reduced: every vector is isotropic, so each split takes e_1 of the
+    unsplit part and its partner, a plane J, and tries no vector.  None for
+    even forms of nonzero signature (E8 blocks), for an even part of nonzero
+    signature left over from an odd form, and when a split finds no vector
+    within ``_SPLIT_CAP`` tries, which happens for some heavily scrambled
+    forms close to definite, such as I(1, q) with q >= 8.
 
     Computed once per form object and kept on ``f.canonical``; while it is
     computed, ``budget.spend()`` (when a budget is given) is charged once
@@ -94,23 +111,25 @@ def canonical_basis(f: IntersectionForm, budget=None) -> IntMatrix | None:
 
 
 def _canonical_basis(f: IntersectionForm, budget) -> IntMatrix | None:
-    if f.symmetry != SYMMETRIC or not f.rank:
+    if not f.rank:
         return None
-    pos, neg, _ = f.signature
-    if f.parity == PARITY_EVEN and pos != neg:
+    pos, neg, par = canonical_shape(f)
+    if par == PARITY_EVEN and pos != neg:
         return None
-    target = canonical_matrix(pos, neg, f.parity)
+    target = canonical_matrix(pos, neg, par)
     if f.matrix == target:
         return IntMatrix.identity(f.rank)
     if f.is_definite():
         return None
+    symmetric = par is not None
     lines = []  # (column in f's coordinates, its norm)
     planes = []  # (x, y) with x.x = y.y = 0 and x.y = 1
     # columns spanning the unsplit part, in f's coordinates, and their Gram matrix
     basis = IntMatrix.identity(f.rank).to_rows()
     gram = f.matrix.to_rows()
     while gram:
-        _size_reduce(gram, basis)
+        if symmetric:
+            _size_reduce(gram, basis)
         if any(row[i] % 2 for i, row in enumerate(gram)):
             # either sign while both signs keep two directions, so that
             # the part left over stays indefinite
@@ -124,7 +143,8 @@ def _canonical_basis(f: IntersectionForm, budget) -> IntMatrix | None:
         else:
             if pos != neg:
                 return None
-            found = _short_vector(gram, [0], budget)
+            # every vector of an antisymmetric form is isotropic
+            found = _short_vector(gram, [0], budget) if symmetric else [_unit(len(gram), (0, 1))]
             if found is None:
                 return None
             v = found[0]
@@ -139,8 +159,8 @@ def _canonical_basis(f: IntersectionForm, budget) -> IntMatrix | None:
             planes.append(tuple(split))
         rest = [s.column(j) for j in range(n, s.cols)]
         basis = [_combine(basis, c) for c in rest]
-        products = [_combine(gram, c) for c in rest]  # gram @ c; gram is symmetric
-        gram = [[sum(a * b for a, b in zip(c, gc)) for gc in products] for c in rest]
+        products = [_combine(gram, c) for c in rest]  # c.T @ gram
+        gram = [[sum(map(mul, gc, c)) for c in rest] for gc in products]
     if lines:
         for x, y in planes:
             e, eps = lines.pop()
@@ -268,9 +288,9 @@ def _integer_roots(a: int, b: int, c: int) -> list:
 
 def _hyperbolic_partner(rows: list, v: list) -> list:
     """y with y.T Q y == 0 and v.T Q y == 1, for a primitive isotropic v of
-    the even unimodular Q: the row v.T Q is primitive, so its
-    ``dual_vector`` w solves v.T Q w == 1, and w - (w.w / 2) v is
-    isotropic."""
+    the unimodular Q, even symmetric or antisymmetric: the row v.T Q is
+    primitive, so its ``dual_vector`` w solves v.T Q w == 1, and
+    w - (w.w / 2) v is isotropic; w.w is 0 for an antisymmetric Q."""
     m = len(rows)
     w = dual_vector([sum(v[s] * rows[s][t] for s in range(m)) for t in range(m)])
     c = _quadratic(rows, w) // 2
@@ -382,11 +402,12 @@ def block_witness(a: tuple, b: tuple, k: int) -> IntMatrix | None:
     """P' with P'.T C_A P' == k C_B, or None, for the ``canonical_matrix``
     C_A of a = (pos, neg, parity) and C_B of b, built from fixed blocks
     placed greedily into disjoint rows of C_A (Serre, *A Course in
-    Arithmetic*, ch. V):
+    Arithmetic*, ch. V).  Parity None, J^pos, takes the blocks of even
+    parity, which hold for J as for H:
 
     * C_B embeds into C_A coordinate by coordinate, times m, when k = m^2
       and the parities agree;
-    * kH in H by diag(k, 1);
+    * kH in H, and kJ in J, by diag(k, 1);
     * kH in I(1, 1) for even k, by the columns (1, 1) and (k/2, -k/2);
     * k I(1, 1) and k<+-1> in H for even k, by (1, k/2) and (1, -k/2);
     * k I(1, 1) in I(1, 1) for odd k or 4 | k, by the columns (x, y) and
@@ -396,7 +417,8 @@ def block_witness(a: tuple, b: tuple, k: int) -> IntMatrix | None:
       blocks of a Lagrange quaternion (the last two for k up to
       ``_SQUARES_CAP``);
     * negative k by the sign swap of B: (-k)(-C_B), where -C_B is a
-      canonical matrix in permuted coordinates.
+      canonical matrix in permuted coordinates (by diag(1, -1) per plane
+      for H and J).
 
     None when no placement fits; an indefinite C_A may still carry k C_B.
 
@@ -405,7 +427,7 @@ def block_witness(a: tuple, b: tuple, k: int) -> IntMatrix | None:
     """
     pos_a, neg_a, par_a = a
     pos_b, neg_b, par_b = b
-    even_a, even_b = par_a == PARITY_EVEN, par_b == PARITY_EVEN
+    even_a, even_b = par_a != PARITY_ODD, par_b != PARITY_ODD
     if (even_a and pos_a != neg_a) or (even_b and pos_b != neg_b):
         return None
     if k < 0:

@@ -273,10 +273,15 @@ def _dominance_lines(rep: DominanceReport) -> list:
     return lines
 
 
+def _dot_id(name: str) -> str:
+    """name as a quoted DOT ID, its backslashes and double quotes escaped."""
+    return '"' + name.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
 def _dominance_dot(rep: DominanceReport) -> str:
     lines = ["digraph dominance {"]
     for name, k, _ in rep.dominated:
-        lines.append(f'  "{rep.source}" -> "{name}" [label="deg {k}"];')
+        lines.append(f'  {_dot_id(rep.source)} -> {_dot_id(name)} [label="deg {k}"];')
     lines.append("}")
     return "\n".join(lines)
 

@@ -259,8 +259,9 @@ def orthogonal_complement_form(
     The witness columns span a sublattice carrying ``restricted``; because
     that block is unimodular the lattice splits off its orthogonal
     complement, whose basis ``split_basis`` appends to the witness columns.
-    C is given as I(p, q) or H^a where ``canonical_basis`` covers it, so
-    that it does not depend on the basis the kernel happens to return.
+    C is given as I(p, q), H^a or, for an antisymmetric ambient form, J^g
+    where ``canonical_basis`` covers it, so that it does not depend on the
+    basis the kernel happens to return.
     """
     union = split_basis(ambient.matrix, witness)
     if union.det() not in (1, -1):

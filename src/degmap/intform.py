@@ -3,16 +3,16 @@
 A closed oriented 2n-manifold pairs its middle-dimensional (co)homology by
 a unimodular bilinear form: symmetric when n is even, antisymmetric when n
 is odd.  This module represents such forms as dense integer matrices and
-computes their invariants (rank, determinant, signature, parity) and
-symplectic bases with exact integer arithmetic only.  Entries are Python
-ints.  Determinant and signature of a symmetric form come from one
-fraction-free ``symmetric_elimination``, which the solver's definite
-enumeration shares; the form keeps that elimination, whose pivots are a
-rational diagonalisation that the solver's local (Hasse) filter reads.
+computes their invariants (rank, determinant, signature, parity) with
+exact integer arithmetic only.  Entries are Python ints.  Determinant and
+signature of a symmetric form come from one fraction-free
+``symmetric_elimination``, which the solver's definite enumeration
+shares; the form keeps that elimination, whose pivots are a rational
+diagonalisation that the solver's local (Hasse) filter reads.
 Determinants of plain matrices, kernels, orthogonal splits
-(``split_basis``), dual vectors, symplectic bases and unimodular inverses
-all come from one gcd column reduction, ``_column_reduce``.  It imports no
-degmap module but ``errors``; isomorphism is ``solver.isomorphic``.
+(``split_basis``), dual vectors and unimodular inverses all come from one
+gcd column reduction, ``_column_reduce``.  It imports no degmap module but
+``errors``; isomorphism is ``solver.isomorphic``.
 
 >>> f = make_form(IntMatrix.from_rows([[0, 1], [1, 0]]), SYMMETRIC)
 >>> f.parity, f.signature
@@ -516,36 +516,8 @@ def split_basis(matrix: IntMatrix, columns: IntMatrix) -> IntMatrix:
     return hstack(columns, IntMatrix.from_columns(kernel, nrows=matrix.rows))
 
 
-def symplectic_basis_transform(matrix: IntMatrix) -> IntMatrix:
-    """U with U.T @ matrix @ U in the standard block form diag([[0,1],[-1,0]], ...).
-
-    Works for any antisymmetric unimodular matrix: pair e_1 with a vector f
-    such that e_1.T @ matrix @ f = 1 (``dual_vector`` of the first row),
-    split off the complement of (e_1, f), recurse.
-    """
-    if not matrix.is_antisymmetric():
-        raise SymmetryMismatch("symplectic reduction needs an antisymmetric matrix")
-    n = matrix.rows
-    if n == 0:
-        return IntMatrix.zeros(0, 0)
-    f = dual_vector(matrix.row(0))
-    if f is None:
-        raise NotUnimodular("pairing with the first basis vector is not onto")
-    e1 = [1] + [0] * (n - 1)
-    b = split_basis(matrix, IntMatrix.from_columns([e1, f]))
-    sub = IntMatrix.from_rows([row[2:] for row in matrix.transform_by(b).to_rows()[2:]])
-    u = b @ block_diagonal(IntMatrix.identity(2), symplectic_basis_transform(sub))
-    assert u.transpose() @ matrix @ u == standard_symplectic_matrix(n // 2), (
-        "symplectic reduction failed"
-    )
-    return u
-
-
-def standard_symplectic_matrix(g: int) -> IntMatrix:
-    return block_diagonal(*[IntMatrix.from_rows([[0, 1], [-1, 0]])] * g)
-
-
 HYPERBOLIC = IntMatrix.from_rows([[0, 1], [1, 0]])
+SYMPLECTIC = IntMatrix.from_rows([[0, 1], [-1, 0]])
 
 
 # ---------------------------------------------------------------------------

@@ -39,9 +39,10 @@ exhaustion only proves the absence of small witnesses, hence Unknown.
   |u|^2 = t + s for s = 0, 1, ..., both halves from the definite
   enumeration (H^a after u = x + y, w = x - y), so the cost no longer
   depends on the order of the basis;
-* by a centered scan with interval pruning, in A's own coordinates, for
-  antisymmetric A and the indefinite forms that ``canonical_basis`` does
-  not cover (E8 blocks, or no splitting vector found within its cap).
+* by a centered scan with interval pruning, in the coordinates J^g for an
+  antisymmetric A, and in A's own for the indefinite forms that
+  ``canonical_basis`` does not cover (E8 blocks, or no splitting vector
+  found within its cap).
 
 Both are exhaustive on the box of max-norm ``radius``, so an Unknown's
 radius is measured in the coordinates the search ran in: the canonical
@@ -52,18 +53,19 @@ construction, built from explicit pieces as the paper builds its maps:
 
 * fixed blocks, for an A that ``canonical_basis`` covers: P' with
   P'.T C_A P' == k C_B from ``canonical.block_witness``, where C_A = U_A.T
-  A U_A and C_B = U_B.T B U_B are I(p, q) or H^a, and P = U_A P' U_B^-1.
+  A U_A and C_B = U_B.T B U_B are I(p, q), H^a or J^g, and P = U_A P' U_B^-1.
   U_A and U_B are the identity where A's and B's matrices are canonical
   already, which is how definite sources +-I_n and every definite
   diagonal target take part; else they are the ``canonical_basis`` of an
-  indefinite form.  The blocks, placed greedily into disjoint rows of
-  C_A, are:
+  indefinite or antisymmetric form.  The blocks, placed greedily into
+  disjoint rows of C_A, answer every antisymmetric pair at every k:
 
   ==========================  ===============  ================================
   piece of k C_B              rows of C_A      columns of P'
   ==========================  ===============  ================================
   C_B, k = m^2                C_B              m e_i
   kH                          H                diag(k, 1)
+  kJ                          J                diag(k, 1)
   kH, k even                  I(1, 1)          (1, 1), (k/2, -k/2)
   k I(1, 1), k even           H                (1, k/2), (1, -k/2)
   k<+-1>, k even              H                (1, +-k/2)
@@ -78,11 +80,9 @@ construction, built from explicit pieces as the paper builds its maps:
 * scaled isometry, for an A with no canonical basis or no fitting block,
   of B's rank, signature and parity: for k = m^2, m >= 1, and U.T A U ==
   B, (m U).T A (m U) == k B.  It answers I_n onto a scrambled I_n, which
-  has no U_B.
-  ``_isometry`` gives U: the identity when A and B have the same matrix,
-  U_A U_B^-1 from the two symplectic bases when they are antisymmetric,
-  and for a definite A of rank at most ``DEFINITE_CAP`` the first witness
-  of the complete k = 1 search, charged to the query's node budget and
+  has no U_B.  U is the identity when A and B have the same matrix, and
+  for a definite A of rank at most ``DEFINITE_CAP`` the first witness of
+  the complete k = 1 search, charged to the query's node budget and
   run only when A and B have as many vectors of norm +-1 (which, with
   rank and parity, classifies them up to rank 12).  That search runs onto
   the form whose largest diagonal entry is smaller in absolute value and
@@ -147,7 +147,8 @@ from math import isqrt, lcm
 from operator import mul
 from typing import Iterator, NamedTuple, Sequence
 
-from .canonical import block_witness, canonical_basis, canonical_matrix, level_candidates
+from .canonical import block_witness, canonical_basis, canonical_matrix, canonical_shape
+from .canonical import level_candidates
 from .errors import CapExceeded, ShapeMismatch, SymmetryMismatch, WitnessRejected, ZeroK
 from .intform import (
     ANTISYMMETRIC,
@@ -158,7 +159,6 @@ from .intform import (
     IntMatrix,
     Record,
     symmetric_elimination,
-    symplectic_basis_transform,
 )
 
 REASON_SYMMETRY = "SymmetryFilter"
@@ -713,9 +713,10 @@ def _witness_stream(
 
     A witness built without enumeration comes first, when there is one and
     every column passes ``accept``: ``_block_witness`` when A has a
-    canonical basis (an indefinite A that ``canonical_basis`` splits, or a
-    definite A whose matrix is I(n, 0) or I(0, n)), and ``_scaled_isometry``
-    when A has none or no block fits.  The column search follows,
+    canonical basis (an indefinite or antisymmetric A that
+    ``canonical_basis`` splits, or a definite A whose matrix is I(n, 0) or
+    I(0, n)), and ``_scaled_isometry`` when A has none or no block fits.
+    The column search follows,
     unchanged, and may yield the same witness again; a definite A is
     searched in its own coordinates, so the search stays complete.  At
     k = 1 under ``accept`` the definite isometry search is left out: it
@@ -744,15 +745,15 @@ def _block_witness(
     ``canonical_basis``, charged to ``budget``.  An even B of nonzero
     signature (E8 blocks) has no canonical matrix and gets None at once.
     """
-    pos, neg, _ = b.signature
-    if b.parity == PARITY_EVEN and pos != neg:
+    pos, neg, par = shape = canonical_shape(b)
+    if par == PARITY_EVEN and pos != neg:
         return None
     u_b = None
-    if b.matrix != canonical_matrix(pos, neg, b.parity):
+    if b.matrix != canonical_matrix(*shape):
         u_b = canonical_basis(b, budget)
         if u_b is None:
             return None
-    p = block_witness((*a.signature[:2], a.parity), (pos, neg, b.parity), k)
+    p = block_witness(canonical_shape(a), shape, k)
     if p is None:
         return None
     return basis @ p if u_b is None else basis @ p @ u_b.inverse_unimodular()
@@ -762,7 +763,7 @@ def _unit_vector_count(f: IntersectionForm) -> int:
     """The number of vectors of norm +-1 of a definite form.
 
     Counted at most once per form object and kept on ``f.unit_vectors``,
-    so ``_prefilter`` and ``_isometry`` share one enumeration per form.
+    so ``_prefilter`` and ``_scaled_isometry`` share one enumeration.
     """
     if f.unit_vectors is NOT_COMPUTED:
         f.unit_vectors = len(_definite_solutions(_definite_elimination(f)[1], 1))
@@ -779,40 +780,6 @@ def _largest_diagonal(f: IntersectionForm) -> int:
     return max(abs(f.matrix[i, i]) for i in range(f.rank))
 
 
-def _isometry(
-    f: IntersectionForm,
-    g: IntersectionForm,
-    cfg: SearchConfig,
-    budget: _Budget,
-    search: bool = True,
-) -> IntMatrix | None:
-    """U with U.T F U == G for forms of equal rank, signature and parity, or None.
-
-    U is the identity for equal matrices, and U_f U_g^-1 from the two
-    ``symplectic_basis_transform`` results for antisymmetric forms.  For
-    definite forms of rank at most ``DEFINITE_CAP`` it is the first witness
-    of the complete k = 1 search, charged to ``budget``.  The search runs
-    onto the form whose largest diagonal entry is smaller in absolute value,
-    as its columns are vectors of those norms; run from G onto F, its
-    witness Q gives U = Q^-1.  It runs only when F and G have as many
-    vectors of norm +-1: up to rank 12 that count, with rank and parity,
-    tells I_n, E8 + I_(n-8) and D12+ apart (Conway-Sloane, SPLAG ch. 16), so
-    it runs only on isomorphic pairs and ends in an isometry.  Without
-    ``search`` it does not run.  None for every other pair.
-    """
-    if f.matrix == g.matrix:
-        return IntMatrix.identity(f.rank)
-    if f.symmetry == ANTISYMMETRIC:
-        u_g = symplectic_basis_transform(g.matrix)
-        return symplectic_basis_transform(f.matrix) @ u_g.inverse_unimodular()
-    if not search or not _enumerates_completely(f) or _unit_vectors_differ(f, g):
-        return None
-    if _largest_diagonal(g) <= _largest_diagonal(f):
-        return next(_column_search(f, g, 1, cfg, budget, None, None), None)
-    q = next(_column_search(g, f, 1, cfg, budget, None, None), None)
-    return None if q is None else q.inverse_unimodular()
-
-
 def _scaled_isometry(
     a: IntersectionForm,
     b: IntersectionForm,
@@ -821,15 +788,29 @@ def _scaled_isometry(
     budget: _Budget,
     search: bool = True,
 ) -> IntMatrix | None:
-    """m U with U from ``_isometry``, a witness in degree k = m^2, or None.
+    """m U for an isometry U.T A U == B, a witness in degree k = m^2, or None.
 
-    None when k is no such square, A and B differ in rank, signature or
-    parity, or ``_isometry`` has no U; ``search`` is passed on to it.
+    U is the identity for equal matrices, else, for definite forms of rank
+    at most ``DEFINITE_CAP``, the first witness of the complete k = 1
+    search, charged to ``budget`` and run onto the form whose largest
+    diagonal entry is smaller in absolute value (from B onto A its witness
+    Q gives U = Q^-1).  It runs only when A and B have as many vectors of
+    norm +-1: up to rank 12 that count, with rank and parity, tells I_n,
+    E8 + I_(n-8) and D12+ apart (Conway-Sloane, SPLAG ch. 16), so it ends
+    in an isometry.  Without ``search`` it does not run.
     """
     m = isqrt(k) if k > 0 else 0
     if m * m != k or (a.rank, a.signature, a.parity) != (b.rank, b.signature, b.parity):
         return None
-    u = _isometry(a, b, cfg, budget, search)
+    if a.matrix == b.matrix:
+        u = IntMatrix.identity(a.rank)
+    elif not search or not _enumerates_completely(a) or _unit_vectors_differ(a, b):
+        return None
+    elif _largest_diagonal(b) <= _largest_diagonal(a):
+        u = next(_column_search(a, b, 1, cfg, budget, None, None), None)
+    else:
+        q = next(_column_search(b, a, 1, cfg, budget, None, None), None)
+        u = None if q is None else q.inverse_unimodular()
     return None if u is None else u.scaled(m)
 
 
@@ -845,7 +826,8 @@ def _column_search(
     """Every witness that ``_backtrack`` finds, column by column.
 
     ``basis`` is A's ``canonical_basis`` (None when A is definite or not
-    covered); with it the search runs in canonical coordinates.
+    covered); with it the search runs in canonical coordinates, norm level
+    by norm level for a symmetric A and by the box scan for J^g.
     """
     m = a.rank
     arows = [list(a.matrix.row(i)) for i in range(m)]
@@ -870,8 +852,8 @@ def _column_search(
         levels = None
         if basis is not None:
             # search in canonical coordinates x', where the witness is basis @ P'
-            pos, neg, _ = a.signature
-            arows = canonical_matrix(pos, neg, a.parity).to_rows()
+            pos, neg, par = shape = canonical_shape(a)
+            arows = canonical_matrix(*shape).to_rows()
             half_cache: dict = {}
 
             def halves(dim: int, value: int) -> list:
@@ -879,7 +861,8 @@ def _column_search(
                     half_cache[dim, value] = _unit_solutions(dim, value)
                 return half_cache[dim, value]
 
-            levels = (pos, neg, a.parity == PARITY_EVEN, halves)
+            if par is not None:
+                levels = (pos, neg, par == PARITY_EVEN, halves)
             if accept is not None:
                 given = accept
                 brows = [basis.row(i) for i in range(m)]
@@ -957,10 +940,11 @@ def isomorphic(
     Invariant mismatches (symmetry, rank, parity, signature, in that order)
     give No.  Every other pair is the equal-rank, k = 1 case of the
     congruence, ``congruence_solve(f, g, 1, cfg)``: definite forms with
-    different numbers of vectors of norm +-1 get the ThetaFilter No, and
-    ``_isometry`` builds the witness of the rest.  Definite forms of rank
-    above ``DEFINITE_CAP`` with different matrices raise CapExceeded, and
-    only the node budget can leave a definite pair Unknown.  Indefinite
+    different numbers of vectors of norm +-1 get the ThetaFilter No; the
+    fixed blocks or ``_scaled_isometry`` build the witness of the rest.
+    Definite forms of rank above ``DEFINITE_CAP`` with different matrices
+    raise CapExceeded, and only the node budget can leave a definite pair
+    Unknown.  Indefinite
     symmetric forms are classified by their invariants, so Yes is settled;
     its witness is whatever a search at radius 2 and 200 000 nodes finds,
     U_f U_g^-1 from the fixed blocks where ``canonical_basis`` covers both

@@ -10,6 +10,7 @@ from degmap.intform import (
     PARITY_EVEN,
     PARITY_ODD,
     SYMMETRIC,
+    SYMPLECTIC,
     IntMatrix,
     block_diagonal,
     direct_sum,
@@ -121,10 +122,22 @@ def test_canonical_basis_is_none_where_it_cannot_split():
     scrambled = i3.transform_by(random_unimodular(random.Random(3), 3))
     assert scrambled != i3
     assert canonical_basis(make_form(scrambled, SYMMETRIC)) is None
-    assert canonical_basis(random_antisymmetric_form(random.Random(1), 1)) is None
     assert canonical_basis(empty_form()) is None
     assert canonical_matrix(2, 1, PARITY_ODD) == IntMatrix.diagonal([1, 1, -1])
     assert canonical_matrix(2, 2, PARITY_EVEN) == block_diagonal(HYPER, HYPER)
+
+
+def test_canonical_basis_splits_antisymmetric_forms_without_charging():
+    # every vector is isotropic, so each plane J is split off at e_1 with no
+    # vector tried: a zero budget is never charged
+    rng = random.Random(2201)
+    assert canonical_matrix(2, 2, None) == block_diagonal(SYMPLECTIC, SYMPLECTIC)
+    for genus in (1, 2, 3, 4):
+        for _ in range(6):
+            f = random_antisymmetric_form(rng, genus)
+            u = canonical_basis(f, solver._Budget(0))
+            assert abs(u.det()) == 1
+            assert f.matrix.transform_by(u) == canonical_matrix(genus, genus, None), f.matrix
 
 
 # ---------------------------------------------------------------------------

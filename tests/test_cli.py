@@ -3,6 +3,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -371,6 +372,27 @@ def test_dominate_dot(capsys):
     code, out, _ = run(capsys, "dominate", "--M", "CP2", "--catalog", "CP2", "--dot")
     assert code == 0
     assert out.startswith("digraph")
+
+
+def test_dominate_dot_escapes_quotes_and_backslashes_in_names(capsys, tmp_path):
+    # a quote or a backslash in a name would end or escape the quoted DOT ID
+    names = ['M"x', "L\\", "CP2"]
+    paths = []
+    for i, name in enumerate(names):
+        path = tmp_path / f"m{i}.json"
+        doc = {"name": name, "matrix": {"rows": 1, "cols": 1, "entries": [1]}}
+        path.write_text(json.dumps(doc))
+        paths.append(f"@{path}")
+    code, out, _ = run(capsys, "dominate", "--M", paths[0], "--catalog", ",".join(paths), "--dot")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == "digraph dominance {" and lines[-1] == "}"
+    quoted = r'"((?:[^"\\]|\\.)*)"'
+    edge = re.compile(rf'  {quoted} -> {quoted} \[label="deg 1"\];')
+    edges = [edge.fullmatch(line) for line in lines[1:-1]]
+    assert len(edges) == 3 and all(edges), lines
+    pairs = [tuple(re.sub(r"\\(.)", r"\1", g) for g in e.groups()) for e in edges]
+    assert pairs == [('M"x', name) for name in names]
 
 
 def test_catalog_list(capsys):

@@ -1,3 +1,4 @@
+import collections
 import random
 
 import pytest
@@ -24,10 +25,12 @@ from degmap.errors import (
     NotApplicable,
     WitnessRejected,
 )
+from degmap.canonical import canonical_basis
 from degmap.homotopy import (
     ConditionReport,
     check_homotopy_condition,
     element,
+    induced_invariant,
     pi_model,
     pi_scale,
     pushed_column,
@@ -35,7 +38,7 @@ from degmap.homotopy import (
 from degmap.intform import IntMatrix, SYMMETRIC, make_form
 from degmap.solver import REASON_EXHAUSTIVE, SearchConfig, Verdict, isomorphic
 
-from conftest import E8_CARTAN, random_unimodular
+from conftest import E8_CARTAN, random_antisymmetric_form, random_unimodular
 
 
 CFG = SearchConfig()
@@ -449,6 +452,56 @@ def test_square_degree_self_map_failing_the_column_check_is_searched(order, k, k
     assert new.kind == kind and new.witness != scaled
     if kind == "no":
         assert new.reason == REASON_HOMOTOPY
+
+
+def test_antisymmetric_homotopy_regime_with_and_without_fixed_blocks(monkeypatch):
+    # 10-manifolds (n = 5) over a Z/4 with Whitehead square 2: with the
+    # blocks and without them, every No keeps its reason, every Yes stays a
+    # Yes and passes the homotopy check, and an Unknown can only become a
+    # Yes.  Odd degrees on half the pairs take target data pushed through
+    # the block witness (k^-1 = k mod 4), so that it passes there; elsewhere
+    # it mostly fails, and the pruned column search runs on
+    model = pi_model(5, [4], [2])
+    rng = random.Random(2205)
+    cfg = SearchConfig(radius=2, node_budget=5_000)
+
+    def data(form):
+        return [element(model, 0, [rng.randrange(4)]) for _ in range(form.rank)]
+
+    def block_witness(a, b, k):
+        return solver._block_witness(a, b, k, solver._Budget(0), canonical_basis(a))
+
+    seen = collections.Counter()
+    for trial in range(80):
+        genus = rng.randrange(1, 4)
+        a = random_antisymmetric_form(rng, genus)
+        b = random_antisymmetric_form(rng, rng.randrange(1, genus + 2))
+        k = rng.choice([-5, -3, -2, -1, 1, 2, 3, 4, 5, 7])
+        source = manifold("M", 5, a, True, True, model, data(a))
+        built = block_witness(a, b, k) if b.rank <= a.rank else None
+        target_data = data(b)
+        if trial % 2 and k % 2 and built is not None:
+            pushed = induced_invariant(a, source.homotopy_data, built, model)
+            target_data = [element(model, 0, [k * x.torsion[0]]) for x in pushed]
+        target = manifold("L", 5, b, True, True, model, target_data)
+        new = degree_realizable(source, target, k, cfg)
+        with monkeypatch.context() as mp:
+            mp.setattr(solver, "_block_witness", lambda *args: None)
+            old = degree_realizable(source, target, k, cfg)
+        case = (a.matrix, b.matrix, source.homotopy_data, target_data, k)
+        if new.is_yes:
+            assert check_homotopy_condition(
+                a, source.homotopy_data, b, target_data, new.witness, k
+            ).ok, case
+        if not (old.is_unknown and new.is_yes):
+            assert (new.kind, new.reason) == (old.kind, old.reason), case
+        passes = built is not None and check_homotopy_condition(
+            a, source.homotopy_data, b, target_data, built, k
+        ).ok
+        seen[old.kind, new.kind, passes] += 1
+    assert seen["unknown", "yes", True] > 0  # the blocks reach past the budget
+    assert seen["yes", "yes", False] > 0  # the block fails, the search finds a Yes
+    assert seen["no", "no", False] > 0  # a target of larger rank
 
 
 def _pushed_column_verdict(source, target, k):

@@ -4,6 +4,7 @@ import time
 
 import pytest
 
+from degmap.canonical import canonical_basis, canonical_matrix
 from degmap.errors import (
     AntisymmetricInput,
     NotSquare,
@@ -33,7 +34,6 @@ from degmap.intform import (
     signature,
     split_basis,
     symmetric_elimination,
-    symplectic_basis_transform,
     transform_form,
 )
 from degmap import solver
@@ -510,13 +510,15 @@ def test_iso_indefinite_yes_carries_the_canonical_witness(rng):
 
 
 def test_symplectic_transform_scrambled(rng):
+    # the symplectic basis of an antisymmetric form is its canonical basis
     for _ in range(10):
         half = rng.randrange(1, 3)
         f = random_antisymmetric_form(rng, half)
-        u = symplectic_basis_transform(f.matrix)
+        u = canonical_basis(f)
         assert abs(u.det()) == 1
+        assert f.matrix.transform_by(u) == canonical_matrix(half, half, None)
     with pytest.raises(NotUnimodular):
-        symplectic_basis_transform(IntMatrix.from_rows([[0, 2], [-2, 0]]))
+        make_form(IntMatrix.from_rows([[0, 2], [-2, 0]]), ANTISYMMETRIC)
 
 
 def test_dual_vector_inverts_a_primitive_row():

@@ -9,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from degmap import canonical, intform, solver
 from degmap.catalog import (
@@ -35,13 +37,13 @@ from degmap.intform import (
     block_diagonal,
     make_form,
     parse_matrix_text,
-    standard_symplectic_matrix,
     symmetric_elimination,
-    symplectic_basis_transform,
     transform_form,
 )
 from degmap.solver import (
+    COMPLETE_REASONS,
     DEFAULT_CONFIG,
+    REASON_RANK,
     SearchConfig,
     Verdict,
     congruence_solve,
@@ -810,22 +812,60 @@ def test_definite_isometries_onto_scrambled_targets_are_found_at_once(monkeypatc
     assert calls and max(value for _, value in calls) <= 2
 
 
-def test_symplectic_square_degrees_are_the_scaled_isometry(monkeypatch):
-    # m U_f U_g^-1 from the two symplectic bases, without a box search
-    calls = _count_calls(monkeypatch, "_box_candidates")
+def test_antisymmetric_pairs_take_the_fixed_blocks_at_every_degree(monkeypatch):
+    # U_A P' U_B^-1 from the two symplectic bases and the blocks m e_i,
+    # diag(k, 1) and the sign swap, at a one-node budget and without any
+    # enumeration, for canonical and scrambled sources alike
+    box = _count_calls(monkeypatch, "_box_candidates")
+    definite = _count_calls(monkeypatch, "_definite_solutions")
     rng = random.Random(1902)
-    for genus in (1, 2, 3):
-        f = make_form(standard_symplectic_matrix(genus), ANTISYMMETRIC)
-        for _ in range(3):
-            g = random_antisymmetric_form(rng, genus)
-            u_g = symplectic_basis_transform(g.matrix)
-            u = symplectic_basis_transform(f.matrix) @ u_g.inverse_unimodular()
-            if f.matrix == g.matrix:
-                u = IntMatrix.identity(f.rank)
-            for m in (1, 2, 3):
-                v = congruence_solve(f, g, m * m)
-                assert v.is_yes and v.witness == u.scaled(m), (g.matrix, m)
-    assert calls == []
+    cfg = SearchConfig(node_budget=1)
+    for genus_a in (1, 2, 3, 4):
+        shape_a = (genus_a, genus_a, None)
+        for a in (make_form(canonical_matrix(*shape_a), ANTISYMMETRIC),
+                  random_antisymmetric_form(rng, genus_a)):
+            for genus_b in range(1, genus_a + 1):
+                b = random_antisymmetric_form(rng, genus_b)
+                u_b_inverse = canonical_basis(b).inverse_unimodular()
+                for k in (k for k in range(-12, 13) if k):
+                    v = congruence_solve(a, b, k, cfg)
+                    p = block_witness(shape_a, (genus_b, genus_b, None), k)
+                    assert v.is_yes, (a.matrix, b.matrix, k)
+                    assert v.witness == canonical_basis(a) @ p @ u_b_inverse
+    assert box == [] and definite == []
+
+
+# the nonzero degrees up to a bound
+NONZERO = {bound: [k for k in range(-bound, bound + 1) if k] for bound in (12, 50)}
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 4), st.sampled_from(NONZERO[50]), st.integers(0, 2**32))
+def test_fuzz_antisymmetric_pairs_are_decided_by_rank(genus_a, genus_b, k, seed):
+    # rank is the only obstruction between antisymmetric unimodular forms
+    rng = random.Random(seed)
+    a, b = random_antisymmetric_form(rng, genus_a), random_antisymmetric_form(rng, genus_b)
+    v = congruence_solve(a, b, k, SearchConfig(node_budget=1))
+    if genus_b <= genus_a:
+        assert v.is_yes
+        verify_witness(a, b, k, v.witness)
+    else:
+        assert v.is_no and v.reason == REASON_RANK
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 3), st.sampled_from(NONZERO[12]), st.integers(0, 2**32))
+def test_fuzz_prefilter_nos_have_no_oracle_witness(m, l, k, seed):
+    # every complete No of the filters on symmetric pairs of rank <= 3,
+    # definite and indefinite, against the brute-force oracle on the
+    # largest box it enumerates
+    rng = random.Random(seed)
+    a, b = (rng.choice([random_symmetric_form, _block_sum_form])(rng, r) for r in (m, min(l, m)))
+    verdict = solver._prefilter(a, b, k)
+    if verdict is not None:
+        assert verdict.is_no and verdict.reason in COMPLETE_REASONS
+        bound = feasible_bound(a.rank, b.rank, limit=50_000)
+        assert brute_force_oracle(a, b, k, bound) is None, (a.matrix, b.matrix, k)
 
 
 def test_isomorphic_is_the_degree_one_congruence():
