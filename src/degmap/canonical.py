@@ -6,12 +6,12 @@ diag(1, ..., 1, -1, ..., -1), and every even one to H^a + E8(+-1)^b (Serre,
 antisymmetric one of rank 2g to J^g, J = [[0, 1], [-1, 0]]
 (Milnor-Husemoller, ch. I).  ``canonical_basis`` finds the change of basis
 for the odd forms, the even forms of signature 0 and the antisymmetric
-forms, and recognises the definite I(n, 0) and I(0, n) when their matrix
-is already diagonal.  ``level_candidates`` enumerates the vectors of a
-given norm in indefinite canonical coordinates norm level by norm level,
-which is how the solver's box search runs on such a source;
-``block_witness`` builds witnesses between canonical matrices from fixed
-blocks, without any search.
+forms, from a size-reduced Gram matrix of either symmetry, and recognises
+the definite I(n, 0) and I(0, n) when their matrix is already diagonal.
+``level_candidates`` enumerates the vectors of a given norm in indefinite
+canonical coordinates norm level by norm level, which is how the solver's
+box search runs on such a source; ``block_witness`` builds witnesses
+between canonical matrices from fixed blocks, without any search.
 E8 blocks are not handled: such forms get no canonical basis.  It imports
 no degmap module but ``intform``.
 
@@ -87,18 +87,18 @@ def canonical_basis(f: IntersectionForm, budget=None) -> IntMatrix | None:
     ch. I).  A canonical input gets the identity after an O(n^2) check;
     this one check also covers the definite I(n, 0) and I(0, n), and every
     other definite form gets None, as definite forms are not split.
-    Otherwise the form is split: its Gram matrix is size-reduced
-    (``_size_reduce``), then, while the unsplit part is odd, a line of norm
-    +-1 is split off (of a sign that leaves the part indefinite), else a
-    hyperbolic plane spanned by an isotropic vector and a partner; each
-    complement comes from ``split_basis``.  Every plane is then merged with
-    a line by ``LINE_PLUS_PLANE``.  An antisymmetric form is not
-    size-reduced: every vector is isotropic, so each split takes e_1 of the
-    unsplit part and its partner, a plane J, and tries no vector.  None for
-    even forms of nonzero signature (E8 blocks), for an even part of nonzero
-    signature left over from an odd form, and when a split finds no vector
-    within ``_SPLIT_CAP`` tries, which happens for some heavily scrambled
-    forms close to definite, such as I(1, q) with q >= 8.
+    Otherwise the form is split: the Gram matrix of each unsplit part, of
+    either symmetry, is size-reduced (``_size_reduce``), then, while the
+    part is odd, a line of norm +-1 is split off (of a sign that leaves the
+    part indefinite), else a hyperbolic plane spanned by an isotropic vector
+    and a partner; each complement comes from ``split_basis``.  Every plane
+    is then merged with a line by ``LINE_PLUS_PLANE``.  An antisymmetric
+    split takes e_1 of the reduced part and its partner, a plane J, and
+    tries no vector; the reduction keeps U small.  None for even forms of
+    nonzero signature (E8 blocks), for an even part of nonzero signature
+    left over from an odd form, and when a split finds no vector within
+    ``_SPLIT_CAP`` tries, which happens for some heavily scrambled forms
+    close to definite, such as I(1, q) with q >= 8.
 
     Computed once per form object and kept on ``f.canonical``; while it is
     computed, ``budget.spend()`` (when a budget is given) is charged once
@@ -121,15 +121,13 @@ def _canonical_basis(f: IntersectionForm, budget) -> IntMatrix | None:
         return IntMatrix.identity(f.rank)
     if f.is_definite():
         return None
-    symmetric = par is not None
     lines = []  # (column in f's coordinates, its norm)
     planes = []  # (x, y) with x.x = y.y = 0 and x.y = 1
     # columns spanning the unsplit part, in f's coordinates, and their Gram matrix
     basis = IntMatrix.identity(f.rank).to_rows()
     gram = f.matrix.to_rows()
     while gram:
-        if symmetric:
-            _size_reduce(gram, basis)
+        _size_reduce(gram, basis)
         if any(row[i] % 2 for i, row in enumerate(gram)):
             # either sign while both signs keep two directions, so that
             # the part left over stays indefinite
@@ -144,7 +142,7 @@ def _canonical_basis(f: IntersectionForm, budget) -> IntMatrix | None:
             if pos != neg:
                 return None
             # every vector of an antisymmetric form is isotropic
-            found = _short_vector(gram, [0], budget) if symmetric else [_unit(len(gram), (0, 1))]
+            found = _short_vector(gram, [0], budget) if par else [_unit(len(gram), (0, 1))]
             if found is None:
                 return None
             v = found[0]
@@ -188,8 +186,9 @@ def _combine(vectors: list, coefficients: Sequence[int]) -> list:
 
 
 def _size_reduce(g: list, basis: list) -> None:
-    """Size-reduce, in place, the Gram matrix g of the vectors ``basis``:
-    moves e_i += +-e_j, applied to both, each taken while it lowers the sum
+    """Size-reduce, in place, the Gram matrix g of the vectors ``basis``, of
+    either symmetry: moves e_i += +-e_j, applied to both (row and column i
+    of g gain c times row and column j), each taken while it lowers the sum
     of the squared entries of g.
 
     A scrambled basis has large entries that the moves undo, which leaves
@@ -207,7 +206,7 @@ def _size_reduce(g: list, basis: list) -> None:
                     continue
                 gj = g[j]
                 for c in (1, -1):
-                    diag = gi[i] + 2 * c * gi[j] + gj[j]
+                    diag = gi[i] + c * (gi[j] + gj[i]) + gj[j]
                     gain = gi[i] * gi[i] - diag * diag
                     for s in range(n):
                         if s != i:
@@ -218,7 +217,7 @@ def _size_reduce(g: list, basis: list) -> None:
                     for s in range(n):
                         if s != i:
                             gi[s] += c * gj[s]
-                            g[s][i] = gi[s]
+                            g[s][i] += c * g[s][j]
                     gi[i] = diag
                     basis[i] = [x + c * y for x, y in zip(basis[i], basis[j])]
                     moved = True

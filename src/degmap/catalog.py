@@ -85,7 +85,8 @@ def manifold(
         raise InvalidManifold("n must be at least 2 (manifold dimension 2n > 2)")
     want = SYMMETRIC if n % 2 == 0 else ANTISYMMETRIC
     if form.symmetry != want:
-        raise SymmetryMismatch(f"a 2*{n}-manifold needs a {want} pairing")
+        article = "an" if want == ANTISYMMETRIC else "a"
+        raise SymmetryMismatch(f"a 2*{n}-manifold needs {article} {want} pairing")
     if highly_connected and not simply_connected:
         raise InvalidManifold("highly connected implies simply connected")
     data = tuple(homotopy_data) if homotopy_data is not None else None

@@ -266,7 +266,9 @@ class IntersectionForm(Record):
     'even' or 'odd'; both are None for antisymmetric forms.  ``tri`` is the
     form's ``symmetric_elimination``, as a tuple of rows; ``pivots`` reads
     its diagonal p_0, ..., p_{n-1}, so that the form is <p_{i-1} * p_i> over
-    Q (p_{-1} = 1) and the last pivot is the determinant.  Both are None
+    Q (p_{-1} = 1) and the last pivot is the determinant.  The solver's
+    definite enumeration reads ``tri`` for a definite form of either sign,
+    a negative one with the rows of negative pivot negated.  Both are None
     for antisymmetric forms and take no part in equality, hashing or repr.
     ``canonical`` keeps the result of ``canonical.canonical_basis`` and
     ``unit_vectors`` the number of vectors of norm +-1 of a definite form,

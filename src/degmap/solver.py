@@ -17,11 +17,11 @@ coordinates; the manifold layer passes the per-column homotopy condition.
 by ``congruence_solve`` past its own invariant checks; it answers Unknown
 only when the node budget stops a definite search.
 
-Columns of P are chosen one at a time.  When A (or -A) is positive
-definite, of rank at most ``DEFINITE_CAP``, the candidate vectors for each
+Columns of P are chosen one at a time.  When A is definite, of either
+sign and of rank at most ``DEFINITE_CAP``, the candidate vectors for each
 column form the finite solution set of a definite quadratic equation,
 enumerated completely by integer Fincke-Pohst bounds on the fraction-free
-``symmetric_elimination`` of A, so running out of candidates proves No.
+``symmetric_elimination`` kept on A, so running out of candidates proves No.
 The last coordinate must use up what is left of the norm exactly, so it is
 solved in closed form (at most two roots) rather than scanned, and one sort
 keyed by a rank lookup (0, 1, -1, 2, -2, ... -> 0, 1, 2, 3, 4, ...) puts
@@ -158,7 +158,6 @@ from .intform import (
     IntersectionForm,
     IntMatrix,
     Record,
-    symmetric_elimination,
 )
 
 REASON_SYMMETRY = "SymmetryFilter"
@@ -472,12 +471,15 @@ def _prefilter(a: IntersectionForm, b: IntersectionForm, k: int) -> Verdict | No
 
 
 def _definite_solutions(tri: list, value: int) -> list:
-    """All integer x with Q(x) == value for a positive definite Q, in
+    """All integer x with Q(x) == value for a definite Q of either sign, in
     centered-lexicographic order: x_0 first, each coordinate ranked
     0, 1, -1, 2, -2, ...
 
     ``tri`` is Q's ``symmetric_elimination``, so that
-    Q(x) = sum_i (p_i x_i + s_i)^2 / (p_{i-1} p_i).  Scaled by the lcm of
+    Q(x) = sum_i (p_i x_i + s_i)^2 / (p_{i-1} p_i), each p_{i-1} p_i of the
+    sign of p_0.  A negative Q is taken as -Q at -value: Bareiss on -Q
+    scales row i by (-1)^(i+1), the sign of p_i, so that is ``tri`` with
+    its rows of negative pivot negated.  Scaled by the lcm of
     those denominators every term has an integer weight, and each
     coordinate but x_0 is confined to the exact interval that an integer
     square root of the remaining budget allows.  x_0 must use up the rest
@@ -490,13 +492,17 @@ def _definite_solutions(tri: list, value: int) -> list:
     the coordinates take.
     """
     m = len(tri)
-    if value < 0:
-        return []
     if m == 0:
         return [()] if value == 0 else []
     pivots = [tri[i][i] for i in range(m)]
-    if min(pivots) <= 0:
-        raise ShapeMismatch("matrix is not positive definite")
+    sign = 1 if pivots[0] > 0 else -1
+    if any(p * q * sign <= 0 for p, q in zip([1] + pivots, pivots)):
+        raise ShapeMismatch("matrix is not definite")
+    if sign < 0:
+        tri = [row if p > 0 else [-x for x in row] for row, p in zip(tri, pivots)]
+        pivots, value = list(map(abs, pivots)), -value
+    if value < 0:
+        return []
     denominators = [p * q for p, q in zip([1] + pivots, pivots)]
     scale = lcm(*denominators)
     weights = [scale // den for den in denominators]
@@ -690,18 +696,6 @@ def _enumerates_completely(a: IntersectionForm) -> bool:
     return a.is_definite() and a.rank <= DEFINITE_CAP
 
 
-def _definite_elimination(f: IntersectionForm) -> tuple:
-    """(sign, tri): the sign making sign * f positive definite, and its elimination.
-
-    A positive definite f reuses the elimination ``make_form`` kept (a
-    definite matrix never pivots, so it is the same matrix); only a
-    negative definite one is eliminated again, as -f.
-    """
-    if f.signature[1] == 0:
-        return 1, f.tri
-    return -1, symmetric_elimination([[-x for x in row] for row in f.matrix.to_rows()])
-
-
 def _column_order(b: IntMatrix) -> list:
     return sorted(range(b.rows), key=lambda j: (-abs(b[j, j]), j))
 
@@ -766,7 +760,7 @@ def _unit_vector_count(f: IntersectionForm) -> int:
     so ``_prefilter`` and ``_scaled_isometry`` share one enumeration.
     """
     if f.unit_vectors is NOT_COMPUTED:
-        f.unit_vectors = len(_definite_solutions(_definite_elimination(f)[1], 1))
+        f.unit_vectors = len(_definite_solutions(f.tri, -1 if f.signature[1] else 1))
     return f.unit_vectors
 
 
@@ -834,13 +828,12 @@ def _column_search(
     target = [[k * x for x in row] for row in b.matrix.to_rows()]
 
     if _enumerates_completely(a):
-        sign, tri = _definite_elimination(a)
         definite_cache: dict = {}
 
         def candidates(col: int, lin: list) -> Iterator[tuple]:
             value = target[col][col]
             if value not in definite_cache:
-                definite_cache[value] = _definite_solutions(tri, sign * value)
+                definite_cache[value] = _definite_solutions(a.tri, value)
             for cand in definite_cache[value]:
                 budget.spend()
                 for crow, t in lin:

@@ -5,6 +5,7 @@ import pytest
 from degmap import canonical, solver
 from degmap.canonical import LINE_PLUS_PLANE, block_witness, canonical_basis, canonical_matrix
 from degmap.intform import (
+    ANTISYMMETRIC,
     HYPERBOLIC as HYPER,
     NOT_COMPUTED,
     PARITY_EVEN,
@@ -138,6 +139,41 @@ def test_canonical_basis_splits_antisymmetric_forms_without_charging():
             u = canonical_basis(f, solver._Budget(0))
             assert abs(u.det()) == 1
             assert f.matrix.transform_by(u) == canonical_matrix(genus, genus, None), f.matrix
+
+
+def _scrambled_j(rng, genus):
+    """A scramble of J^genus by ``random_unimodular``, redrawn until every
+    entry is at most 24 in absolute value."""
+    j = canonical_matrix(genus, genus, None)
+    while True:
+        m = j.transform_by(random_unimodular(rng, 2 * genus, steps=8, cap=24))
+        if max(map(abs, m.entries())) <= 24:
+            return make_form(m, ANTISYMMETRIC)
+
+
+def test_canonical_basis_of_scrambled_j_g_stays_small():
+    # the Gram matrix of each unsplit part is size-reduced as a symmetric
+    # one is; unreduced, these bases reached 7.4e27 at genus 8
+    rng = random.Random(7)
+    for genus in (2, 3, 4, 5, 6, 8):
+        for _ in range(10):
+            f = _scrambled_j(rng, genus)
+            u = canonical_basis(f)
+            assert f.matrix.transform_by(u) == canonical_matrix(genus, genus, None)
+            assert max(map(abs, u.entries())) <= 1_000, (genus, f.matrix)
+
+
+def test_antisymmetric_witnesses_are_about_as_small_as_the_input():
+    # P = U_A P' U_B^-1 from the fixed blocks in degree 3 between scrambled
+    # J^5, with no search node; unreduced, the eighth pair's witness had an
+    # entry 14 768 595 (tests/fixtures/J5-scrambled-a.mat and -b.mat)
+    rng = random.Random(7)
+    pairs = [(_scrambled_j(rng, 5), _scrambled_j(rng, 5)) for _ in range(12)]
+    for a, b in pairs:
+        v = solver.congruence_solve(a, b, 3, solver.SearchConfig(node_budget=1))
+        assert v.is_yes
+        solver.verify_witness(a, b, 3, v.witness)
+        assert max(map(abs, v.witness.entries())) <= 10_000, (a.matrix, b.matrix)
 
 
 # ---------------------------------------------------------------------------

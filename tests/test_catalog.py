@@ -146,8 +146,11 @@ def test_reverse_orientation_swaps_signature():
 
 
 def test_manifold_validation():
-    with pytest.raises(SymmetryMismatch):
+    with pytest.raises(SymmetryMismatch, match="^a 2\\*3-manifold needs an antisymmetric pairing$"):
         manifold("bad", 3, preset("CP2").form, True, True)
+    with pytest.raises(SymmetryMismatch, match="^a 2\\*2-manifold needs a symmetric pairing$"):
+        j = make_form(IntMatrix.from_rows([[0, 1], [-1, 0]]), "antisymmetric")
+        manifold("bad", 2, j, True, True)
     with pytest.raises(InvalidManifold):
         manifold("bad", 2, preset("CP2").form, False, True)
     model = pi_model(4)

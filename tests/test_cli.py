@@ -356,6 +356,21 @@ def test_degset_with_json_manifold(capsys, tmp_path):
     assert "P = [[1, -1], [1, 1]]" in out or "P = [[1, 1], [1, -1]]" in out
 
 
+def test_degset_names_the_pairing_an_odd_n_needs(capsys, tmp_path):
+    doc = {
+        "name": "odd",
+        "n": 3,
+        "matrix": {"rows": 1, "cols": 1, "entries": [1], "symmetry": "symmetric"},
+        "simply_connected": True,
+        "highly_connected": True,
+    }
+    path = tmp_path / "odd.json"
+    path.write_text(json.dumps(doc))
+    code, _, err = run(capsys, "degset", "--M", f"@{path}", "--L", f"@{path}", "--range", "1")
+    assert code == 1
+    assert err == "error: SymmetryMismatch: a 2*3-manifold needs an antisymmetric pairing\n"
+
+
 def test_selfmap_condition_not_met(capsys):
     code, _, err = run(capsys, "selfmap", "--M", "T4", "--k", "2")
     assert code == 1

@@ -36,6 +36,14 @@ CASES = {
     "deg1-blocks": ["deg1", "--M", "@A3.mat", "--L", "@A3.mat", "--budget", "10"],
     "solve-no": ["solve", "--A", "@diag1-1.mat", "--B", "@I2.mat", "--k", "2"],
     "degset-necessary": ["degset", "--M", "S2xS2", "--L", "FsxFr(0,1)", "--range", "1"],
+    # fixed blocks between scrambled J^5 in degree 3, whose witness is as
+    # small as its size-reduced canonical bases, and the definite column
+    # search of a negative definite source, a scrambled -I_5
+    "solve-antisymmetric": [
+        "solve", "--A", "@J5-scrambled-a.mat", "--B", "@J5-scrambled-b.mat", "--k", "3",
+        "--budget", "1",
+    ],
+    "solve-negative-definite": ["solve", "--A", "@minusI5-scrambled.mat", "--B", "minusCP2", "--k", "2"],
 }
 
 

@@ -765,8 +765,8 @@ def _fixture_form(name):
 def test_theta_filter_separates_i_n_from_e8_plus_i_in_degree_one(monkeypatch, n):
     # 2n vectors of norm 1 against 2(n - 8): a complete No before any
     # search node, where the k = 1 search between them ran out its budget;
-    # the only enumerations are the counts of vectors of norm 1, one per
-    # form object: I_n, E8 + I_(n-8) and their negatives
+    # the only enumerations are the counts of vectors of norm +-1, one per
+    # form object: I_n, E8 + I_(n-8) at value 1 and their negatives at -1
     calls = _count_calls(monkeypatch, "_definite_solutions")
     i_n = make_form(IntMatrix.identity(n), SYMMETRIC)
     e8_i = _e8_plus_identity(n)
@@ -774,7 +774,9 @@ def test_theta_filter_separates_i_n_from_e8_plus_i_in_degree_one(monkeypatch, n)
         for b_signed, k in ((b, 1), (make_form(-b.matrix, SYMMETRIC), -1)):
             v = congruence_solve(a, b_signed, k, SearchConfig(node_budget=1))
             assert v.is_no and v.reason == solver.REASON_THETA, (n, k)
-    assert len(calls) == 4 and all(value == 1 for _, value in calls)
+    assert len(calls) == 4
+    assert [value for _, value in calls] == [1 if tri[0][0] > 0 else -1 for tri, _ in calls]
+    assert sorted(value for _, value in calls) == [-1, -1, 1, 1]
 
 
 def test_theta_filter_never_denies_a_change_of_basis():
@@ -1205,9 +1207,49 @@ def test_definite_solutions_give_the_e8_theta_series():
     assert counts == [1, 0, 240, 0, 2160, 0, 6720, 0, 17520]
 
 
+def test_negative_definite_solutions_are_those_of_the_negation():
+    # the rows of negative pivot negated are the elimination of -G, so
+    # -G at -v gives the vectors of G at v in the same order
+    rng = random.Random(23)
+    bases = [IntMatrix.identity(n) for n in (1, 4, 7)]
+    bases += [E8.matrix, _e8_plus_identity(10).matrix, _e8_plus_identity(12).matrix]
+    for base in bases:
+        gram = base.transform_by(random_unimodular(rng, base.rows, steps=2, cap=4))
+        tri, negated = make_form(gram, SYMMETRIC).tri, make_form(-gram, SYMMETRIC).tri
+        for v in range(1, 7):
+            expected = _definite_solutions(tri, v)
+            assert _definite_solutions(negated, -v) == expected, (gram, v)
+            assert _definite_solutions(negated, v) == []
+    with pytest.raises(ShapeMismatch):
+        _definite_solutions(D.tri, 1)
+
+
+def _centered_rank(vec):
+    return tuple(2 * abs(v) - (v > 0) for v in vec)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(st.integers(1, 5), st.sampled_from([1, -1]), st.integers(0, 6), st.integers(0, 2**32))
+def test_definite_solutions_of_scrambled_unit_forms_match_brute_force(n, sign, v, seed):
+    # G = U.T (+-I_n) U takes the value +-v at x exactly when y = U x has
+    # |y|^2 = v, so the solutions are U^-1 y over every such y, found here
+    # by brute force on |y_i| <= sqrt(v) and put in centered order
+    u = random_unimodular(random.Random(seed), n, steps=2, cap=5)
+    gram = IntMatrix.identity(n).scaled(sign).transform_by(u)
+    inverse = u.inverse_unimodular()
+    r = math.isqrt(v)
+    ys = [y for y in itertools.product(range(-r, r + 1), repeat=n) if sum(c * c for c in y) == v]
+    expected = sorted(
+        (tuple(sum(a * c for a, c in zip(inverse.row(i), y)) for i in range(n)) for y in ys),
+        key=_centered_rank,
+    )
+    assert _definite_solutions(make_form(gram, SYMMETRIC).tri, sign * v) == expected
+
+
 def test_definite_search_reuses_the_elimination_of_make_form(monkeypatch):
     # a definite matrix never pivots, so the elimination make_form kept is
-    # the fresh one; only a negative definite source is eliminated again
+    # the fresh one; that of -A is A's with row i times (-1)^(i+1), so a
+    # negative definite source is not eliminated again either
     rng = random.Random(18)
     bases = [IntMatrix.identity(n) for n in range(1, 9)] + [IntMatrix.from_rows(E8_CARTAN)]
     forms = []
@@ -1215,9 +1257,9 @@ def test_definite_search_reuses_the_elimination_of_make_form(monkeypatch):
         for gram in (base, base.transform_by(random_unimodular(rng, base.rows, steps=2, cap=3))):
             f = make_form(gram, SYMMETRIC)
             assert f.tri == tuple(map(tuple, symmetric_elimination(gram.to_rows())))
-            assert solver._definite_elimination(f) == (1, f.tri)
             negated = make_form(-gram, SYMMETRIC)
-            assert solver._definite_elimination(negated) == (-1, symmetric_elimination(gram.to_rows()))
+            flipped = tuple(tuple((-1) ** (i + 1) * x for x in row) for i, row in enumerate(f.tri))
+            assert negated.tri == flipped
             forms.append((f, negated))
     # f onto <a_00> is found by the definite column search on the scrambled
     # grams and E8 (+-I_n would take the fixed block e_0 instead)
@@ -1230,14 +1272,16 @@ def test_definite_search_reuses_the_elimination_of_make_form(monkeypatch):
         calls.append(len(rows))
         return symmetric_elimination(rows)
 
-    monkeypatch.setattr(solver, "symmetric_elimination", counted)
+    assert not hasattr(solver, "symmetric_elimination")
     monkeypatch.setattr(intform, "symmetric_elimination", counted)
     for f, negated in searched:
         assert congruence_solve(f, I1, f.matrix[0, 0]).is_yes
-        assert not calls
         assert congruence_solve(negated, minus_one, f.matrix[0, 0]).is_yes
-        assert calls == [f.rank]
-        calls.clear()
+        assert not calls
+    # the count of vectors of norm -1 reads the kept elimination too
+    for f, negated in forms:
+        assert solver._unit_vector_count(negated) == solver._unit_vector_count(f)
+    assert not calls
 
 
 # ---------------------------------------------------------------------------
