@@ -8,6 +8,11 @@ the same fields.
 This module is the only place that renders results: the library returns
 plain data (``Verdict`` and the degree-set and dominance reports).
 
+Flags come from one table, ``_COMMANDS``, that also builds the help and
+usage errors, so no query pays for argparse.  They take exact names, as
+``--flag value`` or ``--flag=value`` in any order, the last value winning;
+a value may be a negative integer but no other word starting with ``-``.
+
 Matrices are given as preset names or as ``@path`` arguments.  A ``.json``
 path holds a structured document; any other path holds the plain text
 format (first line "rows cols", then the rows).  Plain matrices passed
@@ -17,42 +22,22 @@ data; use the JSON form to control dimension and flags.
 
 from __future__ import annotations
 
-import argparse
-import functools
 import json
+import re
 import sys
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
+from types import SimpleNamespace
 
 from . import __version__
-from .catalog import (
-    ManifoldModel,
-    fixed_presets,
-    manifold,
-    manifold_from_doc,
-    manifold_to_doc,
-    preset,
-)
-from .degsets import (
-    DegreeSetReport,
-    DominanceReport,
-    degree_one_summand,
-    degree_set,
-    dominated_candidates,
-    selfmap_square,
-)
-from .errors import DegmapError, ShapeMismatch
+from .catalog import ManifoldModel, fixed_presets, manifold, manifold_from_doc, manifold_to_doc
+from .catalog import preset
+from .degsets import DegreeSetReport, DominanceReport, degree_one_summand, degree_set
+from .degsets import dominated_candidates, selfmap_square
+from .errors import DegmapError, ShapeMismatch, UsageError
 from .homotopy import elements_from_doc, model_from_doc
-from .intform import (
-    SYMMETRIC,
-    IntersectionForm,
-    IntMatrix,
-    infer_symmetry,
-    make_form,
-    matrix_from_doc,
-    matrix_to_doc,
-    parse_matrix_text,
-)
+from .intform import SYMMETRIC, IntersectionForm, IntMatrix, infer_symmetry, make_form
+from .intform import matrix_from_doc, matrix_to_doc, parse_matrix_text
 from .solver import SearchConfig, Verdict, congruence_solve, isomorphic
 
 EXIT_OK = 0
@@ -63,8 +48,8 @@ EXIT_UNKNOWN = 2
 def _read_text(path: str) -> str:
     try:
         return Path(path).read_text()
-    except UnicodeDecodeError as exc:
-        raise ShapeMismatch(f"{path} is not a text file: {exc}") from exc
+    except ValueError as exc:  # not UTF-8 text, or a NUL byte in the path
+        raise ShapeMismatch(f"{path} is not a readable text file: {exc}") from exc
 
 
 def _load_doc(path: str) -> dict:
@@ -115,21 +100,23 @@ def _render_json(value, depth: int = 0) -> str:
     Strings, integers, booleans and None are rendered as its encoder renders
     them; anything else goes through ``json.dumps``, which builds no cycle
     without ``indent``."""
-    if isinstance(value, dict):
-        items = [
-            f"{encode_basestring_ascii(k)}: {_render_json(v, depth + 1)}"
-            for k, v in sorted(value.items())
-        ]
-        brackets = "{}"
-    elif isinstance(value, (list, tuple)):
-        items = [_render_json(v, depth + 1) for v in value]
-        brackets = "[]"
-    elif isinstance(value, str):
+    kind = type(value)
+    if kind is str:
         return encode_basestring_ascii(value)
-    elif value is None or isinstance(value, bool):
-        return _JSON_CONSTANTS[value]
-    elif isinstance(value, int):
+    if kind is int:
         return int.__repr__(value)
+    if value is None or kind is bool:
+        return _JSON_CONSTANTS[value]
+    if isinstance(value, dict):
+        brackets = "{}"
+        items = [f"{encode_basestring_ascii(k)}: {_render_json(v, depth + 1)}"
+                 for k, v in sorted(value.items())]
+    elif isinstance(value, (list, tuple)):
+        brackets = "[]"
+        if {*map(type, value)} == {int}:  # witness entries: a flat list of ints
+            items = [*map(int.__repr__, value)]
+        else:
+            items = [_render_json(v, depth + 1) for v in value]
     else:
         return json.dumps(value)
     if not items:
@@ -140,11 +127,7 @@ def _render_json(value, depth: int = 0) -> str:
 
 def _emit(args, doc: dict, lines) -> None:
     """Print ``doc`` under --json, else the text lines that ``lines()`` builds."""
-    if args.json:
-        print(_render_json(doc))
-    else:
-        for line in lines():
-            print(line)
+    print(_render_json(doc) if args.json else "\n".join(lines()))
 
 
 # ---------------------------------------------------------------------------
@@ -286,24 +269,6 @@ def _dominance_dot(rep: DominanceReport) -> str:
     return "\n".join(lines)
 
 
-_BUDGET_READ = "backtracking node budget"
-_BUDGET_IGNORED = "ignored: no budgeted search here; accepted because bench/gen.py passes it"
-
-
-def _add_flags(p: argparse.ArgumentParser, radius: bool = False, budget: str | None = None) -> None:
-    """--json on every subcommand, --radius/--budget on those that search.
-
-    form-iso reads --budget only, for its definite search.  form-info and
-    selfmap read neither; they still accept --budget because the
-    benchmark's query lists (bench/gen.py) pass it.
-    """
-    if radius:
-        p.add_argument("--radius", type=int, default=8, help="max |entry| for indefinite searches")
-    if budget:
-        p.add_argument("--budget", type=int, default=10_000_000, help=budget)
-    p.add_argument("--json", action="store_true", help="structured output")
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -376,7 +341,7 @@ def _cmd_selfmap(args) -> int:
 def _cmd_dominate(args) -> int:
     source = _load_manifold(args.M)
     if args.catalog:
-        names = [s for s in args.catalog.split(",") if s]
+        names = [s for s in re.split(r",(?![^(]*\))", args.catalog) if s]
         candidates = [_load_manifold(s) for s in names]
     else:
         candidates = fixed_presets()
@@ -406,79 +371,113 @@ def _cmd_catalog_list(args) -> int:
     return EXIT_OK
 
 
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The ``degmap`` parser, built once per process and shared by ``main``."""
-    parser = argparse.ArgumentParser(
-        prog="degmap",
-        description="decide degree-k map existence between manifolds by exact integer algebra",
-    )
-    parser.add_argument("--version", action="version", version=f"degmap {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
+# ---------------------------------------------------------------------------
+# Command line
+# ---------------------------------------------------------------------------
 
-    p = sub.add_parser("form-info", help="invariants of a pairing matrix")
-    p.add_argument("--f", required=True, help="matrix: preset name or @path")
-    _add_flags(p, budget=_BUDGET_IGNORED)
-    p.set_defaults(func=_cmd_form_info)
+_REQUIRED = object()  # the default of a flag that must be given
+_HELP = ("-h", "--help")
+_JSON = {"--json": (bool, False, "structured output")}
+_BUDGET = {"--budget": (int, 10_000_000, "backtracking node budget"), **_JSON}
+_SEARCH = {"--radius": (int, 8, "max |entry| for indefinite searches"), **_BUDGET}
+_BUDGET_IGNORED = "ignored: no budgeted search here; accepted because bench/gen.py passes it"
+_NO_SEARCH = {"--budget": (int, 10_000_000, _BUDGET_IGNORED), **_JSON}
+_M = {"--M": (str, _REQUIRED, "source manifold: preset or @path")}
+_ML = {**_M, "--L": (str, _REQUIRED, "target manifold: preset or @path")}
+_RANGE = {"--range": (int, 4, "degrees from -range to range")}
 
-    p = sub.add_parser("form-iso", help="decide isomorphism of two forms")
-    p.add_argument("--f", required=True)
-    p.add_argument("--g", required=True)
-    _add_flags(p, budget=_BUDGET_READ)
-    p.set_defaults(func=_cmd_form_iso)
+# subcommand -> (handler, help, {flag: (type, default or _REQUIRED, help)});
+# a bool flag takes no value and reads True when given
+_COMMANDS = {
+    "form-info": (_cmd_form_info, "invariants of a pairing matrix",
+                  {"--f": (str, _REQUIRED, "matrix: preset name or @path"), **_NO_SEARCH}),
+    "form-iso": (_cmd_form_iso, "decide isomorphism of two forms",
+                 {"--f": (str, _REQUIRED, "matrix: preset name or @path"),
+                  "--g": (str, _REQUIRED, "matrix: preset name or @path"), **_BUDGET}),
+    "solve": (_cmd_solve, "find P with P.T A P = k B",
+              {"--A": (str, _REQUIRED, "source matrix: preset name or @path"),
+               "--B": (str, _REQUIRED, "target matrix: preset name or @path"),
+               "--k": (int, _REQUIRED, "nonzero degree"), **_SEARCH}),
+    "degset": (_cmd_degset, "degree set over a range", {**_ML, **_RANGE, **_SEARCH}),
+    "deg1": (_cmd_deg1, "degree-one map and pairing splitting", {**_ML, **_SEARCH}),
+    "selfmap": (_cmd_selfmap, "square-degree self-map witness",
+                {**_M, "--k": (int, _REQUIRED, "the witness is k times the identity"),
+                 "--pi": (str, None, "homotopy model document (@path) for n > 2"), **_NO_SEARCH}),
+    "dominate": (_cmd_dominate, "which catalog members M dominates",
+                 {**_M, "--catalog": (str, None, "presets or @paths, split at commas outside"
+                                                 " parentheses (default: fixed presets)"),
+                  **_RANGE, "--dot": (bool, False, "emit a DOT digraph"), **_SEARCH}),
+    "catalog-list": (_cmd_catalog_list, "list the built-in presets", _JSON),
+}
 
-    p = sub.add_parser("solve", help="find P with P.T A P = k B")
-    p.add_argument("--A", required=True)
-    p.add_argument("--B", required=True)
-    p.add_argument("--k", type=int, required=True)
-    _add_flags(p, radius=True, budget=_BUDGET_READ)
-    p.set_defaults(func=_cmd_solve)
 
-    p = sub.add_parser("degset", help="degree set over a range")
-    p.add_argument("--M", required=True, help="source manifold: preset or @path")
-    p.add_argument("--L", required=True, help="target manifold: preset or @path")
-    p.add_argument("--range", type=int, default=4)
-    _add_flags(p, radius=True, budget=_BUDGET_READ)
-    p.set_defaults(func=_cmd_degset)
+def build_parser() -> dict:
+    """The subcommand table that ``main`` parses argv with."""
+    return _COMMANDS
 
-    p = sub.add_parser("deg1", help="degree-one map and pairing splitting")
-    p.add_argument("--M", required=True)
-    p.add_argument("--L", required=True)
-    _add_flags(p, radius=True, budget=_BUDGET_READ)
-    p.set_defaults(func=_cmd_deg1)
 
-    p = sub.add_parser("selfmap", help="square-degree self-map witness")
-    p.add_argument("--M", required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--pi", help="homotopy model document (@path) for n > 2")
-    _add_flags(p, budget=_BUDGET_IGNORED)
-    p.set_defaults(func=_cmd_selfmap)
+def _help(command: str | None) -> str:
+    """Usage line, summary, and subcommands or flags of ``degmap [command]``."""
+    rows = [("-h, --help", "show this help and exit")]
+    if command is None:
+        usage = f"degmap [-h] [--version] {{{','.join(_COMMANDS)}}} ..."
+        about = "decide degree-k map existence between manifolds by exact integer algebra"
+        rows += [("--version", "print the version and exit")]
+        rows += [(name, spec[1]) for name, spec in _COMMANDS.items()]
+    else:
+        _, about, flags = _COMMANDS[command]
+        usage = f"degmap {command} [-h]"
+        for flag, (kind, default, text) in flags.items():
+            word = flag if kind is bool else f"{flag} {flag[2:].upper()}"
+            usage += f" {word}" if default is _REQUIRED else f" [{word}]"
+            rows.append((word, text))
+    width = max(len(word) for word, _ in rows) + 2
+    return "\n".join([f"usage: {usage}", "", about, ""] + [f"  {w:<{width}}{h}" for w, h in rows])
 
-    p = sub.add_parser("dominate", help="which catalog members M dominates")
-    p.add_argument("--M", required=True)
-    p.add_argument("--catalog", help="comma-separated presets or @paths (default: fixed presets)")
-    p.add_argument("--range", type=int, default=4)
-    p.add_argument("--dot", action="store_true", help="emit a DOT digraph")
-    _add_flags(p, radius=True, budget=_BUDGET_READ)
-    p.set_defaults(func=_cmd_dominate)
 
-    p = sub.add_parser("catalog-list", help="list the built-in presets")
-    _add_flags(p)
-    p.set_defaults(func=_cmd_catalog_list)
+def _usage_error(command: str | None, problem: str) -> UsageError:
+    return UsageError(f"{problem}\n{_help(command).splitlines()[0]}")
 
-    return parser
+
+def _parse(argv) -> tuple:
+    """The handler that answers ``argv`` and its flags, or ``print`` and the
+    help or version text; raises UsageError on a malformed command line."""
+    command = argv[0] if argv else None
+    if command in _HELP or command == "--version":
+        return print, _help(None) if command in _HELP else f"degmap {__version__}"
+    if command not in _COMMANDS:
+        raise _usage_error(None, f"unknown subcommand {command!r}" if argv else "no subcommand")
+    handler, _, flags = _COMMANDS[command]
+    values, tokens = {}, iter(argv[1:])
+    for token in tokens:
+        if token in _HELP:
+            return print, _help(command)
+        flag, eq, value = token.partition("=")
+        kind = flags.get(flag, (None,))[0]
+        if kind is None or kind is bool and eq:
+            raise _usage_error(command, f"unknown flag {token!r}")
+        if kind is bool:
+            value = True
+        elif not eq:
+            value = next(tokens, None)
+            if value is None or value[:1] == "-" and not value[1:].isdigit():
+                raise _usage_error(command, f"{flag} expects a value")
+        if kind is int:
+            try:
+                value = int(value)
+            except ValueError:
+                raise _usage_error(command, f"{flag} expects an integer, not {value!r}") from None
+        values[flag[2:]] = value
+    missing = [f for f, spec in flags.items() if spec[1] is _REQUIRED and f[2:] not in values]
+    if missing:
+        raise _usage_error(command, "missing required " + ", ".join(missing))
+    return handler, SimpleNamespace(**({f[2:]: spec[1] for f, spec in flags.items()} | values))
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        # argparse exits 2 on usage errors; remap to the validation code
-        code = exc.code if isinstance(exc.code, int) else 0
-        return EXIT_ERROR if code else EXIT_OK
-    try:
-        return args.func(args)
+        func, args = _parse(sys.argv[1:] if argv is None else argv)
+        return func(args) or EXIT_OK  # print returns None
     except DegmapError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_ERROR

@@ -53,6 +53,10 @@ class NonIntegralHopf(DegmapError):
     """The infinite-order coefficient does not scale to an integer Hopf invariant."""
 
 
+class UsageError(DegmapError):
+    """The command line names no subcommand, or a flag or value it does not take."""
+
+
 class ZeroK(DegmapError):
     pass
 

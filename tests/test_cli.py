@@ -313,10 +313,34 @@ def test_deg1_splits_a_hyperbolic_plane_off_a_mixed_form(capsys):
     assert doc["complement"]["entries"] == [1, 0, 0, -1]
 
 
+_JSON_LEAVES = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.integers(-(10**40), 10**40),
+    st.text(st.characters(), max_size=6), st.sampled_from(['"', '\\"q\\"', "caf\u00e9", "\u2212", "\n"]),
+)
+_JSON_DOCS = st.recursive(
+    _JSON_LEAVES,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=6),
+        st.lists(st.integers(), max_size=6),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(st.text(max_size=4), inner, max_size=5),
+    ),
+    max_leaves=30,
+)
+
+
 def test_json_output_is_json_dumps_with_indent_two():
     doc = {"b": [1, {"z": None, "a": True}, [], {}], "a": "caf\u00e9 \"q\"", "c": (-3, False)}
     assert _render_json(doc) == json.dumps(doc, indent=2, sort_keys=True)
-    assert _render_json([]) == "[]" and _render_json({}) == "{}"
+    assert _render_json([]) == "[]" and _render_json({}) == "{}" and _render_json(()) == "[]"
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(_JSON_DOCS)
+def test_json_output_is_json_dumps_on_any_nested_document(doc):
+    # flat int lists take a shortcut; mixed ones, bools among ints, big and
+    # negative ints, quotes and non-ASCII text must render as json.dumps does
+    assert _render_json(doc) == json.dumps(doc, indent=2, sort_keys=True)
 
 
 def test_selfmap(capsys):
@@ -410,6 +434,17 @@ def test_dominate_dot_escapes_quotes_and_backslashes_in_names(capsys, tmp_path):
     assert pairs == [('M"x', name) for name in names]
 
 
+def test_dominate_catalog_splits_only_at_commas_outside_parentheses(capsys):
+    catalog = ["FsxFr(1,1)", "S2xS2", "CP2#(-CP2)", "FsxFr(0,1)"]
+    code, out, err = run(capsys, "dominate", "--M", "FsxFr(1,1)", "--catalog",
+                         ",".join(catalog[:2]) + ",," + ",".join(catalog[2:]), "--range", "1", "--json")
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    named = [d["target"] for d in doc["dominated"] + doc["necessary_only"]]
+    assert sorted(named + doc["excluded_by_rank"] + doc["undecided"]) == sorted(catalog)
+    assert [d["target"] for d in doc["dominated"]] == ["S2xS2"]
+
+
 def test_catalog_list(capsys):
     code, out, _ = run(capsys, "catalog-list")
     assert code == 0
@@ -452,6 +487,13 @@ def test_directory_path_is_a_clean_error(capsys, tmp_path, argv):
     assert err.startswith("error:")
 
 
+def test_a_nul_byte_in_a_path_is_a_clean_error(capsys):
+    # argv from a shell cannot hold one, but main's callers can pass it
+    code, out, err = run(capsys, "form-info", "--f", "@a\x00b")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ShapeMismatch: ")
+
+
 def test_usage_error(capsys):
     code, _, _ = run(capsys, "solve", "--A", "CP2")
     assert code == 1
@@ -475,6 +517,101 @@ def test_the_parser_is_built_once_and_reused(capsys):
     assert first[tuple(calls[2])][0] == first[tuple(calls[5])][0] == 1
     assert "usage:" in first[tuple(calls[2])][2]
     assert build_parser() is build_parser()
+
+
+@pytest.mark.parametrize(
+    "argv,k",
+    [
+        (["--k=3"], 3),
+        (["--k", "-3"], -3),
+        (["--k=-4"], -4),
+        (["--k", "2", "--k", "4"], 4),  # the last value wins
+    ],
+)
+def test_flag_values_in_any_form_and_order(capsys, argv, k):
+    code, out, err = run(capsys, "solve", *argv, "--json", "--B", "CP2", "--A=CP2")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["k"] == k
+
+
+@pytest.mark.parametrize(
+    "argv,code,usage_on",
+    [
+        (["solve", "--A", "CP2", "--B", "CP2", "--k", "1", "--zz", "1"], 1, "err"),
+        (["solve", "--A", "CP2", "--B", "CP2", "--k", "1", "--bud", "5"], 1, "err"),
+        (["solve", "--A", "CP2", "--B", "CP2", "--k", "1", "--json=1"], 1, "err"),
+        (["catalog-list", "--budget", "1"], 1, "err"),
+        (["sovle", "--A", "CP2"], 1, "err"),
+        (["form-iso", "--f", "CP2", "--g", "CP2", "--budget"], 1, "err"),
+        (["solve", "--A", "CP2", "--B", "--k", "1"], 1, "err"),
+        (["solve", "--A", "CP2", "--B", "CP2", "--k", "x"], 1, "err"),
+        (["solve", "--A", "CP2", "--B", "CP2", "--k="], 1, "err"),
+        (["solve", "--A", "CP2"], 1, "err"),
+        ([], 1, "err"),
+        (["-h"], 0, "out"),
+        (["--help"], 0, "out"),
+        (["solve", "-h"], 0, "out"),
+        (["catalog-list", "--help"], 0, "out"),
+        (["dominate", "--M", "CP2", "--k", "x", "-h"], 1, "err"),
+        (["dominate", "--M", "CP2", "-h", "--k", "x"], 0, "out"),
+        (["--version"], 0, None),
+    ],
+)
+def test_usage_errors_and_help(capsys, argv, code, usage_on):
+    got, out, err = run(capsys, *argv)
+    assert got == code
+    assert ("usage:" in out, "usage:" in err) == (usage_on == "out", usage_on == "err")
+    assert "Traceback" not in err
+    if code == 1:
+        assert out == "" and err.startswith("error: UsageError: "), err
+    if usage_on == "out":
+        # the help lists every flag of its subcommand, or every subcommand
+        names = build_parser()[argv[0]][2] if argv[0] in build_parser() else build_parser()
+        assert err == "" and all(name in out for name in names), out
+
+
+_SUBCOMMANDS = list(build_parser())
+_FLAGS = sorted({flag for _, _, flags in build_parser().values() for flag in flags})
+_VALUES = {
+    int: st.integers(-3, 3).map(str),
+    str: st.sampled_from(["CP2", "minusCP2", "S2xS2", "CP2#(-CP2)", "FsxFr(0,1)", "CP2,FsxFr(0,1)"]),
+}
+_JUNK = st.one_of(
+    st.sampled_from(_FLAGS + _SUBCOMMANDS + ["-h", "--help", "--version", "--bud", "-k"]),
+    st.sampled_from(["", "-", "--", "=", "--=", "-3x", "@", "x,y", "--budget=", "--k=x", "--json=1"]),
+    st.text(max_size=4),
+)
+
+
+@st.composite
+def _argvs(draw):
+    """A subcommand or junk, then each of its flags left out, with a value,
+    as --flag=value or bare, in any order, with a few junk words between."""
+    first = draw(st.sampled_from(_SUBCOMMANDS + [None])) or draw(_JUNK)
+    flags = build_parser().get(first, (None, None, {}))[2]
+    # a one-node budget, where the subcommand takes one, keeps searches short
+    argv = ["--budget", "1"] if "--budget" in flags else []
+    for flag in draw(st.permutations(sorted(flags.keys() - {"--budget"}) or _FLAGS[:3])):
+        kind = flags.get(flag, (str,))[0]
+        value = draw(_VALUES.get(kind, _VALUES[str]))
+        forms = [[flag, value]] * 4 + [[f"{flag}={value}"]] * 2 + [[], [flag]]
+        if kind is bool:
+            forms = [[], [flag], [flag]]
+        argv += draw(st.sampled_from(forms))
+    for _ in range(draw(st.sampled_from([0] * 8 + [1, 2]))):
+        argv.insert(draw(st.integers(0, len(argv))), draw(_JUNK))
+    return [first] + argv
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(_argvs())
+def test_any_argv_ends_in_an_exit_code(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2)
+    if code == 1:
+        assert err.getvalue().startswith("error:"), err.getvalue()
 
 
 def test_unknown_verdict_exit_code(capsys):
@@ -572,7 +709,7 @@ def test_importing_the_cli_leaves_record_and_rational_modules_unloaded():
     # dis and tokenize, and fractions pulls in decimal
     src = str(Path(degmap.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
-    heavy = ("dataclasses", "inspect", "fractions", "decimal")
+    heavy = ("dataclasses", "inspect", "fractions", "decimal", "argparse", "gettext")
     probe = f"import sys, degmap.cli; print([m for m in {heavy!r} if m in sys.modules])"
     out = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True

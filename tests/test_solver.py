@@ -20,7 +20,7 @@ from degmap.catalog import (
     hyperbolic_scaling_matrix,
     preset,
 )
-from degmap.cli import _verdict_text, build_parser, main
+from degmap.cli import _verdict_text, main
 from degmap.errors import (
     ShapeMismatch,
     SymmetryMismatch,
@@ -511,10 +511,8 @@ def test_searches_leave_no_reference_cycles():
     # a search's recursive closures must not keep its candidate lists alive
     # until the next cyclic collection: with the collector off, definite,
     # box, level and budget-stopped searches, the scaled isometry, the
-    # mod-4 filter and a whole CLI call leave no garbage; the parser, whose
-    # construction leaves argparse formatter cycles, is built once per
-    # process beforehand
-    build_parser()
+    # mod-4 filter and a whole CLI call, argv parsing included, leave no
+    # garbage
     gc.collect()
     gc.disable()
     try:
@@ -542,9 +540,11 @@ def test_searches_leave_no_reference_cycles():
         i21s = transform_form(make_form(IntMatrix.diagonal([1, 1, -1]), SYMMETRIC),
                               random_unimodular(rng16, 3))
         assert congruence_solve(transform_form(I33, random_unimodular(rng16, 6)), i21s, -3).is_yes
-        # a whole CLI call with JSON output
-        with contextlib.redirect_stdout(io.StringIO()):
+        # a whole CLI call with JSON output, a usage error, a help and the version
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             assert main(["deg1", "--M", f"@{FIXTURES}/h-i11.mat", "--L", "S2xS2", "--json"]) == 0
+            calls = [["solve", "--A", "CP2", "--k", "x"], ["solve", "-h"], ["--version"]]
+            assert [main(argv) for argv in calls] == [1, 0, 0]
         assert gc.collect() == 0
     finally:
         gc.enable()
