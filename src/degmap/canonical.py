@@ -11,7 +11,10 @@ the definite I(n, 0) and I(0, n) when their matrix is already diagonal.
 ``level_candidates`` enumerates the vectors of a given norm in indefinite
 canonical coordinates norm level by norm level, which is how the solver's
 box search runs on such a source; ``block_witness`` builds witnesses
-between canonical matrices from fixed blocks, without any search.
+between canonical matrices from fixed blocks, without any search.  Blocks
+that need a hyperbolic plane also fit an odd I(p, q) with a line to spare:
+H + <eps> = I(1, 1) + <eps>, so b planes carved around one spare line give
+I(p, q) = H^b + I(p - b, q - b) for p + q > 2b (``_carved_planes``).
 E8 blocks are not handled: such forms get no canonical basis.  It imports
 no degmap module but ``intform``.
 
@@ -417,7 +420,14 @@ def block_witness(a: tuple, b: tuple, k: int) -> IntMatrix | None:
       ``_SQUARES_CAP``);
     * negative k by the sign swap of B: (-k)(-C_B), where -C_B is a
       canonical matrix in permuted coordinates (by diag(1, -1) per plane
-      for H and J).
+      for H and J);
+    * on planes carved from an odd I(p, q), P' = M_b P'' with M_b.T
+      I(p, q) M_b = H^b + I(p - b, q - b) from ``_carved_planes``, when
+      p + q > 2b and the blocks above leave a query open: kH^c for odd k
+      by diag(k, 1) on c carved planes; and, for even k, the lines of an
+      odd B on b = 1, 2, ... planes, a pair of opposite sign per plane by
+      (1, k/2) and (1, -k/2) or a single line by (1, +-k/2), with the
+      rest of B on I(p - b, q - b) as above (``_carved_odd``).
 
     None when no placement fits; an indefinite C_A may still carry k C_B.
 
@@ -453,8 +463,14 @@ def block_witness(a: tuple, b: tuple, k: int) -> IntMatrix | None:
         cols = [_unit(n, (2 * i, 1), (2 * i + 1, h)) for i in range(pos_b)]
         cols += [_unit(n, (2 * i, 1), (2 * i + 1, -h)) for i in range(neg_b)]
     elif even_b:
-        if k % 2 or pos_b > min(pos_a, neg_a):
+        if pos_b > min(pos_a, neg_a):
             return None
+        if k % 2:
+            # kH on each of pos_b carved planes, by diag(k, 1)
+            if n <= 2 * pos_b:
+                return None
+            cols = [_unit(n, (i, k if i % 2 == 0 else 1)) for i in range(2 * pos_b)]
+            return _carved_planes(pos_a, neg_a, pos_b) @ IntMatrix.from_columns(cols, n)
         h = k // 2
         cols = []
         for i in range(pos_b):
@@ -462,7 +478,7 @@ def block_witness(a: tuple, b: tuple, k: int) -> IntMatrix | None:
     else:
         cols = _odd_columns(pos_a, neg_a, pos_b, neg_b, k)
         if cols is None:
-            return None
+            return None if k % 2 else _carved_odd(pos_a, neg_a, pos_b, neg_b, k)
     return IntMatrix.from_columns(cols, n)
 
 
@@ -480,6 +496,65 @@ def _sign_swap(pos: int, neg: int, even: bool) -> IntMatrix:
         return IntMatrix.diagonal([1, -1] * pos)
     order = list(range(neg, neg + pos)) + list(range(neg))
     return IntMatrix.from_columns([_unit(pos + neg, (i, 1)) for i in order], pos + neg)
+
+
+def _carved_planes(pos: int, neg: int, b: int) -> IntMatrix:
+    """M with M.T I(pos, neg) M == H^b + I(pos - b, neg - b), for
+    b <= min(pos, neg) and pos + neg > 2b.
+
+    The planes share one spare line z of I(pos, neg) that no plane uses,
+    the last negative line when there is one to spare, else the last
+    positive one: plane i takes x_i = e_i + f_i and y_i = e_i + z for a
+    negative z, y_i = -f_i - z for a positive one, and z then becomes
+    e_i + f_i + z, of the same norm and orthogonal to the plane, as in
+    H + <eps> = I(1, 1) + <eps> (``LINE_PLUS_PLANE``).  The columns of
+    I(pos - b, neg - b) follow: the lines no plane takes, z in the place
+    of its own line.
+    """
+    n = pos + neg
+    sign = -1 if neg > b else 1  # z.z
+    spare = n - 1 if sign < 0 else pos - 1
+    z = _unit(n, (spare, 1))
+    cols = []
+    for i in range(b):
+        x = _unit(n, (i, 1), (pos + i, 1))
+        y = _unit(n, (i, 1)) if sign < 0 else _unit(n, (pos + i, -1))
+        cols += [x, [a - sign * c for a, c in zip(y, z)]]
+        z = [a + c for a, c in zip(x, z)]
+    rest = [_unit(n, (i, 1)) if i != spare else z for i in (*range(b, pos), *range(pos + b, n))]
+    return IntMatrix.from_columns(cols + rest, n)
+
+
+def _carved_odd(pos_a: int, neg_a: int, pos_b: int, neg_b: int, k: int) -> IntMatrix | None:
+    """P' for k I(pos_b, neg_b) in I(pos_a, neg_a), k even, on b carved
+    planes, b = 1, 2, ...: as many pairs of lines of B of opposite sign as
+    fit, one pair per plane by (1, k/2) and (1, -k/2), single lines of
+    the sign left over on the remaining planes by (1, +-k/2), and the rest
+    of B by ``_odd_columns`` on I(pos_a - b, neg_a - b).  None when no b
+    fits."""
+    n = pos_a + neg_a
+    h = k // 2
+    for b in range(1, min(pos_a, neg_a, (n - 1) // 2) + 1):
+        pairs = min(b, pos_b, neg_b)
+        singles = b - pairs
+        sp, sn = (singles, 0) if pos_b > pairs else (0, singles)
+        lp, ln = pos_b - pairs - sp, neg_b - pairs - sn
+        if lp < 0 or ln < 0:
+            # more planes than B has lines to put on them, and so for every larger b
+            return None
+        rest = _odd_columns(pos_a - b, neg_a - b, lp, ln, k)
+        if rest is None:
+            continue
+        pad = [0] * (2 * b)
+        # the positive lines on planes 0, ..., pairs + sp - 1, the negative
+        # ones on the other planes and on the first pairs
+        cols = [_unit(n, (2 * i, 1), (2 * i + 1, h)) for i in range(pairs + sp)]
+        cols += [pad + c for c in rest[:lp]]
+        negative_planes = (*range(pairs), *range(pairs + sp, b))
+        cols += [_unit(n, (2 * i, 1), (2 * i + 1, -h)) for i in negative_planes]
+        cols += [pad + c for c in rest[lp:]]
+        return _carved_planes(pos_a, neg_a, b) @ IntMatrix.from_columns(cols, n)
+    return None
 
 
 def _odd_columns(pos_a: int, neg_a: int, pos_b: int, neg_b: int, k: int) -> list | None:

@@ -24,7 +24,13 @@ Which criterion applies depends on the hypotheses:
   ``homotopy.check_homotopy_condition``;
 * anything else: only necessity is available.  A solver Yes is then
   downgraded to the distinct kind ``necessary_pass`` so the tool never
-  overclaims, while a solver No stays a genuine No.
+  overclaims, while a solver No stays a genuine No.  The one exception is
+  k = 1 from a catalog preset to the same preset: the identity is a
+  degree-1 map of every closed oriented manifold, so that is a Yes with
+  the identity witness.  Equal models alone do not suffice, because the
+  data of this regime do not determine the manifold: T4 and
+  (S1xS3)#3(S2xS2) both have the pairing H^3 and neither is simply
+  connected, yet no degree-1 map takes the second onto the first.
 """
 
 from __future__ import annotations
@@ -33,12 +39,13 @@ from operator import mul
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .canonical import canonical_basis
-from .catalog import ManifoldModel
+from .catalog import ManifoldModel, preset
 from .errors import (
     ConditionNotMet,
     DimensionMismatch,
     NotApplicable,
     ShapeMismatch,
+    UnknownPreset,
     WitnessRejected,
 )
 from .homotopy import (
@@ -59,6 +66,7 @@ from . import solver
 from .solver import SearchConfig, Verdict
 
 REGIME_CONSTANT = "constant-map"
+REGIME_IDENTITY = "identity-map"
 REGIME_BILINEAR = "bilinear-criterion"
 REGIME_HOMOTOPY = "homotopy-criterion"
 REGIME_NECESSARY = "necessary-only"
@@ -84,6 +92,19 @@ def _regime(source: ManifoldModel, target: ManifoldModel) -> str:
     return REGIME_NECESSARY
 
 
+def _same_preset(source: ManifoldModel, target: ManifoldModel) -> bool:
+    """Whether source and target are both the catalog preset they are named
+    after, and so one manifold.  Equal models under any other name, such as
+    two unnamed documents with the same data, can be two manifolds.  A
+    document that gives a preset's name and data is taken at its word."""
+    if source != target:
+        return False
+    try:
+        return preset(source.name) == source
+    except UnknownPreset:
+        return False
+
+
 def degree_realizable(
     source: ManifoldModel,
     target: ManifoldModel,
@@ -99,6 +120,10 @@ def degree_realizable(
         # the constant map
         zero = IntMatrix.zeros(source.form.rank, target.form.rank)
         return Verdict("yes", witness=zero, k=0, regime=REGIME_CONSTANT)
+    if k == 1 and regime == REGIME_NECESSARY and _same_preset(source, target):
+        # the identity map, which the exact criteria find by themselves
+        identity = IntMatrix.identity(source.form.rank)
+        return Verdict("yes", witness=identity, k=1, regime=REGIME_IDENTITY)
     if regime == REGIME_HOMOTOPY:
         verdict = _homotopy_verdict(source, target, k, cfg)
     else:

@@ -73,10 +73,21 @@ construction, built from explicit pieces as the paper builds its maps:
   k<+-1>, k odd or 4 | k      I(1, 1)          (x, y) or (y, x)
   k I_2 or k<1>, one sign     I_2, that sign   [[x, -y], [y, x]]; x^2 + y^2 = k
   k I_l, l <= 4, one sign     I_4, that sign   a Lagrange quaternion block
+  kH, k odd                   carved H         diag(k, 1) on (x_i, y_i)
+  k I(1, 1), k even           carved H         (1, k/2), (1, -k/2)
+  k<+-1>, k even              carved H         (1, +-k/2)
   ==========================  ===============  ================================
 
-  Negative k uses the sign swap of B.  When no placement fits, nothing is
-  built by blocks, and the scaled isometry below is tried instead;
+  A carved H is a plane of an odd C_A = I(p, q) with a line to spare,
+  p + q > 2b for b planes: they share one spare line z, plane i takes
+  x_i = e_i + f_i and y_i = e_i + z for a negative z, y_i = -f_i - z for
+  a positive one, and z becomes e_i + f_i + z, so that I(p, q) = H^b +
+  I(p - b, q - b) by a unimodular M_b (H + <eps> = I(1, 1) + <eps>).  The
+  rest of B takes the blocks above on I(p - b, q - b), and P' = M_b P''.
+  Planes are carved only where the blocks on I(p, q) itself leave a query
+  open.  Negative k uses the sign swap of B.  When no placement fits,
+  nothing is built by blocks, and the scaled isometry below is tried
+  instead;
 * scaled isometry, for an A with no canonical basis or no fitting block,
   of B's rank, signature and parity: for k = m^2, m >= 1, and U.T A U ==
   B, (m U).T A (m U) == k B.  It answers I_n onto a scrambled I_n, which

@@ -208,14 +208,41 @@ def test_each_fixed_block_identity():
         [2, -1, -1, -1], [1, 2, -1, 1], [1, 1, 2, -1], [1, -1, 1, 2]]  # 4 + 1 + 1 + 1
     assert _block(H1, H1, -11) == [[11, 0], [0, -1]]  # the sign swap of B
     assert _block(I11, I11, -1) == [[0, 1], [1, 0]]
+    # on a plane carved from I(2, 1) around the spare line e_2: x = e_1 + f_1
+    # and y = -f_1 - e_2, under kH, k<1> and k I(1, 1); and from I(2, 2)
+    # around f_2
+    assert _block((2, 1, PARITY_ODD), H1, 1) == [[1, 0], [0, -1], [1, -1]]
+    assert _block((2, 1, PARITY_ODD), H1, 11) == [[11, 0], [0, -1], [11, -1]]
+    assert _block((2, 1, PARITY_ODD), (1, 0, PARITY_ODD), 6) == [[1], [-3], [-2]]
+    assert _block((2, 1, PARITY_ODD), I11, 2) == [[1, 1], [-1, 1], [0, 2]]
+    assert _block((2, 2, PARITY_ODD), I11, 6) == [[4, -2], [0, 0], [1, 1], [3, -3]]
+
+
+def test_carved_planes_split_i_p_q():
+    # M.T I(p, q) M == H^b + I(p - b, q - b), unimodular, whenever a line
+    # is left to spare
+    for p in range(1, 6):
+        for q in range(1, 6):
+            for b in range(min(p, q, (p + q - 1) // 2) + 1):
+                m = canonical._carved_planes(p, q, b)
+                split = block_diagonal(*[HYPER] * b, canonical_matrix(p - b, q - b, PARITY_ODD))
+                assert m.transpose() @ canonical_matrix(p, q, PARITY_ODD) @ m == split, (p, q, b)
+                assert m.det() in (1, -1)
 
 
 def test_fixed_blocks_are_absent_where_no_block_fits():
-    # k = 2 mod 4 has no x^2 - y^2 = k; 2 I(3,3) in I(3,3) needs a
-    # placement beyond the table; an even form of nonzero signature is no
-    # canonical shape here; odd A carries H in odd degree only beyond it
+    # k = 2 mod 4 has no x^2 - y^2 = k and I(1, 1) has no line to spare
+    # for a plane; 6 I(3,3) in I(3,3) needs a placement beyond the table;
+    # an even form of nonzero signature is no canonical shape here
     assert block_witness(I11, I11, 6) is None
-    assert block_witness((3, 3, PARITY_ODD), (3, 3, PARITY_ODD), 2) is None
+    assert block_witness((3, 3, PARITY_ODD), (3, 3, PARITY_ODD), 6) is None
     assert block_witness((8, 0, PARITY_EVEN), (8, 0, PARITY_EVEN), 4) is None
-    assert block_witness((3, 3, PARITY_ODD), H1, 1) is None
+    assert block_witness(I11, H1, 1) is None
     assert block_witness(I11, I11, (1 << 40) + 2) is None  # no search for squares
+    # 2 I(3,3) in I(3,3) and H in I(3,3) at k = 1 take a plane carved
+    # around f_3, x = e_1 + f_1 and y = e_1 + f_3: one pair of lines on the
+    # plane and the rest by 2 x 2 blocks, and kH by diag(k, 1)
+    assert _block((3, 3, PARITY_ODD), (3, 3, PARITY_ODD), 2) == [
+        [2, 0, 0, 0, 1, 1], [0, 1, -1, 0, 0, 0], [0, 1, 1, 0, 0, 0],
+        [1, 0, 0, 1, 1, 1], [0, 0, 0, 0, 1, -1], [1, 0, 0, -1, 1, 1]]
+    assert _block((3, 3, PARITY_ODD), H1, 1) == [[1, 1], [0, 0], [0, 0], [1, 0], [0, 0], [0, 1]]

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 import degmap
 from degmap.cli import _render_json, build_parser, main
+from degmap.catalog import manifold_to_doc, preset
 from degmap.intform import SYMMETRIC, IntMatrix, make_form, parse_matrix_text
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -442,7 +443,33 @@ def test_dominate_catalog_splits_only_at_commas_outside_parentheses(capsys):
     doc = json.loads(out)
     named = [d["target"] for d in doc["dominated"] + doc["necessary_only"]]
     assert sorted(named + doc["excluded_by_rank"] + doc["undecided"]) == sorted(catalog)
-    assert [d["target"] for d in doc["dominated"]] == ["S2xS2"]
+    assert [d["target"] for d in doc["dominated"]] == ["FsxFr(1,1)", "S2xS2"]
+
+
+def test_identity_answers_degree_one_self_maps(capsys, tmp_path):
+    # T4 and FsxFr(1,1) are not simply connected, so only necessary
+    # conditions hold onto them, except for the identity at k = 1
+    code, out, _ = run(capsys, "degset", "--M", "T4", "--L", "T4", "--range", "1", "--json")
+    assert code == 0
+    answers = {a["k"]: a for a in json.loads(out)["answers"]}
+    assert answers[-1]["kind"] == "necessary_pass"
+    assert (answers[1]["kind"], answers[1]["regime"]) == ("yes", "identity-map")
+    assert answers[1]["witness"]["entries"] == [int(i % 7 == 0) for i in range(36)]
+    code, out, _ = run(capsys, "dominate", "--M", "FsxFr(1,1)", "--catalog", "FsxFr(1,1),S2xS2",
+                       "--range", "1")
+    assert code == 0
+    assert out == "FsxFr(1,1) dominates:\n  FsxFr(1,1)  (degree 1)\n  S2xS2  (degree 1)\n"
+    # T4's data in two unnamed documents may describe two manifolds, so
+    # k = 1 keeps the necessary-only answer
+    doc = manifold_to_doc(preset("T4"))
+    del doc["name"]
+    for name in ("a", "b"):
+        (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+    code, out, _ = run(capsys, "degset", "--M", f"@{tmp_path}/a.json", "--L",
+                       f"@{tmp_path}/b.json", "--range", "1", "--json")
+    assert code == 0
+    answers = {a["k"]: (a["kind"], a["regime"]) for a in json.loads(out)["answers"]}
+    assert answers == {k: ("necessary_pass", "necessary-only") for k in (-1, 1)}
 
 
 def test_catalog_list(capsys):
@@ -616,22 +643,26 @@ def test_any_argv_ends_in_an_exit_code(argv):
 
 def test_unknown_verdict_exit_code(capsys):
     # a search that no filter decides and no fixed block answers: force a
-    # tiny budget on I(3,3) -> I(3,3) at k = 2
+    # tiny budget on I(3,3) -> I(3,3) at k = 6; at k = 2, the old instance,
+    # the blocks on a carved plane answer within a one-node budget
     i33 = f"@{FIXTURES}/I33.mat"
-    code, out, _ = run(capsys, "solve", "--A", i33, "--B", i33, "--k", "2", "--budget", "10")
+    code, out, _ = run(capsys, "solve", "--A", i33, "--B", i33, "--k", "6", "--budget", "10")
     assert code == 2
     assert out.startswith("Unknown")
+    code, out, _ = run(capsys, "solve", "--A", i33, "--B", i33, "--k", "2", "--budget", "1")
+    assert code == 0
+    assert out.startswith("Yes")
 
 
 def test_budget_stopped_unknown_claims_no_radius(capsys):
     args = ["solve", "--A", f"@{FIXTURES}/I33.mat", "--B", f"@{FIXTURES}/I33.mat",
-            "--k", "2", "--budget", "10"]
+            "--k", "6", "--budget", "10"]
     code, out, _ = run(capsys, *args)
     assert code == 2
     assert out == "Unknown (node budget exhausted)\n"
     code, raw, _ = run(capsys, *args, "--json")
     assert code == 2
-    assert json.loads(raw) == {"verdict": "unknown", "k": 2, "budget_exhausted": True}
+    assert json.loads(raw) == {"verdict": "unknown", "k": 6, "budget_exhausted": True}
 
 
 @pytest.mark.parametrize("a, k, witness", [

@@ -7,6 +7,8 @@ from degmap import degsets, solver
 from degmap.catalog import (
     hyperbolic_matrix,
     manifold,
+    manifold_from_doc,
+    manifold_to_doc,
     preset,
     reverse_orientation,
 )
@@ -35,7 +37,7 @@ from degmap.homotopy import (
     pi_scale,
     pushed_column,
 )
-from degmap.intform import IntMatrix, SYMMETRIC, make_form
+from degmap.intform import HYPERBOLIC, IntMatrix, SYMMETRIC, block_diagonal, make_form
 from degmap.solver import REASON_EXHAUSTIVE, SearchConfig, Verdict, isomorphic
 
 from conftest import E8_CARTAN, random_antisymmetric_form, random_unimodular
@@ -578,14 +580,19 @@ def test_homotopy_regime_degree_one_between_scrambles_keeps_the_pruned_budget():
 
 
 def test_budget_stopped_degree_set_row_names_the_budget():
-    # I(3,3) onto H in odd degree has no fixed-block witness; T4 -> T4, the
-    # old instance, passes its necessary conditions by blocks within the
-    # same budget
+    # E8 + H has no canonical basis, so no fixed block answers it onto H;
+    # I(3,3) onto H, the old instance, takes kH on a carved plane at a
+    # one-node budget, and T4 -> T4, the one before it, passes its
+    # necessary conditions by blocks within the same budget at k = -1 (the
+    # identity answers k = 1)
     i33 = manifold("I33", 2, make_form(IntMatrix.diagonal([1, 1, 1, -1, -1, -1]), SYMMETRIC),
                    True, False)
+    e8 = IntMatrix.from_rows(E8_CARTAN)
+    e8h = manifold("E8H", 2, make_form(block_diagonal(e8, HYPERBOLIC), SYMMETRIC), True, False)
     old = degree_set(preset("T4"), preset("T4"), 1, SearchConfig(node_budget=10))
-    assert old.necessary_pass_set == {-1, 1}
-    rep = degree_set(i33, preset("S2xS2"), 1, SearchConfig(node_budget=10))
+    assert old.necessary_pass_set == {-1} and old.yes_set == {1}
+    assert degree_set(i33, preset("S2xS2"), 1, SearchConfig(node_budget=1)).yes_set == {-1, 1}
+    rep = degree_set(e8h, preset("S2xS2"), 1, SearchConfig(node_budget=10))
     assert rep.unknown_set == {-1, 1}
     rows = _degset_lines(rep)[3:]
     assert rows == [
@@ -627,8 +634,37 @@ def test_t4_dominates_catalog_members():
     names = {n for n, _, _ in rep.dominated}
     assert "CP2" in names
     assert "#3(S2xS2)" in names
-    # the non-simply-connected target cannot be claimed, only noted
-    assert ("T4", 1) in rep.necessary_only
+    # the non-simply-connected target is claimed only by the identity map
+    assert ("T4", 1, IntMatrix.identity(6)) in rep.dominated
+    assert rep.necessary_only == ()
+
+
+def test_identity_answers_degree_one_self_maps_outside_the_exact_criteria():
+    # T4 is not simply connected, so only necessary conditions hold onto
+    # it, but the identity is a degree-1 map of every manifold to itself;
+    # k = -1 and a different model with the same data stay necessary_pass
+    rep = degree_set(preset("T4"), preset("T4"), 1)
+    one = rep.answer_for(1)
+    assert (one.kind, one.regime, one.witness) == ("yes", "identity-map", IntMatrix.identity(6))
+    assert rep.answer_for(-1).kind == "necessary_pass"
+    assert degree_realizable(preset("T4"), preset("FsxFr(1,1)"), 1).kind == "necessary_pass"
+    f11 = preset("FsxFr(1,1)")
+    dom = dominated_candidates(f11, [preset("FsxFr(1,1)"), preset("S2xS2")], 1)
+    assert [(n, k) for n, k, _ in dom.dominated] == [("FsxFr(1,1)", 1), ("S2xS2", 1)]
+    assert dom.necessary_only == () and dom.undecided == ()
+    # equal data name no manifold: two unnamed documents with T4's data may
+    # be T4 and (S1xS3)#3(S2xS2), and no degree-1 map takes the second onto
+    # the first (it would be onto on pi_1, and Z does not map onto Z^4);
+    # one name that is no preset on both sides does not help either
+    doc = manifold_to_doc(preset("T4"))
+    del doc["name"]
+    unnamed = manifold_from_doc(doc)
+    assert unnamed == manifold_from_doc(dict(doc)) and unnamed.name == "manifold"
+    for m in (unnamed, unnamed._replace(name="X")):
+        ans = degree_realizable(m, manifold_from_doc(manifold_to_doc(m)), 1)
+        assert (ans.kind, ans.regime) == ("necessary_pass", "necessary-only")
+    dom = dominated_candidates(unnamed, [unnamed], 1)
+    assert dom.dominated == () and dom.necessary_only == (("manifold", 1),)
 
 
 def test_rank_zero_source_dominates_only_rank_zero():

@@ -28,10 +28,11 @@ CASES = {
     "form-info": ["form-info", "--f", "@A3.mat"],
     "form-iso": ["form-iso", "--f", "@I2.mat", "--g", "@hyperbolic.mat"],
     "catalog-list": ["catalog-list"],
-    # budget-stopped Unknowns where no fixed block fits, the same budget on
-    # H^3, which the blocks answer, a filter No and a necessary-only degree set
-    "solve-budget": ["solve", "--A", "@I33.mat", "--B", "@I33.mat", "--k", "2", "--budget", "10"],
-    "deg1-budget": ["deg1", "--M", "@I33.mat", "--L", "S2xS2", "--budget", "10"],
+    # budget-stopped Unknowns where no fixed block fits (E8 + H has no
+    # canonical basis), the same budget on H^3, which the blocks answer, a
+    # filter No and a necessary-only degree set
+    "solve-budget": ["solve", "--A", "@I33.mat", "--B", "@I33.mat", "--k", "6", "--budget", "10"],
+    "deg1-budget": ["deg1", "--M", "@E8H.mat", "--L", "S2xS2", "--budget", "10"],
     "solve-blocks": ["solve", "--A", "@A3.mat", "--B", "@A3.mat", "--k", "5", "--budget", "10"],
     "deg1-blocks": ["deg1", "--M", "@A3.mat", "--L", "@A3.mat", "--budget", "10"],
     "solve-no": ["solve", "--A", "@diag1-1.mat", "--B", "@I2.mat", "--k", "2"],
