@@ -23,6 +23,7 @@ data; use the JSON form to control dimension and flags.
 from __future__ import annotations
 
 import json
+import os
 import re
 import sys
 from json.encoder import encode_basestring_ascii
@@ -43,6 +44,8 @@ from .solver import SearchConfig, Verdict, congruence_solve, isomorphic
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_UNKNOWN = 2
+# 128 + SIGPIPE, the status of a process that a closed pipe ended
+EXIT_BROKEN_PIPE = 141
 
 
 def _read_text(path: str) -> str:
@@ -477,7 +480,14 @@ def _parse(argv) -> tuple:
 def main(argv=None) -> int:
     try:
         func, args = _parse(sys.argv[1:] if argv is None else argv)
-        return func(args) or EXIT_OK  # print returns None
+        code = func(args) or EXIT_OK  # print returns None
+        sys.stdout.flush()  # so that a closed pipe is met here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader has gone: end quietly, and send what is still buffered
+        # to devnull so that the interpreter's own flush at exit stays quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except DegmapError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_ERROR

@@ -21,7 +21,15 @@ Which criterion applies depends on the hypotheses:
   q(c) = sum_v C(c_v, 2) * a_vv + sum_{v<w} c_v * c_w * a_vw, on integer
   dot products (nu-coefficients exactly, torsion residues mod each cyclic
   order); a Yes witness is re-checked in full by
-  ``homotopy.check_homotopy_condition``;
+  ``homotopy.check_homotopy_condition``.  For a symmetric A the test is
+  first decided in closed form: a witness's column has c.A c = k * b_rr,
+  so 2 q(c) = k * b_rr - sum_v c_v * a_vv, and the torsion part for a
+  cyclic factor of order d, doubled, is linear in c,
+  sum_v c_v * (2 t_v - w * a_vv) == k * (2 u_r - w * b_rr) mod 2d,
+  while the nu part holds by itself.  When the factors' congruences have
+  no joint integer solution for some r, no witness passes, and the answer
+  is a HomotopyObstruction No before any witness is built or enumerated,
+  for indefinite sources too (``_linearly_obstructed``);
 * anything else: only necessity is available.  A solver Yes is then
   downgraded to the distinct kind ``necessary_pass`` so the tool never
   overclaims, while a solver No stays a genuine No.  The one exception is
@@ -57,8 +65,10 @@ from .homotopy import (
     required_multiple,
 )
 from .intform import (
+    SYMMETRIC,
     IntersectionForm,
     IntMatrix,
+    _column_reduce,
     make_form,
     split_basis,
 )
@@ -177,6 +187,51 @@ def _column_test(
     return passes
 
 
+def _linearly_obstructed(source: ManifoldModel, target: ManifoldModel, k: int) -> bool:
+    """Whether some target column r has no integer c that passes the column
+    test while c.A c == k * b_rr, as every column of a witness does.
+
+    For a symmetric A, 2 q(c) = c.A c - sum_v c_v a_vv, which is
+    k * b_rr - sum_v c_v a_vv on such a column.  So the torsion part of
+    ``_column_test`` for a cyclic factor of order d, doubled and read mod
+    2d, is linear in c:
+
+        sum_v c_v (2 t_v - w a_vv) == k (2 u_r - w b_rr)   (mod 2d),
+
+    with t_v, w and u_r the residues of the source data, the Whitehead
+    square and the target data.  The nu part reads lambda c.A c ==
+    lambda k b_rr, because ``catalog.manifold`` makes H(t_v) = a_vv, so it
+    holds by itself.  The factors' congruences are solvable jointly exactly
+    when the right-hand sides lie in the column lattice of
+    [gamma | diag(2 d_j)]; ``_column_reduce`` brings that source-only
+    matrix to a lower triangular echelon form h once, and forward
+    substitution through h decides each column.  An antisymmetric A (odd
+    n) is skipped: there q(c) does not follow from c.A c, which is 0.
+    """
+    a, orders = source.form.matrix, source.pi.torsion_orders
+    if source.form.symmetry != SYMMETRIC or not orders:
+        return False
+    wh = source.pi.whitehead.torsion
+    diag = [a[v, v] for v in range(a.rows)]
+    rows = [
+        [2 * t.torsion[j] - w * x for t, x in zip(source.homotopy_data, diag)]
+        + [2 * d if i == j else 0 for i in range(len(orders))]
+        for j, (d, w) in enumerate(zip(orders, wh))
+    ]
+    h = _column_reduce(rows, len(rows[0]))[0]
+    b = target.form.matrix
+    for r, u in enumerate(target.homotopy_data):
+        x = []
+        for j, w in enumerate(wh):
+            # h[j][j] is the pivot of row j: the block diag(2 d_j) gives full row rank
+            rest = k * (2 * u.torsion[j] - w * b[r, r]) - sum(map(mul, h[j], x))
+            q, rem = divmod(rest, h[j][j])
+            if rem:
+                return True
+            x.append(q)
+    return False
+
+
 def _homotopy_verdict(
     source: ManifoldModel, target: ManifoldModel, k: int, cfg: SearchConfig | None
 ) -> Verdict:
@@ -186,9 +241,20 @@ def _homotopy_verdict(
     ``check_homotopy_condition``, which goes through ``pushed_column``; a
     complete No is a HomotopyObstruction when the column test rejected any
     candidate.
+
+    Before any witness is built or enumerated, ``_linearly_obstructed``
+    tests each target column's congruences mod 2d in closed form.  When
+    one has no integer solution no column can pass, so the answer is a
+    HomotopyObstruction No, unless a complete filter of the congruence
+    fires first and keeps its own reason.  This decides indefinite sources
+    too, whose enumeration never ends.
     """
     if source.pi != target.pi:
         raise NotApplicable("source and target carry different homotopy models")
+    if _linearly_obstructed(source, target, k):
+        return solver.open_search(source.form, target.form, k, cfg)[0] or Verdict.no(
+            REASON_HOMOTOPY
+        )
     passes = _column_test(
         source.form.matrix, source.homotopy_data, source.pi, k, target.homotopy_data
     )

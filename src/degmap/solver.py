@@ -49,7 +49,9 @@ radius is measured in the coordinates the search ran in: the canonical
 ones where ``canonical_basis`` covers A, A's own otherwise.
 
 Before any column is enumerated, the witness stream tries one
-construction, built from explicit pieces as the paper builds its maps:
+construction, built from explicit pieces as the paper builds its maps.
+Between equal matrices m I answers k = m^2 first, before
+``canonical_basis`` is charged to the node budget; otherwise:
 
 * fixed blocks, for an A that ``canonical_basis`` covers: P' with
   P'.T C_A P' == k C_B from ``canonical.block_witness``, where C_A = U_A.T
@@ -717,11 +719,12 @@ def _witness_stream(
     """Every witness of P.T A P == k B in search order, under one node budget.
 
     A witness built without enumeration comes first, when there is one and
-    every column passes ``accept``: ``_block_witness`` when A has a
-    canonical basis (an indefinite or antisymmetric A that
-    ``canonical_basis`` splits, or a definite A whose matrix is I(n, 0) or
-    I(0, n)), and ``_scaled_isometry`` when A has none or no block fits.
-    The column search follows,
+    every column passes ``accept``: m I when A and B have the same matrix,
+    tried before ``canonical_basis`` is charged, so no budget stops it;
+    else ``_block_witness`` when A has a canonical basis (an indefinite or
+    antisymmetric A that ``canonical_basis`` splits, or a definite A whose
+    matrix is I(n, 0) or I(0, n)), and ``_scaled_isometry`` when A has
+    none or no block fits.  The column search follows,
     unchanged, and may yield the same witness again; a definite A is
     searched in its own coordinates, so the search stays complete.  At
     k = 1 under ``accept`` the definite isometry search is left out: it
@@ -729,15 +732,19 @@ def _witness_stream(
     charged to the same budget.
     """
     budget = _Budget(cfg.node_budget)
-    basis = canonical_basis(a, budget)
-    built = None if basis is None else _block_witness(a, b, k, budget, basis)
+    # m I between equal matrices comes before canonical_basis is charged
+    built = _scaled_isometry(a, b, k, cfg, budget, False) if a.matrix == b.matrix else None
+    if built is None:
+        basis = canonical_basis(a, budget)
+        built = None if basis is None else _block_witness(a, b, k, budget, basis)
     if built is None:
         built = _scaled_isometry(a, b, k, cfg, budget, k != 1 or accept is None)
     if built is not None and (
         accept is None or all(accept(j, built.column(j)) for j in range(b.rank))
     ):
         yield built
-    yield from _column_search(a, b, k, cfg, budget, None if a.is_definite() else basis, accept)
+    basis = None if a.is_definite() else canonical_basis(a, budget)
+    yield from _column_search(a, b, k, cfg, budget, basis, accept)
 
 
 def _block_witness(

@@ -93,6 +93,40 @@ def test_solve_with_a_k_too_large_to_factor_returns_promptly():
     assert (proc.returncode, proc.stdout) == (0, "No (HasseFilter)\n")
 
 
+@pytest.mark.parametrize("unbuffered", ["1", ""])
+def test_a_closed_stdout_ends_quietly(unbuffered):
+    # the reader of stdout is gone before the answer is written: no message,
+    # and 128 + SIGPIPE, the status of a process that the signal ended; with
+    # a buffered stdout the pipe is met at the flush main makes, not at exit
+    src = str(Path(degmap.__file__).resolve().parents[1])
+    i9 = f"@{FIXTURES}/I9-scrambled.mat"
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "degmap", "solve", "--A", i9, "--B", i9, "--k", "1"],
+            env=dict(os.environ, PYTHONPATH=src, PYTHONUNBUFFERED=unbuffered),
+            stdout=write, stderr=subprocess.PIPE, text=True, timeout=60,
+        )
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (141, "")
+
+
+def test_equal_matrices_take_the_identity_before_any_node_is_spent(capsys):
+    # H + I(1, 1) read twice is two form objects with no canonical basis yet;
+    # m I answers k = m^2 before canonical_basis is charged to the budget
+    hi = f"@{FIXTURES}/h-i11.mat"
+    for m in (1, 2):
+        code, raw, _ = run(capsys, "solve", "--A", hi, "--B", hi, "--k", str(m * m), "--budget", "1", "--json")
+        doc = json.loads(raw)
+        assert (code, doc["verdict"]) == (0, "yes")
+        assert IntMatrix(4, 4, doc["witness"]["entries"]) == IntMatrix.identity(4).scaled(m)
+    code, raw, _ = run(capsys, "deg1", "--M", hi, "--L", hi, "--budget", "1", "--json")
+    doc = json.loads(raw)
+    assert (code, doc["verdict"], doc["complement"]["rows"]) == (0, "yes", 0)
+
+
 def test_solve_zero_k_is_usage_error(capsys):
     code, _, err = run(capsys, "solve", "--A", "CP2", "--B", "CP2", "--k", "0")
     assert code == 1

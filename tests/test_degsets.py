@@ -1,5 +1,7 @@
 import collections
+import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -37,13 +39,21 @@ from degmap.homotopy import (
     pi_scale,
     pushed_column,
 )
-from degmap.intform import HYPERBOLIC, IntMatrix, SYMMETRIC, block_diagonal, make_form
+from degmap.intform import (
+    ANTISYMMETRIC,
+    HYPERBOLIC,
+    SYMMETRIC,
+    IntMatrix,
+    block_diagonal,
+    make_form,
+)
 from degmap.solver import REASON_EXHAUSTIVE, SearchConfig, Verdict, isomorphic
 
 from conftest import E8_CARTAN, random_antisymmetric_form, random_unimodular
 
 
 CFG = SearchConfig()
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 # ---------------------------------------------------------------------------
@@ -338,10 +348,15 @@ def _identity_hc8(rank, torsion):
     return manifold("I", 4, form, True, True, model, [element(model, 1, [x]) for x in torsion])
 
 
-def test_homotopy_regime_column_pruning_decides_within_budget():
+def test_homotopy_regime_column_pruning_decides_within_budget(monkeypatch):
     # every candidate for column 0 fails the condition: the unpruned search
-    # spends 42 nodes on 24 failing witnesses, the pruned one 6 nodes
+    # spends 42 nodes on 24 failing witnesses, the pruned one 6 nodes.  The
+    # closed-form test decides it before any node; without it the pruned
+    # search still does within 20
     src, tgt = _identity_hc8(3, [0, 0, 0]), _identity_hc8(2, [1, 0])
+    ans = degree_realizable(src, tgt, 1, SearchConfig(node_budget=1))
+    assert ans.kind == "no" and ans.reason == REASON_HOMOTOPY
+    monkeypatch.setattr(degsets, "_linearly_obstructed", lambda *args: False)
     ans = degree_realizable(src, tgt, 1, SearchConfig(node_budget=20))
     assert ans.kind == "no" and ans.reason == REASON_HOMOTOPY
 
@@ -390,11 +405,13 @@ def _unpruned_homotopy_verdict(source, target, k, cfg):
     return Verdict("unknown", radius=cfg.radius)
 
 
-def _random_definite_hc8(rng, model, rank):
+def _random_definite_hc8(rng, model, rank, steps=None):
+    # torsion residues are multiples of steps[j] mod d_j, all of them by default
+    steps = steps or [1] * len(model.torsion_orders)
     sign = rng.choice([1, -1])
     matrix = IntMatrix.diagonal([sign] * rank).transform_by(random_unimodular(rng, rank))
     data = [
-        element(model, matrix[i, i], [rng.randrange(d) for d in model.torsion_orders])
+        element(model, matrix[i, i], [rng.randrange(d) // s * s for d, s in zip(model.torsion_orders, steps)])
         for i in range(rank)
     ]
     return manifold("D", 4, make_form(matrix, SYMMETRIC), True, True, model, data)
@@ -434,6 +451,102 @@ def test_column_pruning_matches_the_unpruned_witness_loop():
             assert new.reason == ref.reason, case
     assert kinds.count(("yes", "yes")) >= 20
     assert kinds.count(("no", "no")) >= 150
+
+
+# proper subgroups of Z/d by the step of their residues
+_SUBGROUP_STEPS = {2: [2], 3: [3], 4: [2, 4], 6: [2, 3, 6]}
+
+
+def test_linear_obstruction_agrees_with_the_unpruned_witness_loop():
+    # 400 random definite 8-manifold pairs whose source data and Whitehead
+    # square lie in a proper subgroup of the torsion, so that the closed-form
+    # test often fires: every pair it obstructs is a complete No of the
+    # unpruned witness loop, with the same reason where a filter of the
+    # congruence decides; every Yes stays a Yes
+    rng = random.Random(2026)
+    cfg = SearchConfig(node_budget=200_000)
+    seen = collections.Counter()
+    for _ in range(400):
+        orders = rng.sample([2, 3, 4, 6], rng.choice([1, 2]))
+        steps = [rng.choice(_SUBGROUP_STEPS[d]) for d in orders]
+        model = pi_model(4, orders, [rng.randrange(d) // s * s for d, s in zip(orders, steps)])
+        m = rng.randrange(1, 4)
+        src = _random_definite_hc8(rng, model, m, steps)
+        tgt = _random_definite_hc8(rng, model, rng.randrange(1, m + 1))
+        k = rng.choice([1, 2, 3, 4, 5, 6, 9, -1])
+        fired = degsets._linearly_obstructed(src, tgt, k)
+        ref = _unpruned_homotopy_verdict(src, tgt, k, cfg)
+        new = degree_realizable(src, tgt, k, cfg)
+        case = (src.form.matrix, tgt.form.matrix, src.homotopy_data, tgt.homotopy_data, k)
+        seen[fired, ref.kind, new.reason == REASON_HOMOTOPY] += 1
+        if fired:
+            assert ref.is_no and new.is_no, case
+            by_search = ref.reason in (REASON_EXHAUSTIVE, REASON_HOMOTOPY)
+            assert new.reason == (REASON_HOMOTOPY if by_search else ref.reason), case
+        if ref.is_yes:
+            assert new.is_yes, case
+    assert seen[True, "no", True] >= 50  # decided by the closed form alone
+    assert seen[False, "yes", False] >= 20
+
+
+def _hc8_pair(model, a, b, source_torsion, target_torsion):
+    return _hc8(a, model, source_torsion), _hc8(b, model, target_torsion)
+
+
+def test_linear_obstruction_solves_the_factors_jointly():
+    # I2 onto <1> at k = 5 under Z/2 + Z/3, Whitehead residues (0, 1): the
+    # columns (+-1, +-2) and (+-2, +-1) solve the congruence.  Mod 4 the
+    # column test reads 2 (c_1 + c_2) == 0, so c_1 + c_2 is even; mod 6 it
+    # reads -(c_1 + c_2) == -5, so c_1 + c_2 is odd.  Each factor alone is
+    # solvable, the two together are not
+    i2, i1 = IntMatrix.identity(2), IntMatrix.identity(1)
+    source_torsion, target_torsion = [[1, 0], [1, 0]], [[0, 0]]
+    joint = _hc8_pair(pi_model(4, [2, 3], [0, 1]), i2, i1, source_torsion, target_torsion)
+    for j, (d, w) in enumerate([(2, 0), (3, 1)]):
+        single = _hc8_pair(
+            pi_model(4, [d], [w]), i2, i1,
+            [[t[j]] for t in source_torsion], [[u[j]] for u in target_torsion],
+        )
+        assert not degsets._linearly_obstructed(*single, 5)
+    assert degsets._linearly_obstructed(*joint, 5)
+    ans = degree_realizable(*joint, 5)
+    assert ans.kind == "no" and ans.reason == REASON_HOMOTOPY
+    ref = _unpruned_homotopy_verdict(*joint, 5, CFG)
+    assert ref.kind == "no" and ref.reason == REASON_HOMOTOPY
+
+
+def test_linear_obstruction_skips_antisymmetric_pairings(monkeypatch):
+    # J onto J on 10-manifolds (n = 5) over Z/4 with Whitehead residue 2,
+    # source residues 0 and target residues (2, 0), k = 1.  q(c) = c_1 c_2
+    # is not fixed by c.J c = 0, and the columns (1, 1), (0, 1) pass with
+    # q = 1 and 0; read as linear, the test would ask 0 == 2 mod 4 and
+    # obstruct this Yes.  The closed form does not run
+    monkeypatch.setattr(degsets, "_column_reduce", lambda *args: pytest.fail("ran"))
+    model = pi_model(5, [4], [2])
+    j = make_form(IntMatrix.from_rows([[0, 1], [-1, 0]]), ANTISYMMETRIC)
+    src = manifold("J", 5, j, True, True, model, [element(model, 0, [0])] * 2)
+    tgt = manifold("J", 5, j, True, True, model, [element(model, 0, [2]), element(model, 0, [0])])
+    assert not degsets._linearly_obstructed(src, tgt, 1)
+    ans = degree_realizable(src, tgt, 1)
+    assert ans.kind == "yes"
+    assert check_homotopy_condition(
+        j, src.homotopy_data, j, tgt.homotopy_data, ans.witness, 1
+    ).ok
+
+
+def test_linear_obstruction_decides_an_indefinite_source_at_one_node():
+    # H onto H under Z/12 with Whitehead residue 11: the source's residues
+    # are 0, the target's (1, 0).  H has a_vv = 0 = b_rr, so column 0 must
+    # solve 0 == 2k (mod 24), which fails for 0 < |k| < 12.  The column
+    # search of H never ends, so only the closed form decides these
+    docs = [json.loads((FIXTURES / f"{name}.json").read_text()) for name in ("hc8-H", "hc8-H-twisted")]
+    src, tgt = (manifold_from_doc(d) for d in docs)
+    for k in (-11, -2, -1, 1, 2, 5, 11):
+        ans = degree_realizable(src, tgt, k, SearchConfig(node_budget=1))
+        assert (ans.kind, ans.reason) == ("no", REASON_HOMOTOPY), k
+    # in degree 12 the closed form passes, and so does the block diag(12, 1)
+    ans = degree_realizable(src, tgt, 12, SearchConfig(node_budget=1))
+    assert ans.kind == "yes" and ans.witness == IntMatrix.diagonal([12, 1])
 
 
 @pytest.mark.parametrize("order, k, kind", [(3, 4, "yes"), (2, 4, "no"), (2, 9, "yes")])
@@ -565,16 +678,20 @@ def test_degree_set_matches_the_pushed_column_search_on_hc8_pairs(order):
     assert 1 in reports[1].yes_set and reports[2].yes_set
 
 
-def test_homotopy_regime_degree_one_between_scrambles_keeps_the_pruned_budget():
+def test_homotopy_regime_degree_one_between_scrambles_keeps_the_pruned_budget(monkeypatch):
     # two scrambles of E8, the target's torsion out of the source's reach:
-    # the pruned column search rejects the 240 vectors of norm 2 for the
-    # first column and ends in a HomotopyObstruction within 240 nodes; an
+    # the closed-form test decides it before any node; without it the
+    # pruned column search rejects the 240 vectors of norm 2 for the first
+    # column and ends in a HomotopyObstruction within 240 nodes, where an
     # unpruned k = 1 isometry search ahead of it spent 878 in all
     rng = random.Random(1)
     model = pi_model(4, [3], [0])
     e8 = IntMatrix.from_rows(E8_CARTAN)
     f, g = (e8.transform_by(random_unimodular(rng, 8, steps=1)) for _ in range(2))
     source, target = _hc8(f, model, [[0]] * 8), _hc8(g, model, [[1]] * 8)
+    ans = degree_realizable(source, target, 1, SearchConfig(node_budget=1))
+    assert ans.kind == "no" and ans.reason == REASON_HOMOTOPY
+    monkeypatch.setattr(degsets, "_linearly_obstructed", lambda *args: False)
     ans = degree_realizable(source, target, 1, SearchConfig(node_budget=500))
     assert ans.kind == "no" and ans.reason == REASON_HOMOTOPY
 
