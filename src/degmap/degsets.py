@@ -29,7 +29,8 @@ Which criterion applies depends on the hypotheses:
   while the nu part holds by itself.  When the factors' congruences have
   no joint integer solution for some r, no witness passes, and the answer
   is a HomotopyObstruction No before any witness is built or enumerated,
-  for indefinite sources too (``_linearly_obstructed``);
+  for indefinite sources too, and also where the exhausted enumeration
+  would have named no rejected column (``_linearly_obstructed``);
 * anything else: only necessity is available.  A solver Yes is then
   downgraded to the distinct kind ``necessary_pass`` so the tool never
   overclaims, while a solver No stays a genuine No.  The one exception is
@@ -245,9 +246,10 @@ def _homotopy_verdict(
     Before any witness is built or enumerated, ``_linearly_obstructed``
     tests each target column's congruences mod 2d in closed form.  When
     one has no integer solution no column can pass, so the answer is a
-    HomotopyObstruction No, unless a complete filter of the congruence
-    fires first and keeps its own reason.  This decides indefinite sources
-    too, whose enumeration never ends.
+    HomotopyObstruction No, also where the forms alone admit no witness
+    and the search would have said ExhaustiveDefinite; only a complete
+    filter of the congruence that fires first keeps its own reason.  This
+    decides indefinite sources too, whose enumeration never ends.
     """
     if source.pi != target.pi:
         raise NotApplicable("source and target carry different homotopy models")

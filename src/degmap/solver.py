@@ -48,10 +48,10 @@ Both are exhaustive on the box of max-norm ``radius``, so an Unknown's
 radius is measured in the coordinates the search ran in: the canonical
 ones where ``canonical_basis`` covers A, A's own otherwise.
 
-Before any column is enumerated, the witness stream tries one
-construction, built from explicit pieces as the paper builds its maps.
-Between equal matrices m I answers k = m^2 first, before
-``canonical_basis`` is charged to the node budget; otherwise:
+Before any column is enumerated, the witness stream tries witnesses
+built from explicit pieces, as the paper builds its maps.  Between equal
+matrices m I comes first at k = m^2, before ``canonical_basis`` is
+charged to the node budget (a fixed block there is m I itself); then:
 
 * fixed blocks, for an A that ``canonical_basis`` covers: P' with
   P'.T C_A P' == k C_B from ``canonical.block_witness``, where C_A = U_A.T
@@ -718,33 +718,38 @@ def _witness_stream(
 ) -> Iterator[IntMatrix]:
     """Every witness of P.T A P == k B in search order, under one node budget.
 
-    A witness built without enumeration comes first, when there is one and
-    every column passes ``accept``: m I when A and B have the same matrix,
-    tried before ``canonical_basis`` is charged, so no budget stops it;
-    else ``_block_witness`` when A has a canonical basis (an indefinite or
-    antisymmetric A that ``canonical_basis`` splits, or a definite A whose
-    matrix is I(n, 0) or I(0, n)), and ``_scaled_isometry`` when A has
-    none or no block fits.  The column search follows,
+    Witnesses built without enumeration come first, each when it exists
+    and every column passes ``accept``: m I when A and B have the same
+    matrix, tried before ``canonical_basis`` is charged, so no budget stops
+    it; then ``_block_witness`` when A has a canonical basis (an indefinite
+    or antisymmetric A that ``canonical_basis`` splits, or a definite A
+    whose matrix is I(n, 0) or I(0, n)), and ``_scaled_isometry`` when A
+    has none or no block fits.  The column search follows,
     unchanged, and may yield the same witness again; a definite A is
     searched in its own coordinates, so the search stays complete.  At
     k = 1 under ``accept`` the definite isometry search is left out: it
     would be that column search, or its reverse, without the pruning,
     charged to the same budget.
     """
+
+    def passes(p: IntMatrix | None) -> bool:
+        return p is not None and (
+            accept is None or all(accept(j, p.column(j)) for j in range(b.rank))
+        )
+
     budget = _Budget(cfg.node_budget)
-    # m I between equal matrices comes before canonical_basis is charged
-    built = _scaled_isometry(a, b, k, cfg, budget, False) if a.matrix == b.matrix else None
-    if built is None:
-        basis = canonical_basis(a, budget)
-        built = None if basis is None else _block_witness(a, b, k, budget, basis)
-    if built is None:
+    same = a.matrix == b.matrix
+    # between equal matrices _scaled_isometry builds m I and nothing else
+    scaled = _scaled_isometry(a, b, k, cfg, budget, False) if same else None
+    if passes(scaled):
+        yield scaled
+    basis = canonical_basis(a, budget)
+    built = None if basis is None else _block_witness(a, b, k, budget, basis)
+    if built is None and not same:
         built = _scaled_isometry(a, b, k, cfg, budget, k != 1 or accept is None)
-    if built is not None and (
-        accept is None or all(accept(j, built.column(j)) for j in range(b.rank))
-    ):
+    if built != scaled and passes(built):
         yield built
-    basis = None if a.is_definite() else canonical_basis(a, budget)
-    yield from _column_search(a, b, k, cfg, budget, basis, accept)
+    yield from _column_search(a, b, k, cfg, budget, None if a.is_definite() else basis, accept)
 
 
 def _block_witness(

@@ -515,6 +515,29 @@ def test_linear_obstruction_solves_the_factors_jointly():
     assert ref.kind == "no" and ref.reason == REASON_HOMOTOPY
 
 
+def test_linear_obstruction_is_a_homotopy_obstruction_where_the_forms_also_obstruct(monkeypatch):
+    # E8 + <1> onto I2 at k = 1 under Z/2 with Whitehead residue 0: the only
+    # vectors of norm 1 are +-e9, so no two columns are orthogonal and the
+    # forms alone admit no witness.  Source residues 0, target (0, 1): the
+    # column test reads sum c_v t_v == k u_r mod 2, which column 1 cannot
+    # solve.  The closed form reports that as a HomotopyObstruction; the
+    # search, placing column 0 first, never reaches a candidate for column 1
+    # and says ExhaustiveDefinite, or HomotopyObstruction with (1, 0)
+    model = pi_model(4, [2], [0])
+    src = _hc8(block_diagonal(IntMatrix.from_rows(E8_CARTAN), IntMatrix.identity(1)), model, [[0]] * 9)
+    for target_torsion in ([[0], [1]], [[1], [0]]):
+        tgt = _hc8(IntMatrix.identity(2), model, target_torsion)
+        assert degsets._linearly_obstructed(src, tgt, 1)
+        ans = degree_realizable(src, tgt, 1)
+        assert (ans.kind, ans.reason) == ("no", REASON_HOMOTOPY), target_torsion
+    # with zero target residues nothing fires, and the search's label stays
+    tgt = _hc8(IntMatrix.identity(2), model, [[0], [0]])
+    assert degree_realizable(src, tgt, 1).reason == REASON_EXHAUSTIVE
+    tgt = _hc8(IntMatrix.identity(2), model, [[0], [1]])
+    monkeypatch.setattr(degsets, "_linearly_obstructed", lambda *args: False)
+    assert degree_realizable(src, tgt, 1).reason == REASON_EXHAUSTIVE
+
+
 def test_linear_obstruction_skips_antisymmetric_pairings(monkeypatch):
     # J onto J on 10-manifolds (n = 5) over Z/4 with Whitehead residue 2,
     # source residues 0 and target residues (2, 0), k = 1.  q(c) = c_1 c_2

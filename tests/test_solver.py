@@ -1083,6 +1083,31 @@ def test_diagonal_definite_sources_fall_back_to_the_scaled_isometry(monkeypatch)
     assert len(calls) == 1
 
 
+def test_equal_matrices_lose_no_block_to_the_identity(monkeypatch):
+    # between equal matrices m I is built before canonical_basis is charged.
+    # A fixed block there is m I itself at every square k, so trying m I
+    # first loses no block answer; when the predicate rejects it, the stream
+    # goes on to the block and the column search, with one canonical_basis
+    # and one _scaled_isometry call
+    rng = random.Random(2602)
+    shapes = [IntMatrix.diagonal([1] * p + [-1] * q) for p in range(4) for q in range(4) if p and q]
+    shapes += [intform.HYPERBOLIC, block_diagonal(intform.HYPERBOLIC, IntMatrix.diagonal([-1]))]
+    forms = [make_form(m.transform_by(random_unimodular(rng, m.rows)), SYMMETRIC) for m in shapes]
+    forms += [random_antisymmetric_form(rng, g) for g in (1, 2, 3)]
+    for f in forms:
+        for m in (1, 2, 3):
+            budget = solver._Budget(10**6)
+            block = solver._block_witness(f, f, m * m, budget, canonical_basis(f, budget))
+            assert block in (None, IntMatrix.identity(f.rank).scaled(m)), (f.matrix, m)
+    h = make_form(intform.HYPERBOLIC, SYMMETRIC)
+    bases = _count_calls(monkeypatch, "canonical_basis")
+    scaled = _count_calls(monkeypatch, "_scaled_isometry")
+    for k in (36, 12):
+        v = congruence_solve(h, h, k, SearchConfig(radius=2), lambda j, col: False)
+        assert v.kind == "unknown" and len(bases) == len(scaled) == 1, k
+        bases.clear(), scaled.clear()
+
+
 def test_block_witness_builds_no_matrix_for_even_targets_of_nonzero_signature(monkeypatch):
     # E8 has no canonical matrix; canonical_matrix(8, 0, "even") would be a
     # 16 x 16 H^8 compared against it
