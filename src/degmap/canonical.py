@@ -400,7 +400,7 @@ def _within(vectors: list, bound: int) -> list:
 _SQUARES_CAP = 1 << 20
 
 
-def block_witness(a: tuple, b: tuple, k: int) -> IntMatrix | None:
+def block_witness(a: tuple, b: tuple, k: int, squares: bool = True) -> IntMatrix | None:
     """P' with P'.T C_A P' == k C_B, or None, for the ``canonical_matrix``
     C_A of a = (pos, neg, parity) and C_B of b, built from fixed blocks
     placed greedily into disjoint rows of C_A (Serre, *A Course in
@@ -430,6 +430,9 @@ def block_witness(a: tuple, b: tuple, k: int) -> IntMatrix | None:
       rest of B on I(p - b, q - b) as above (``_carved_odd``).
 
     None when no placement fits; an indefinite C_A may still carry k C_B.
+    Without ``squares`` the first row is left out, so that at k = m^2 the
+    block the next row builds (diag(k, 1) on each plane between even
+    pairings) can be offered when m C_B is not wanted.
 
     >>> block_witness((1, 1, "even"), (1, 1, "even"), 11).to_rows()
     [[11, 0], [0, 1]]
@@ -440,11 +443,11 @@ def block_witness(a: tuple, b: tuple, k: int) -> IntMatrix | None:
     if (even_a and pos_a != neg_a) or (even_b and pos_b != neg_b):
         return None
     if k < 0:
-        p = block_witness(a, (neg_b, pos_b, par_b), -k)
+        p = block_witness(a, (neg_b, pos_b, par_b), -k, squares)
         return None if p is None else p @ _sign_swap(pos_b, neg_b, even_b)
     n = pos_a + neg_a
     m = isqrt(k)
-    if m * m == k and even_a == even_b:
+    if squares and m * m == k and even_a == even_b:
         if pos_b > pos_a or neg_b > neg_a:
             return None
         # the planes in order, or the lines of each sign in order

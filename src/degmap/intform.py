@@ -270,16 +270,18 @@ class IntersectionForm(Record):
     definite enumeration reads ``tri`` for a definite form of either sign,
     a negative one with the rows of negative pivot negated.  Both are None
     for antisymmetric forms and take no part in equality, hashing or repr.
-    ``canonical`` keeps the result of ``canonical.canonical_basis`` and
-    ``unit_vectors`` the number of vectors of norm +-1 of a definite form,
-    from ``solver._unit_vector_count``; each is computed at most once per
-    form object, is ``NOT_COMPUTED`` until then, is not an argument of the
-    constructor and, like ``tri``, takes no part in equality, hashing or
-    repr.
+    ``canonical`` keeps the result of ``canonical.canonical_basis``,
+    ``unit_vectors`` the list of vectors of norm +-1 of a definite form,
+    from ``solver._unit_vector_count``, and ``reversed_tri`` the
+    elimination of the matrix with its coordinates reversed, from which the
+    solver's column search walks the vectors of a norm; each is computed at
+    most once per form object, is ``NOT_COMPUTED`` until then, is not an
+    argument of the constructor and, like ``tri``, takes no part in
+    equality, hashing or repr.
     """
 
     _fields = ("matrix", "symmetry", "rank", "signature", "parity")
-    __slots__ = _fields + ("tri", "canonical", "unit_vectors")
+    __slots__ = _fields + ("tri", "canonical", "unit_vectors", "reversed_tri")
 
     def __init__(
         self,
@@ -292,7 +294,7 @@ class IntersectionForm(Record):
     ):
         self.matrix, self.symmetry, self.rank = matrix, symmetry, rank
         self.signature, self.parity, self.tri = signature, parity, tri
-        self.canonical = self.unit_vectors = NOT_COMPUTED
+        self.canonical = self.unit_vectors = self.reversed_tri = NOT_COMPUTED
 
     @property
     def pivots(self) -> tuple | None:

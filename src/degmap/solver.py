@@ -20,12 +20,21 @@ only when the node budget stops a definite search.
 Columns of P are chosen one at a time.  When A is definite, of either
 sign and of rank at most ``DEFINITE_CAP``, the candidate vectors for each
 column form the finite solution set of a definite quadratic equation,
-enumerated completely by integer Fincke-Pohst bounds on the fraction-free
-``symmetric_elimination`` kept on A, so running out of candidates proves No.
-The last coordinate must use up what is left of the norm exactly, so it is
-solved in closed form (at most two roots) rather than scanned, and one sort
-keyed by a rank lookup (0, 1, -1, 2, -2, ... -> 0, 1, 2, 3, 4, ...) puts
-the vectors in centered-lexicographic order.
+walked completely by integer Fincke-Pohst bounds on the fraction-free
+``symmetric_elimination`` of A with its coordinates reversed, kept on A,
+so running out of candidates proves No.  The walk takes x_0 outermost and
+scans each interval in the order 0, 1, -1, 2, -2, ..., so the vectors come
+out one at a time in centered-lexicographic order, with no list and no
+sort; the last coordinate must use up what is left of the norm exactly, so
+it is solved in closed form (at most two roots) rather than scanned.  Each
+norm keeps a memo of the vectors walked so far, which the columns scan;
+while it is incomplete, a column whose placed columns fix at least half of
+the coordinates walks instead, each constraint c . x == t forcing its last
+coordinate by one exact division (``_definite_candidates``).  The node
+budget is charged one unit per vector a scan checks or a walk yields.
+``_definite_solutions`` lists the same vectors in the same order from the
+forward elimination, for the vectors of norm +-1 and the halves of the
+level search below.
 In the indefinite case candidates range over a max-norm box and
 exhaustion only proves the absence of small witnesses, hence Unknown.
 ``_box_candidates`` yields every solution in that box, in one of two ways:
@@ -104,7 +113,10 @@ charged to the node budget (a fixed block there is m I itself); then:
 
 The built witness is yielded first when every column passes ``accept``,
 and the column search follows unchanged, so the step can only add a
-verified Yes, never change a No.
+verified Yes, never change a No.  Under ``accept`` at k = m^2 the row
+"C_B, k = m^2" of the table pre-empts the others, so the block built
+without it (diag(k, 1) on each plane between even pairings) is offered
+next.
 
 The filters are each complete arguments, never heuristics:
 
@@ -156,10 +168,12 @@ The filters are each complete arguments, never heuristics:
 
 from __future__ import annotations
 
-from math import isqrt, lcm
+from functools import lru_cache
+from math import gcd, isqrt, lcm
 from operator import mul
 from typing import Iterator, NamedTuple, Sequence
 
+from . import intform
 from .canonical import block_witness, canonical_basis, canonical_matrix, canonical_shape
 from .canonical import level_candidates
 from .errors import CapExceeded, ShapeMismatch, SymmetryMismatch, WitnessRejected, ZeroK
@@ -551,10 +565,146 @@ def _definite_solutions(tri: list, value: int) -> list:
     out += [tuple(-v for v in vec) for vec in out if any(vec)]
     if out:
         lo, hi = min(map(min, out)), max(map(max, out))
-        # 0, 1, -1, 2, -2, ... -> 0, 1, 2, 3, 4, ...
-        rank = {v: 2 * abs(v) - (v > 0) for v in range(lo, hi + 1)}.__getitem__
+        rank = {v: _centered_rank(v) for v in range(lo, hi + 1)}.__getitem__
         out.sort(key=lambda vec: tuple(map(rank, vec)))
     return out
+
+
+def _centered_rank(v: int) -> int:
+    # 0, 1, -1, 2, -2, ... -> 0, 1, 2, 3, 4, ...
+    return 2 * abs(v) - (v > 0)
+
+
+@lru_cache(maxsize=4096)
+def _centered_range(lo: int, hi: int) -> tuple:
+    """The integers of [lo, hi] in the order 0, 1, -1, 2, -2, ..."""
+    if lo > 0:
+        return tuple(range(lo, hi + 1))
+    if hi < 0:
+        return tuple(range(hi, lo - 1, -1))
+    return tuple(sorted(range(lo, hi + 1), key=_centered_rank))
+
+
+def _reversed_elimination(f: IntersectionForm) -> tuple:
+    """The ``symmetric_elimination`` of f's matrix with its coordinates
+    reversed, computed at most once per form object and kept on
+    ``f.reversed_tri``."""
+    if f.reversed_tri is NOT_COMPUTED:
+        rows = [row[::-1] for row in f.matrix.to_rows()[::-1]]
+        f.reversed_tri = tuple(map(tuple, intform.symmetric_elimination(rows)))
+    return f.reversed_tri
+
+
+def _forced_levels(lin: Sequence, m: int) -> list | None:
+    """The constraints c . x == t of ``lin`` in echelon form, by the levels
+    of ``_definite_walk`` (level i is x_(m-1-i)), or None when they have no
+    integer solution.
+
+    Each row's pivot is its last nonzero coordinate, distinct from row to
+    row, so the walk reaches the pivot after every other coordinate of the
+    row: entry i is None or (c', d, t) with d x_(m-1-i) == t - c' . (the
+    coordinates before it, walk order).  Rows are combined by integer
+    multiples and divided by their content, so the integer solutions stay
+    the same; a zero row with t != 0, or a content that does not divide t,
+    leaves none.
+    """
+    rows: dict = {}
+    for c, t in lin:
+        row = list(c[::-1])
+        while True:
+            lead = next((i for i, v in enumerate(row) if v), None)
+            if lead is None:
+                if t:
+                    return None
+                break
+            g = gcd(*row)
+            if t % g:
+                return None
+            if g > 1:
+                row, t = [v // g for v in row], t // g
+            if lead not in rows:
+                rows[lead] = row, t
+                break
+            other, u = rows[lead]
+            g = gcd(row[lead], other[lead])
+            a, b = other[lead] // g, row[lead] // g
+            row, t = [a * v - b * w for v, w in zip(row, other)], a * t - b * u
+    forced: list = [None] * m
+    for lead, (row, t) in rows.items():
+        forced[lead] = (row[lead + 1 :], row[lead], t)
+    return forced
+
+
+def _definite_walk(rtri: Sequence, value: int, lin: Sequence = ()) -> Iterator[tuple]:
+    """The integer x with Q(x) == value for a definite Q of either sign and
+    c . x == t for every (c, t) in ``lin``, one at a time, in the
+    centered-lexicographic order of ``_definite_solutions``.
+
+    ``rtri`` is the elimination of Q with its coordinates reversed
+    (``_reversed_elimination``), so that the Fincke-Pohst walk takes x_0
+    outermost and x_(m-1) last, signs handled as in ``_definite_solutions``.
+    Each interval is scanned in the order 0, 1, -1, 2, -2, ..., so the
+    vectors come out in order with no sort; the last coordinate is solved
+    in closed form.  A coordinate that is the pivot of a row of
+    ``_forced_levels`` is forced by one exact division instead of scanned,
+    and kept when it lies within the norm left over.
+    """
+    m = len(rtri)
+    forced = _forced_levels(lin, m)
+    if forced is None:
+        return
+    if m == 0:
+        if value == 0:
+            yield ()
+        return
+    pivots = [rtri[i][i] for i in range(m)]
+    if pivots[0] < 0:
+        rtri = [row if p > 0 else [-x for x in row] for row, p in zip(rtri, pivots)]
+        pivots, value = list(map(abs, pivots)), -value
+    if value < 0:
+        return
+    denominators = [p * q for p, q in zip([1] + pivots, pivots)]
+    scale = lcm(*denominators)
+    weights = [scale // den for den in denominators]
+    tails = [rtri[i][i + 1 :] for i in range(m)]
+    y = [0] * m  # y[i] = x_(m-1-i)
+
+    def rec(i: int, rem: int) -> Iterator[tuple]:
+        p, w = pivots[i], weights[i]
+        above = y[i + 1 :]
+        s = sum(map(mul, tails[i], above))
+        if forced[i] is not None:
+            coeffs, d, t = forced[i]
+            xi, r = divmod(t - sum(map(mul, coeffs, above)), d)
+            values: Sequence = () if r else (xi,)
+        elif i:
+            # integer y_i with w * (p * y_i + s)^2 <= rem
+            ymax = isqrt(rem // w)
+            values = _centered_range(-((ymax + s) // p), (ymax - s) // p)
+        else:
+            # rem == w_0 * (p_0 * y_0 + s)^2 in closed form, the root of
+            # smaller centered rank first
+            q, r = divmod(rem, w)
+            root = isqrt(q)
+            if r or root * root != q:
+                return
+            roots = (root - s, -root - s) if s >= 0 else (-root - s, root - s)
+            values = [v // p for v in roots[: 2 if root else 1] if v % p == 0]
+        for xi in values:
+            t = p * xi + s
+            left = rem - w * t * t
+            if left < 0:
+                continue
+            y[i] = xi
+            if i:
+                yield from rec(i - 1, left)
+            elif not left:
+                yield tuple(y[::-1])
+
+    try:
+        yield from rec(m - 1, scale * value)
+    finally:
+        del rec  # see _backtrack
 
 
 def _unit_solutions(dim: int, value: int) -> list:
@@ -673,10 +823,12 @@ def _backtrack(order: Sequence[int], target: list, candidates, pairing_row, acce
     Columns are filled in ``order``.  ``candidates(col, lin)`` yields the
     vectors allowed in column ``col`` that meet c . x == t for every (c, t)
     in ``lin``, the pairing rows of the columns already placed paired with
-    their targets; ``pairing_row(x)`` is the row x.T A.  The search is
-    complete exactly when every candidate source is.  A candidate failing the optional ``accept(col, x)`` is skipped
-    before it is placed.  The yielded list (in natural column order) is
-    reused, so copy it before advancing.
+    their targets; ``pairing_row(x)`` is the row x.T A.  A source may
+    check ``lin`` on each vector or force coordinates by it, as
+    ``_definite_candidates`` does; the search is complete exactly when
+    every candidate source is.  A candidate failing the optional
+    ``accept(col, x)`` is skipped before it is placed.  The yielded list
+    (in natural column order) is reused, so copy it before advancing.
     """
     columns: list = [None] * len(order)
     placed: list = []  # (column index, pairing row)
@@ -699,7 +851,7 @@ def _backtrack(order: Sequence[int], target: list, candidates, pairing_row, acce
         yield from rec(0)
     finally:
         # rec refers to itself through its closure, a cycle that would keep
-        # it and everything it reaches (candidate lists) alive
+        # it and everything it reaches (candidate memos and walks) alive
         # until the next cyclic collection; breaking it frees them at once
         del rec
 
@@ -724,7 +876,9 @@ def _witness_stream(
     it; then ``_block_witness`` when A has a canonical basis (an indefinite
     or antisymmetric A that ``canonical_basis`` splits, or a definite A
     whose matrix is I(n, 0) or I(0, n)), and ``_scaled_isometry`` when A
-    has none or no block fits.  The column search follows,
+    has none or no block fits.  Under ``accept`` at a square k, the block
+    built without the row m C_B follows, when it is another matrix, so
+    that diag(k, 1) is offered where m I fails.  The column search follows,
     unchanged, and may yield the same witness again; a definite A is
     searched in its own coordinates, so the search stays complete.  At
     k = 1 under ``accept`` the definite isometry search is left out: it
@@ -749,11 +903,21 @@ def _witness_stream(
         built = _scaled_isometry(a, b, k, cfg, budget, k != 1 or accept is None)
     if built != scaled and passes(built):
         yield built
+    if accept is not None and basis is not None and _is_perfect_square(abs(k)):
+        # the row m C_B pre-empts the others at k = m^2; offer the next block
+        other = _block_witness(a, b, k, budget, basis, False)
+        if other not in (scaled, built) and passes(other):
+            yield other
     yield from _column_search(a, b, k, cfg, budget, None if a.is_definite() else basis, accept)
 
 
 def _block_witness(
-    a: IntersectionForm, b: IntersectionForm, k: int, budget: _Budget, basis: IntMatrix
+    a: IntersectionForm,
+    b: IntersectionForm,
+    k: int,
+    budget: _Budget,
+    basis: IntMatrix,
+    squares: bool = True,
 ) -> IntMatrix | None:
     """U_A P' U_B^-1 with P' from ``canonical.block_witness``, or None.
 
@@ -770,7 +934,7 @@ def _block_witness(
         u_b = canonical_basis(b, budget)
         if u_b is None:
             return None
-    p = block_witness(canonical_shape(a), shape, k)
+    p = block_witness(canonical_shape(a), shape, k, squares)
     if p is None:
         return None
     return basis @ p if u_b is None else basis @ p @ u_b.inverse_unimodular()
@@ -779,12 +943,13 @@ def _block_witness(
 def _unit_vector_count(f: IntersectionForm) -> int:
     """The number of vectors of norm +-1 of a definite form.
 
-    Counted at most once per form object and kept on ``f.unit_vectors``,
-    so ``_prefilter`` and ``_scaled_isometry`` share one enumeration.
+    Listed at most once per form object and kept on ``f.unit_vectors``,
+    so ``_prefilter`` and ``_scaled_isometry`` share one enumeration, and
+    a later column search of f starts its memo of that norm complete.
     """
     if f.unit_vectors is NOT_COMPUTED:
-        f.unit_vectors = len(_definite_solutions(f.tri, -1 if f.signature[1] else 1))
-    return f.unit_vectors
+        f.unit_vectors = _definite_solutions(f.tri, -1 if f.signature[1] else 1)
+    return len(f.unit_vectors)
 
 
 def _unit_vectors_differ(f: IntersectionForm, g: IntersectionForm) -> bool:
@@ -831,6 +996,61 @@ def _scaled_isometry(
     return None if u is None else u.scaled(m)
 
 
+def _definite_candidates(a: IntersectionForm, target: list, budget: _Budget):
+    """``candidates(col, lin)`` of ``_backtrack`` for a definite source a.
+
+    Each value k b_jj keeps a memo of its vectors, filled lazily, in
+    order, from the unconstrained ``_definite_walk``; the norm +-1 of a's
+    sign starts complete when a keeps its ``unit_vectors``.  A column scans
+    the memo, extending it as it goes, and checks every vector against
+    ``lin``, one node each.  While the memo is still incomplete, a column
+    whose placed columns give at least m / 2 constraints walks instead
+    with their pivots forced, one node per vector the walk yields; those
+    are the vectors of the scan that meet ``lin``, in the same order, so
+    the walk never spends more than the scan.
+    """
+    m = a.rank
+    rtri = _reversed_elimination(a)
+    unit = -1 if a.signature[1] else 1
+    memos: dict = {}  # value -> [vectors so far, the walk that extends them or None]
+
+    def extended(memo: list) -> Iterator[tuple]:
+        seen, i = memo[0], 0
+        while i < len(seen) or memo[1] is not None:
+            if i == len(seen):
+                vec = next(memo[1], None)
+                if vec is None:
+                    memo[1] = None
+                    return
+                seen.append(vec)
+            yield seen[i]
+            i += 1
+
+    def candidates(col: int, lin: list) -> Iterator[tuple]:
+        value = target[col][col]
+        memo = memos.get(value)
+        if memo is None:
+            if value == unit and a.unit_vectors is not NOT_COMPUTED:
+                memo = [a.unit_vectors, None]
+            else:
+                memo = [[], _definite_walk(rtri, value)]
+            memos[value] = memo
+        if memo[1] is not None and 2 * len(lin) >= m:
+            for cand in _definite_walk(rtri, value, lin):
+                budget.spend()
+                yield cand
+            return
+        for cand in memo[0] if memo[1] is None else extended(memo):
+            budget.spend()
+            for crow, t in lin:
+                if sum(map(mul, crow, cand)) != t:
+                    break
+            else:
+                yield cand
+
+    return candidates
+
+
 def _column_search(
     a: IntersectionForm,
     b: IntersectionForm,
@@ -842,28 +1062,20 @@ def _column_search(
 ) -> Iterator[IntMatrix]:
     """Every witness that ``_backtrack`` finds, column by column.
 
-    ``basis`` is A's ``canonical_basis`` (None when A is definite or not
-    covered); with it the search runs in canonical coordinates, norm level
-    by norm level for a symmetric A and by the box scan for J^g.
+    A definite A takes its candidates from ``_definite_candidates``: a
+    memo per value k b_jj, filled lazily by the walk and scanned, or, while
+    the memo is incomplete and the placed columns fix at least half of the
+    coordinates, a walk with their pivots forced.  ``basis`` is A's
+    ``canonical_basis`` (None when A is definite or not covered); with it
+    the search runs in canonical coordinates, norm level by norm level for
+    a symmetric A and by the box scan for J^g.
     """
     m = a.rank
     arows = [list(a.matrix.row(i)) for i in range(m)]
     target = [[k * x for x in row] for row in b.matrix.to_rows()]
 
     if _enumerates_completely(a):
-        definite_cache: dict = {}
-
-        def candidates(col: int, lin: list) -> Iterator[tuple]:
-            value = target[col][col]
-            if value not in definite_cache:
-                definite_cache[value] = _definite_solutions(a.tri, value)
-            for cand in definite_cache[value]:
-                budget.spend()
-                for crow, t in lin:
-                    if sum(map(mul, crow, cand)) != t:
-                        break
-                else:
-                    yield cand
+        candidates = _definite_candidates(a, target, budget)
     else:
         levels = None
         if basis is not None:

@@ -4,6 +4,7 @@ import io
 import json
 import os
 import re
+import resource
 import subprocess
 import sys
 import time
@@ -91,6 +92,28 @@ def test_solve_with_a_k_too_large_to_factor_returns_promptly():
         env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60,
     )
     assert (proc.returncode, proc.stdout) == (0, "No (HasseFilter)\n")
+
+
+@pytest.mark.parametrize("budget", ["1", "1000"])
+def test_a_small_budget_stops_a_scrambled_i8_query_at_once(budget):
+    # scrambled I8 onto another at k = 2 (largest diagonals 50 and 69): the
+    # first column needs vectors of norm 138, which the search walks
+    # lazily, one node per vector it checks, so a small budget stops it
+    # within a second; listing all of them first ran for minutes and
+    # towards a MemoryError
+    src = str(Path(degmap.__file__).resolve().parents[1])
+    a, b = (f"@{FIXTURES}/I8-scrambled-{s}.mat" for s in "ab")
+
+    def limits():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+        resource.setrlimit(resource.RLIMIT_CPU, (20, 20))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "degmap", "solve", "--A", b, "--B", a, "--k", "2", "--budget", budget],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60,
+        preexec_fn=limits,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "Unknown (node budget exhausted)\n", "")
 
 
 @pytest.mark.parametrize("unbuffered", ["1", ""])

@@ -592,6 +592,25 @@ def test_square_degree_self_map_failing_the_column_check_is_searched(order, k, k
         assert new.reason == REASON_HOMOTOPY
 
 
+@pytest.mark.parametrize("w", range(4))
+def test_square_degree_offers_the_next_block_when_m_i_fails_the_column_check(w):
+    # H onto H under Z/4 with Whitehead residue w, source residues (1, 0),
+    # target (0, 0), at k = 36: 6 I fails the homotopy check and diag(36, 1)
+    # passes it, but the row m C_B came before kH -> diag(k, 1), so no other
+    # block was offered, and the radius-8 search cannot reach an entry of 36
+    model = pi_model(4, [4], [w])
+    h = hyperbolic_matrix(1)
+    src, tgt = _hc8(h, model, [[1], [0]]), _hc8(h, model, [[0], [0]])
+    data = (src.form, src.homotopy_data, tgt.form, tgt.homotopy_data)
+    assert not check_homotopy_condition(*data, IntMatrix.identity(2).scaled(6), 36).ok
+    for budget in (1, 200_000):
+        ans = degree_realizable(src, tgt, 36, SearchConfig(node_budget=budget))
+        assert ans.kind == "yes" and ans.witness == IntMatrix.diagonal([36, 1])
+    # at k = 4 the search reaches diag(4, 1) itself
+    ans = degree_realizable(src, tgt, 4, SearchConfig(node_budget=1))
+    assert ans.kind == "yes" and check_homotopy_condition(*data, ans.witness, 4).ok
+
+
 def test_antisymmetric_homotopy_regime_with_and_without_fixed_blocks(monkeypatch):
     # 10-manifolds (n = 5) over a Z/4 with Whitehead square 2: with the
     # blocks and without them, every No keeps its reason, every Yes stays a

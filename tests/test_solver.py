@@ -1014,23 +1014,10 @@ def test_fixed_blocks_keep_every_no():
     assert kinds["odd", "unknown", "yes"] >= 21
 
 
-def test_fixed_blocks_keep_every_no_on_diagonal_definite_pairs(monkeypatch):
+def test_fixed_blocks_keep_every_no_on_diagonal_definite_pairs():
     # I(n, 0) -> I(l, 0) for n <= 8 and 0 < |k| <= 20, with the step and
     # without it: the definite search is complete there, so kind and reason
-    # match exactly, with no Unknown that could become a Yes.  Every query
-    # of one source and degree enumerates the same vectors of norm k, so the
-    # last list is kept for the next query, as enumerating it again for
-    # every target and run would dominate the test
-    last = {}
-    enumerate_vectors = solver._definite_solutions
-
-    def shared(tri, value):
-        if (tri, value) not in last:
-            last.clear()
-            last[tri, value] = enumerate_vectors(tri, value)
-        return last[tri, value]
-
-    monkeypatch.setattr(solver, "_definite_solutions", shared)
+    # match exactly, with no Unknown that could become a Yes
     targets = [make_form(IntMatrix.identity(l), SYMMETRIC) for l in range(1, 9)]
     kinds = collections.Counter()
     for n in range(1, 9):
@@ -1307,26 +1294,165 @@ def test_definite_search_reuses_the_elimination_of_make_form(monkeypatch):
             assert negated.tri == flipped
             forms.append((f, negated))
     # f onto <a_00> is found by the definite column search on the scrambled
-    # grams and E8 (+-I_n would take the fixed block e_0 instead)
+    # grams and E8 (+-I_n would take the fixed block e_0 instead); the
+    # search walks the elimination of the matrix with its coordinates
+    # reversed, made once per form object and kept on it, so a second
+    # search eliminates nothing
     searched = [pair for pair in forms if pair[0].matrix != IntMatrix.identity(pair[0].rank)]
     assert len(searched) == 8  # the scrambles of I_1 and I_2 are the identity
     minus_one = make_form(IntMatrix.identity(1).scaled(-1), SYMMETRIC)
     calls = []
 
     def counted(rows):
-        calls.append(len(rows))
+        calls.append([list(row) for row in rows])
         return symmetric_elimination(rows)
+
+    def reversed_rows(g):
+        return [row[::-1] for row in g.matrix.to_rows()[::-1]]
 
     assert not hasattr(solver, "symmetric_elimination")
     monkeypatch.setattr(intform, "symmetric_elimination", counted)
     for f, negated in searched:
-        assert congruence_solve(f, I1, f.matrix[0, 0]).is_yes
-        assert congruence_solve(negated, minus_one, f.matrix[0, 0]).is_yes
-        assert not calls
+        for g, target in ((f, I1), (negated, minus_one)):
+            assert g.reversed_tri is intform.NOT_COMPUTED
+            calls.clear()
+            for _ in range(2):
+                assert congruence_solve(g, target, f.matrix[0, 0]).is_yes
+                assert calls == [reversed_rows(g)]
+            assert g.reversed_tri == tuple(map(tuple, symmetric_elimination(reversed_rows(g))))
+        flipped = tuple(tuple((-1) ** (i + 1) * x for x in row) for i, row in enumerate(f.reversed_tri))
+        assert negated.reversed_tri == flipped
+    calls.clear()
     # the count of vectors of norm -1 reads the kept elimination too
     for f, negated in forms:
         assert solver._unit_vector_count(negated) == solver._unit_vector_count(f)
     assert not calls
+
+
+def _dot(c, x):
+    return sum(a * b for a, b in zip(c, x))
+
+
+def test_constrained_walk_is_the_filtered_enumeration_in_order():
+    # on scrambles of +-I_n (n <= 8) and +-E8, at |value| <= 6, the walk
+    # with the placed columns' pivots forced gives exactly the vectors of
+    # _definite_solutions that meet the constraints, in the same order;
+    # rows are vectors of the norm or their pairing rows, targets are met
+    # by some vector of the norm or missed by one, and repeated or
+    # dependent rows exercise the echelon form's zero rows
+    rng = random.Random(27)
+    bases = [IntMatrix.identity(n) for n in range(1, 9)] + [IntMatrix.from_rows(E8_CARTAN)]
+    walks = collections.Counter()
+    for base in bases:
+        for sign in (1, -1):
+            gram = base.scaled(sign).transform_by(random_unimodular(rng, base.rows, steps=2, cap=3))
+            f = make_form(gram, SYMMETRIC)
+            rtri = solver._reversed_elimination(f)
+            for v in range(7):
+                value = sign * v
+                vectors = _definite_solutions(f.tri, value)
+                assert list(solver._definite_walk(rtri, value)) == vectors
+                assert list(solver._definite_walk(rtri, -value)) == ([] if v else vectors)
+                for _ in range(6 if vectors else 0):
+                    lin = []
+                    for _ in range(rng.randrange(1, f.rank + 1)):
+                        x = rng.choice(vectors)
+                        row = x if rng.random() < 0.5 else tuple(_dot(x, col) for col in gram.to_rows())
+                        if lin and rng.random() < 0.2:
+                            row = tuple(a + b for a, b in zip(row, lin[-1][0]))
+                        lin.append((row, _dot(row, rng.choice(vectors)) + (rng.random() < 0.2)))
+                    expected = [x for x in vectors if all(_dot(c, x) == t for c, t in lin)]
+                    assert list(solver._definite_walk(rtri, value, lin)) == expected, (gram, value, lin)
+                    walks[bool(expected)] += 1
+    assert walks[True] >= 200 and walks[False] >= 100
+
+
+def test_forced_levels_keep_the_integer_solutions():
+    # 2 x_0 + 4 x_1 == 3 has no integer solution; a repeated row adds none;
+    # a zero row needs t == 0
+    assert solver._forced_levels([((2, 4), 3)], 2) is None
+    assert solver._forced_levels([((0, 0), 1)], 2) is None
+    assert solver._forced_levels([((0, 0), 0)], 2) == [None, None]
+    # x_0 + x_1 == 1 and x_0 - x_1 == 3: pivots at x_1 (level 0), and after
+    # elimination and division by the content 2 at x_0 (level 1): x_0 == 2
+    assert solver._forced_levels([((1, 1), 1), ((1, -1), 3)], 2) == [([1], 1, 1), ([], 1, 2)]
+    assert solver._forced_levels([((1, 1), 1), ((2, 2), 2)], 2) == [([1], 1, 1), None]
+
+
+def _scan_candidates(a, target, budget):
+    """The definite column candidates as the whole-list scan read them:
+    every vector of the norm listed up front, one node per vector checked."""
+    lists = {}
+
+    def candidates(col, lin):
+        value = target[col][col]
+        if value not in lists:
+            lists[value] = _definite_solutions(a.tri, value)
+        for cand in lists[value]:
+            budget.spend()
+            if all(_dot(crow, cand) == t for crow, t in lin):
+                yield cand
+
+    return candidates
+
+
+def test_walked_columns_never_spend_more_than_the_scan(monkeypatch):
+    # against the whole-list scan, on scrambled definite sources of both
+    # signs and rank <= 8, with and without a predicate that rejects some
+    # columns: at budgets 1, 37, the scan's exact count and 10^6 every
+    # verdict the scan decides is the same, witness and reason included,
+    # and the walk never spends more nodes; where the scan runs out, the
+    # walk runs out too or gives the full-budget verdict
+    spent = []
+
+    class Counting(solver._Budget):
+        def spend(self, amount=1):
+            spent[-1] += amount
+            super().spend(amount)
+
+    monkeypatch.setattr(solver, "_Budget", Counting)
+    forced = []
+    walk = solver._definite_walk
+
+    def counted_walk(rtri, value, lin=()):
+        forced.append(bool(lin))
+        return walk(rtri, value, lin)
+
+    monkeypatch.setattr(solver, "_definite_walk", counted_walk)
+    real = solver._definite_candidates
+
+    def run(a, b, k, accept, budget, candidates):
+        monkeypatch.setattr(solver, "_definite_candidates", candidates)
+        spent.append(0)
+        v = congruence_solve(a, b, k, SearchConfig(node_budget=budget), accept)
+        return (v.kind, v.witness, v.reason, v.budget_exhausted), spent[-1]
+
+    def odd_lead(col, x):
+        return next((c for c in x if c), 0) % 3 != 2
+
+    rng = random.Random(2701)
+    bases = [IntMatrix.identity(n) for n in (3, 4, 5, 6, 7, 8)] + [IntMatrix.from_rows(E8_CARTAN)]
+    kinds = collections.Counter()
+    for base in bases:
+        for sign, k, accept in ((1, 1, None), (-1, 2, None), (1, 2, odd_lead), (-1, 3, odd_lead)):
+            a = make_form(base.scaled(sign).transform_by(random_unimodular(rng, base.rows, 2, 2)), SYMMETRIC)
+            target = base if base.rows == 8 and rng.random() < 0.5 else IntMatrix.identity(rng.randrange(2, 5))
+            b = make_form(target.scaled(sign), SYMMETRIC)
+            full, exact = run(a, b, k, accept, 10**6, _scan_candidates)
+            new, used = run(a, b, k, accept, 10**6, real)
+            assert new == full and used <= exact, (a.matrix, b.matrix, k)
+            kinds[full[0]] += 1
+            for budget in (1, 37, max(exact, 1)):
+                ref, ref_used = run(a, b, k, accept, budget, _scan_candidates)
+                new, used = run(a, b, k, accept, budget, real)
+                assert used <= ref_used
+                if ref[0] != "unknown":
+                    assert new == ref, (a.matrix, b.matrix, k, budget)
+                else:
+                    assert new in (ref, full), (a.matrix, b.matrix, k, budget)
+            assert ref == full
+    assert kinds["yes"] >= 10 and kinds["no"] >= 3
+    assert any(forced)
 
 
 # ---------------------------------------------------------------------------
