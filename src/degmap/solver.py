@@ -31,7 +31,11 @@ norm keeps a memo of the vectors walked so far, which the columns scan;
 while it is incomplete, a column whose placed columns fix at least half of
 the coordinates walks instead, each constraint c . x == t forcing its last
 coordinate by one exact division (``_definite_candidates``).  The node
-budget is charged one unit per vector a scan checks or a walk yields.
+budget is charged one unit per vector a scan checks or a walk yields;
+before each forced walk the memo's own walk catches up with the nodes the
+forced walks of that norm have passed, so their uncharged nodes add up to
+about one walk of the whole norm, after which the memo is complete and
+scanned.
 ``_definite_solutions`` lists the same vectors in the same order from the
 forward elimination, for the vectors of norm +-1 and the halves of the
 level search below.
@@ -168,7 +172,6 @@ The filters are each complete arguments, never heuristics:
 
 from __future__ import annotations
 
-from functools import lru_cache
 from math import gcd, isqrt, lcm
 from operator import mul
 from typing import Iterator, NamedTuple, Sequence
@@ -565,24 +568,24 @@ def _definite_solutions(tri: list, value: int) -> list:
     out += [tuple(-v for v in vec) for vec in out if any(vec)]
     if out:
         lo, hi = min(map(min, out)), max(map(max, out))
-        rank = {v: _centered_rank(v) for v in range(lo, hi + 1)}.__getitem__
+        # 0, 1, -1, 2, -2, ... -> 0, 1, 2, 3, 4, ...
+        rank = {v: 2 * abs(v) - (v > 0) for v in range(lo, hi + 1)}.__getitem__
         out.sort(key=lambda vec: tuple(map(rank, vec)))
     return out
 
 
-def _centered_rank(v: int) -> int:
-    # 0, 1, -1, 2, -2, ... -> 0, 1, 2, 3, 4, ...
-    return 2 * abs(v) - (v > 0)
-
-
-@lru_cache(maxsize=4096)
-def _centered_range(lo: int, hi: int) -> tuple:
+def _centered_range(lo: int, hi: int) -> Sequence[int]:
     """The integers of [lo, hi] in the order 0, 1, -1, 2, -2, ..."""
     if lo > 0:
-        return tuple(range(lo, hi + 1))
+        return range(lo, hi + 1)
     if hi < 0:
-        return tuple(range(hi, lo - 1, -1))
-    return tuple(sorted(range(lo, hi + 1), key=_centered_rank))
+        return range(hi, lo - 1, -1)
+    n = min(hi, -lo)
+    out = [0]
+    for v in range(1, n + 1):
+        out += (v, -v)
+    out += range(n + 1, hi + 1) if hi > n else range(-n - 1, lo - 1, -1)
+    return out
 
 
 def _reversed_elimination(f: IntersectionForm) -> tuple:
@@ -635,7 +638,9 @@ def _forced_levels(lin: Sequence, m: int) -> list | None:
     return forced
 
 
-def _definite_walk(rtri: Sequence, value: int, lin: Sequence = ()) -> Iterator[tuple]:
+def _definite_walk(
+    rtri: Sequence, value: int, lin: Sequence = (), nodes: list | None = None
+) -> Iterator[tuple]:
     """The integer x with Q(x) == value for a definite Q of either sign and
     c . x == t for every (c, t) in ``lin``, one at a time, in the
     centered-lexicographic order of ``_definite_solutions``.
@@ -647,7 +652,8 @@ def _definite_walk(rtri: Sequence, value: int, lin: Sequence = ()) -> Iterator[t
     vectors come out in order with no sort; the last coordinate is solved
     in closed form.  A coordinate that is the pivot of a row of
     ``_forced_levels`` is forced by one exact division instead of scanned,
-    and kept when it lies within the norm left over.
+    and kept when it lies within the norm left over.  ``nodes[0]``, when
+    given, counts the partial vectors the walk passes.
     """
     m = len(rtri)
     forced = _forced_levels(lin, m)
@@ -670,6 +676,8 @@ def _definite_walk(rtri: Sequence, value: int, lin: Sequence = ()) -> Iterator[t
     y = [0] * m  # y[i] = x_(m-1-i)
 
     def rec(i: int, rem: int) -> Iterator[tuple]:
+        if nodes is not None:
+            nodes[0] += 1
         p, w = pivots[i], weights[i]
         above = y[i + 1 :]
         s = sum(map(mul, tails[i], above))
@@ -1007,22 +1015,31 @@ def _definite_candidates(a: IntersectionForm, target: list, budget: _Budget):
     whose placed columns give at least m / 2 constraints walks instead
     with their pivots forced, one node per vector the walk yields; those
     are the vectors of the scan that meet ``lin``, in the same order, so
-    the walk never spends more than the scan.
+    the walk never spends more than the scan.  The walks' own Fincke-Pohst
+    nodes are not charged, so before a forced walk starts the memo's walk
+    catches up with the nodes the forced walks of that value have passed:
+    together they then pass about as many nodes as completing the memo
+    once, which ends them, so the uncharged work of a value stays within a
+    few walks of its whole norm.
     """
     m = a.rank
     rtri = _reversed_elimination(a)
     unit = -1 if a.signature[1] else 1
-    memos: dict = {}  # value -> [vectors so far, the walk that extends them or None]
+    # value -> [vectors so far, the walk that extends them or None,
+    #           that walk's nodes, the forced walks' nodes]
+    memos: dict = {}
+
+    def pull(memo: list) -> bool:
+        vec = next(memo[1], None)
+        if vec is None:
+            memo[1] = None
+            return False
+        memo[0].append(vec)
+        return True
 
     def extended(memo: list) -> Iterator[tuple]:
         seen, i = memo[0], 0
-        while i < len(seen) or memo[1] is not None:
-            if i == len(seen):
-                vec = next(memo[1], None)
-                if vec is None:
-                    memo[1] = None
-                    return
-                seen.append(vec)
+        while i < len(seen) or (memo[1] is not None and pull(memo)):
             yield seen[i]
             i += 1
 
@@ -1033,13 +1050,17 @@ def _definite_candidates(a: IntersectionForm, target: list, budget: _Budget):
             if value == unit and a.unit_vectors is not NOT_COMPUTED:
                 memo = [a.unit_vectors, None]
             else:
-                memo = [[], _definite_walk(rtri, value)]
+                nodes = [0]
+                memo = [[], _definite_walk(rtri, value, (), nodes), nodes, [0]]
             memos[value] = memo
         if memo[1] is not None and 2 * len(lin) >= m:
-            for cand in _definite_walk(rtri, value, lin):
-                budget.spend()
-                yield cand
-            return
+            while memo[2][0] < memo[3][0] and pull(memo):
+                pass
+            if memo[1] is not None:
+                for cand in _definite_walk(rtri, value, lin, memo[3]):
+                    budget.spend()
+                    yield cand
+                return
         for cand in memo[0] if memo[1] is None else extended(memo):
             budget.spend()
             for crow, t in lin:
@@ -1065,7 +1086,8 @@ def _column_search(
     A definite A takes its candidates from ``_definite_candidates``: a
     memo per value k b_jj, filled lazily by the walk and scanned, or, while
     the memo is incomplete and the placed columns fix at least half of the
-    coordinates, a walk with their pivots forced.  ``basis`` is A's
+    coordinates, a walk with their pivots forced, which the memo catches
+    up with before the next one.  ``basis`` is A's
     ``canonical_basis`` (None when A is definite or not covered); with it
     the search runs in canonical coordinates, norm level by norm level for
     a symmetric A and by the box scan for J^g.

@@ -1414,9 +1414,9 @@ def test_walked_columns_never_spend_more_than_the_scan(monkeypatch):
     forced = []
     walk = solver._definite_walk
 
-    def counted_walk(rtri, value, lin=()):
+    def counted_walk(rtri, value, lin=(), nodes=None):
         forced.append(bool(lin))
-        return walk(rtri, value, lin)
+        return walk(rtri, value, lin, nodes)
 
     monkeypatch.setattr(solver, "_definite_walk", counted_walk)
     real = solver._definite_candidates
@@ -1453,6 +1453,46 @@ def test_walked_columns_never_spend_more_than_the_scan(monkeypatch):
             assert ref == full
     assert kinds["yes"] >= 10 and kinds["no"] >= 3
     assert any(forced)
+
+
+@pytest.mark.parametrize(
+    "source, target, k",
+    [
+        ([[-1, 0, 0, 0], [0, -3, -2, -1], [0, -2, -10, -7], [0, -1, -7, -5]], [[-3, 1, 1], [1, -1, -2], [1, -2, -5]], 9),
+        (
+            [[-29, 16, -20, -10], [16, -9, 12, 6], [-20, 12, -21, -10], [-10, 6, -10, -5]],
+            [[-2, 1, -4, -1], [1, -1, 2, 0], [-4, 2, -9, -2], [-1, 0, -2, -2]],
+            6,
+        ),
+    ],
+)
+def test_forced_walks_pass_about_one_whole_walk(source, target, k, monkeypatch):
+    # every witness of the stream read until 200 000 nodes run out, as a
+    # predicate that rejects them all would: the forced walks of a value
+    # pass at most about as many nodes as one unconstrained walk of it,
+    # because the memo catches up with them and, once complete, ends them;
+    # without that, these searches walked thousands of times between the
+    # same charges
+    a, b = (make_form(IntMatrix.from_rows(m), SYMMETRIC) for m in (source, target))
+    walk = solver._definite_walk
+    nodes = {}
+
+    def counted(rtri, value, lin=(), counter=None):
+        nodes[bool(lin), value] = counter
+        return walk(rtri, value, lin, counter)
+
+    monkeypatch.setattr(solver, "_definite_walk", counted)
+    verdict, stream = solver.open_search(a, b, k, SearchConfig(node_budget=200_000))
+    assert verdict is None
+    with pytest.raises(solver._OutOfBudget):
+        for _ in stream:
+            pass
+    forced = {value for walked, value in nodes if walked}
+    assert forced
+    for value in forced:
+        whole = [0]
+        assert list(walk(solver._reversed_elimination(a), value, (), whole))
+        assert nodes[True, value][0] <= 2 * whole[0], value
 
 
 # ---------------------------------------------------------------------------
