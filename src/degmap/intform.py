@@ -6,9 +6,10 @@ is odd.  This module represents such forms as dense integer matrices and
 computes their invariants (rank, determinant, signature, parity) with
 exact integer arithmetic only.  Entries are Python ints.  Determinant and
 signature of a symmetric form come from one fraction-free
-``symmetric_elimination``, which the solver's definite enumeration
-shares; the form keeps that elimination, whose pivots are a rational
-diagonalisation that the solver's local (Hasse) filter reads.
+``symmetric_elimination`` of its matrix with the coordinates reversed,
+the order in which the solver's definite enumeration walks; the form
+keeps that elimination, whose pivots are a rational diagonalisation that
+the solver's local (Hasse) filter reads.
 Determinants of plain matrices, kernels, orthogonal splits
 (``split_basis``), dual vectors and unimodular inverses all come from one
 gcd column reduction, ``_column_reduce``.  It imports no degmap module but
@@ -264,24 +265,23 @@ class IntersectionForm(Record):
 
     ``signature`` is the triple (n_plus, n_minus, n_zero) and ``parity`` is
     'even' or 'odd'; both are None for antisymmetric forms.  ``tri`` is the
-    form's ``symmetric_elimination``, as a tuple of rows; ``pivots`` reads
-    its diagonal p_0, ..., p_{n-1}, so that the form is <p_{i-1} * p_i> over
-    Q (p_{-1} = 1) and the last pivot is the determinant.  The solver's
-    definite enumeration reads ``tri`` for a definite form of either sign,
+    ``symmetric_elimination`` of the matrix with its coordinates reversed,
+    as a tuple of rows; ``pivots`` reads its diagonal p_0, ..., p_{n-1}, so
+    that the form is <p_{i-1} * p_i> over Q (p_{-1} = 1) and the last pivot
+    is the determinant, both invariant under the reversal.  The solver's
+    definite enumeration walks ``tri`` for a definite form of either sign,
     a negative one with the rows of negative pivot negated.  Both are None
     for antisymmetric forms and take no part in equality, hashing or repr.
-    ``canonical`` keeps the result of ``canonical.canonical_basis``,
+    ``canonical`` keeps the result of ``canonical.canonical_basis`` and
     ``unit_vectors`` the list of vectors of norm +-1 of a definite form,
-    from ``solver._unit_vector_count``, and ``reversed_tri`` the
-    elimination of the matrix with its coordinates reversed, from which the
-    solver's column search walks the vectors of a norm; each is computed at
-    most once per form object, is ``NOT_COMPUTED`` until then, is not an
-    argument of the constructor and, like ``tri``, takes no part in
-    equality, hashing or repr.
+    from ``solver._unit_vector_count``; each is computed at most once per
+    form object, is ``NOT_COMPUTED`` until then, is not an argument of the
+    constructor and, like ``tri``, takes no part in equality, hashing or
+    repr.
     """
 
     _fields = ("matrix", "symmetry", "rank", "signature", "parity")
-    __slots__ = _fields + ("tri", "canonical", "unit_vectors", "reversed_tri")
+    __slots__ = _fields + ("tri", "canonical", "unit_vectors")
 
     def __init__(
         self,
@@ -294,7 +294,7 @@ class IntersectionForm(Record):
     ):
         self.matrix, self.symmetry, self.rank = matrix, symmetry, rank
         self.signature, self.parity, self.tri = signature, parity, tri
-        self.canonical = self.unit_vectors = self.reversed_tri = NOT_COMPUTED
+        self.canonical = self.unit_vectors = NOT_COMPUTED
 
     @property
     def pivots(self) -> tuple | None:
@@ -370,7 +370,9 @@ def make_form(matrix: IntMatrix, symmetry: str) -> IntersectionForm:
     Raises NotSquare, SymmetryMismatch or NotUnimodular when the matrix
     cannot be the middle-dimensional pairing of a closed manifold.  A
     symmetric matrix's determinant and signature come from its one
-    ``symmetric_elimination``; only an antisymmetric one takes ``det``.
+    ``symmetric_elimination``, taken with the coordinates reversed (a
+    congruence by a permutation, which keeps both); only an antisymmetric
+    one takes ``det``.
     """
     if symmetry not in (SYMMETRIC, ANTISYMMETRIC):
         raise SymmetryMismatch(f"unknown symmetry flag {symmetry!r}")
@@ -388,7 +390,7 @@ def make_form(matrix: IntMatrix, symmetry: str) -> IntersectionForm:
         if rank % 2 != 0:
             raise NotUnimodular("antisymmetric unimodular forms have even rank")
         return IntersectionForm(matrix, symmetry, rank, None, None, None)
-    tri = symmetric_elimination(matrix.to_rows())
+    tri = symmetric_elimination([matrix.row(i)[::-1] for i in reversed(range(rank))])
     pivots = (1,) + tuple(tri[i][i] for i in range(rank))
     if pivots[-1] not in (1, -1):
         raise NotUnimodular(f"determinant {pivots[-1]}")

@@ -20,13 +20,14 @@ only when the node budget stops a definite search.
 Columns of P are chosen one at a time.  When A is definite, of either
 sign and of rank at most ``DEFINITE_CAP``, the candidate vectors for each
 column form the finite solution set of a definite quadratic equation,
-walked completely by integer Fincke-Pohst bounds on the fraction-free
-``symmetric_elimination`` of A with its coordinates reversed, kept on A,
-so running out of candidates proves No.  The walk takes x_0 outermost and
-scans each interval in the order 0, 1, -1, 2, -2, ..., so the vectors come
-out one at a time in centered-lexicographic order, with no list and no
-sort; the last coordinate must use up what is left of the norm exactly, so
-it is solved in closed form (at most two roots) rather than scanned.  Each
+walked completely by integer Fincke-Pohst bounds (``_definite_walk``) on
+the fraction-free ``symmetric_elimination`` of A with its coordinates
+reversed, which A keeps as ``tri``, so running out of candidates proves
+No.  The walk takes x_0 outermost and scans each interval in the order
+0, 1, -1, 2, -2, ..., so the vectors come out one at a time in
+centered-lexicographic order, with no list and no sort; the last
+coordinate must use up what is left of the norm exactly, so it is solved
+in closed form (at most two roots) rather than scanned.  Each
 norm keeps a memo of the vectors walked so far, which the columns scan;
 while it is incomplete, a column whose placed columns fix at least half of
 the coordinates walks instead, each constraint c . x == t forcing its last
@@ -36,9 +37,6 @@ before each forced walk the memo's own walk catches up with the nodes the
 forced walks of that norm have passed, so their uncharged nodes add up to
 about one walk of the whole norm, after which the memo is complete and
 scanned.
-``_definite_solutions`` lists the same vectors in the same order from the
-forward elimination, for the vectors of norm +-1 and the halves of the
-level search below.
 In the indefinite case candidates range over a max-norm box and
 exhaustion only proves the absence of small witnesses, hence Unknown.
 ``_box_candidates`` yields every solution in that box, in one of two ways:
@@ -176,7 +174,6 @@ from math import gcd, isqrt, lcm
 from operator import mul
 from typing import Iterator, NamedTuple, Sequence
 
-from . import intform
 from .canonical import block_witness, canonical_basis, canonical_matrix, canonical_shape
 from .canonical import level_candidates
 from .errors import CapExceeded, ShapeMismatch, SymmetryMismatch, WitnessRejected, ZeroK
@@ -500,85 +497,11 @@ def _prefilter(a: IntersectionForm, b: IntersectionForm, k: int) -> Verdict | No
 # ---------------------------------------------------------------------------
 
 
-def _definite_solutions(tri: list, value: int) -> list:
-    """All integer x with Q(x) == value for a definite Q of either sign, in
-    centered-lexicographic order: x_0 first, each coordinate ranked
-    0, 1, -1, 2, -2, ...
-
-    ``tri`` is Q's ``symmetric_elimination``, so that
-    Q(x) = sum_i (p_i x_i + s_i)^2 / (p_{i-1} p_i), each p_{i-1} p_i of the
-    sign of p_0.  A negative Q is taken as -Q at -value: Bareiss on -Q
-    scales row i by (-1)^(i+1), the sign of p_i, so that is ``tri`` with
-    its rows of negative pivot negated.  Scaled by the lcm of
-    those denominators every term has an integer weight, and each
-    coordinate but x_0 is confined to the exact interval that an integer
-    square root of the remaining budget allows.  x_0 must use up the rest
-    r exactly, w_0 (p_0 x_0 + s_0)^2 == r, so it is one of the at most two
-    roots (+-sqrt(r / w_0) - s_0) / p_0: complete by construction.  The
-    walk takes one of x and -x: while ``lead`` holds, every coordinate
-    above level i is 0, and x_i starts at 0 (x_0 takes the root +y only);
-    the negations of the nonzero vectors are appended after it.  The
-    order comes from one sort, keyed by a rank lookup built for the values
-    the coordinates take.
-    """
-    m = len(tri)
-    if m == 0:
-        return [()] if value == 0 else []
-    pivots = [tri[i][i] for i in range(m)]
-    sign = 1 if pivots[0] > 0 else -1
-    if any(p * q * sign <= 0 for p, q in zip([1] + pivots, pivots)):
-        raise ShapeMismatch("matrix is not definite")
-    if sign < 0:
-        tri = [row if p > 0 else [-x for x in row] for row, p in zip(tri, pivots)]
-        pivots, value = list(map(abs, pivots)), -value
-    if value < 0:
-        return []
-    denominators = [p * q for p, q in zip([1] + pivots, pivots)]
-    scale = lcm(*denominators)
-    weights = [scale // den for den in denominators]
-    tails = [tri[i][i + 1 :] for i in range(m)]
-    out = []
-    x = [0] * m
-
-    def rec(i: int, rem: int, lead: bool):
-        if i == 0:
-            # rem == w_0 * (p_0 * x_0 + s)^2 in closed form
-            q, r = divmod(rem, weights[0])
-            y = isqrt(q)
-            if r or y * y != q:
-                return
-            s = sum(map(mul, tails[0], x[1:]))
-            for root in (y,) if lead else (y - s, -y - s) if y else (-s,):
-                x0, r = divmod(root, pivots[0])
-                if not r:
-                    x[0] = x0
-                    out.append(tuple(x))
-            return
-        p, w = pivots[i], weights[i]
-        s = sum(map(mul, tails[i], x[i + 1 :]))
-        # integer x_i with w * (p * x_i + s)^2 <= rem
-        ymax = isqrt(rem // w)
-        for xi in range(0 if lead else -((ymax + s) // p), (ymax - s) // p + 1):
-            y = p * xi + s
-            x[i] = xi
-            rec(i - 1, rem - w * y * y, lead and not xi)
-
-    rec(m - 1, scale * value, True)
-    del rec  # see _backtrack
-    out += [tuple(-v for v in vec) for vec in out if any(vec)]
-    if out:
-        lo, hi = min(map(min, out)), max(map(max, out))
-        # 0, 1, -1, 2, -2, ... -> 0, 1, 2, 3, 4, ...
-        rank = {v: 2 * abs(v) - (v > 0) for v in range(lo, hi + 1)}.__getitem__
-        out.sort(key=lambda vec: tuple(map(rank, vec)))
-    return out
-
-
 def _centered_range(lo: int, hi: int) -> Sequence[int]:
     """The integers of [lo, hi] in the order 0, 1, -1, 2, -2, ..."""
-    if lo > 0:
+    if lo >= 0:
         return range(lo, hi + 1)
-    if hi < 0:
+    if hi <= 0:
         return range(hi, lo - 1, -1)
     n = min(hi, -lo)
     out = [0]
@@ -586,16 +509,6 @@ def _centered_range(lo: int, hi: int) -> Sequence[int]:
         out += (v, -v)
     out += range(n + 1, hi + 1) if hi > n else range(-n - 1, lo - 1, -1)
     return out
-
-
-def _reversed_elimination(f: IntersectionForm) -> tuple:
-    """The ``symmetric_elimination`` of f's matrix with its coordinates
-    reversed, computed at most once per form object and kept on
-    ``f.reversed_tri``."""
-    if f.reversed_tri is NOT_COMPUTED:
-        rows = [row[::-1] for row in f.matrix.to_rows()[::-1]]
-        f.reversed_tri = tuple(map(tuple, intform.symmetric_elimination(rows)))
-    return f.reversed_tri
 
 
 def _forced_levels(lin: Sequence, m: int) -> list | None:
@@ -639,23 +552,36 @@ def _forced_levels(lin: Sequence, m: int) -> list | None:
 
 
 def _definite_walk(
-    rtri: Sequence, value: int, lin: Sequence = (), nodes: list | None = None
+    tri: Sequence, value: int, lin: Sequence = (), nodes: list | None = None
 ) -> Iterator[tuple]:
     """The integer x with Q(x) == value for a definite Q of either sign and
-    c . x == t for every (c, t) in ``lin``, one at a time, in the
-    centered-lexicographic order of ``_definite_solutions``.
+    c . x == t for every (c, t) in ``lin``, one at a time, in
+    centered-lexicographic order: x_0 first, each coordinate ranked
+    0, 1, -1, 2, -2, ...
 
-    ``rtri`` is the elimination of Q with its coordinates reversed
-    (``_reversed_elimination``), so that the Fincke-Pohst walk takes x_0
-    outermost and x_(m-1) last, signs handled as in ``_definite_solutions``.
-    Each interval is scanned in the order 0, 1, -1, 2, -2, ..., so the
-    vectors come out in order with no sort; the last coordinate is solved
-    in closed form.  A coordinate that is the pivot of a row of
+    ``tri`` is the ``symmetric_elimination`` of Q with its coordinates
+    reversed, as ``IntersectionForm.tri`` keeps it: with y_i = x_(m-1-i),
+    Q(x) = sum_i (p_i y_i + s_i)^2 / (p_{i-1} p_i), each p_{i-1} p_i of the
+    sign of p_0, else ShapeMismatch is raised before anything is yielded.
+    A negative Q is taken as -Q at -value: Bareiss on -Q scales row i by
+    (-1)^(i+1), the sign of p_i, so that is ``tri`` with its rows of
+    negative pivot negated.  Scaled by the lcm of those denominators every
+    term has an integer weight.  The Fincke-Pohst walk takes x_0 outermost
+    and confines each coordinate but x_(m-1) to the exact interval that an
+    integer square root of the remaining norm allows, scanned in the order
+    0, 1, -1, 2, -2, ..., so the vectors come out in order with no sort.
+    x_(m-1) must use up the rest r exactly, w (p y_0 + s)^2 == r, so it is
+    one of the at most two roots (+-sqrt(r / w) - s) / p: complete by
+    construction.  A coordinate that is the pivot of a row of
     ``_forced_levels`` is forced by one exact division instead of scanned,
     and kept when it lies within the norm left over.  ``nodes[0]``, when
     given, counts the partial vectors the walk passes.
     """
-    m = len(rtri)
+    m = len(tri)
+    pivots = [tri[i][i] for i in range(m)]
+    sign = -1 if m and pivots[0] < 0 else 1
+    if any(p * q * sign <= 0 for p, q in zip([1] + pivots, pivots)):
+        raise ShapeMismatch("matrix is not definite")
     forced = _forced_levels(lin, m)
     if forced is None:
         return
@@ -663,16 +589,15 @@ def _definite_walk(
         if value == 0:
             yield ()
         return
-    pivots = [rtri[i][i] for i in range(m)]
-    if pivots[0] < 0:
-        rtri = [row if p > 0 else [-x for x in row] for row, p in zip(rtri, pivots)]
+    if sign < 0:
+        tri = [row if p > 0 else [-x for x in row] for row, p in zip(tri, pivots)]
         pivots, value = list(map(abs, pivots)), -value
     if value < 0:
         return
     denominators = [p * q for p, q in zip([1] + pivots, pivots)]
     scale = lcm(*denominators)
     weights = [scale // den for den in denominators]
-    tails = [rtri[i][i + 1 :] for i in range(m)]
+    tails = [tri[i][i + 1 :] for i in range(m)]
     y = [0] * m  # y[i] = x_(m-1-i)
 
     def rec(i: int, rem: int) -> Iterator[tuple]:
@@ -715,6 +640,12 @@ def _definite_walk(
         del rec  # see _backtrack
 
 
+def _definite_solutions(tri: Sequence, value: int) -> list:
+    """Every vector of ``_definite_walk(tri, value)``, listed whole: the
+    vectors of norm +-1 a form keeps, and the halves of the level search."""
+    return list(_definite_walk(tri, value))
+
+
 def _unit_solutions(dim: int, value: int) -> list:
     """Every x in Z^dim with |x|^2 == value: the halves of ``level_candidates``."""
     return _definite_solutions([[int(i == j) for j in range(dim)] for i in range(dim)], value)
@@ -723,13 +654,6 @@ def _unit_solutions(dim: int, value: int) -> list:
 # ---------------------------------------------------------------------------
 # Box enumeration for the indefinite case
 # ---------------------------------------------------------------------------
-
-
-def _centered_values(radius: int):
-    yield 0
-    for v in range(1, radius + 1):
-        yield v
-        yield -v
 
 
 def _box_candidates(
@@ -779,11 +703,12 @@ def _box_candidates(
     x = [0] * m
     g = [0] * m  # g[t] = sum_{s < d} q[s][t] * x[s], maintained for t >= d
     linpart = [0] * nlin
+    values = _centered_range(-radius, radius)
 
     def rec(d: int, qpart: int) -> Iterator[tuple]:
         qrow = qrows[d]
         last = d == m - 1
-        for v in _centered_values(radius):
+        for v in values:
             budget.spend()
             ok = True
             for i in range(nlin):
@@ -1023,7 +948,6 @@ def _definite_candidates(a: IntersectionForm, target: list, budget: _Budget):
     few walks of its whole norm.
     """
     m = a.rank
-    rtri = _reversed_elimination(a)
     unit = -1 if a.signature[1] else 1
     # value -> [vectors so far, the walk that extends them or None,
     #           that walk's nodes, the forced walks' nodes]
@@ -1051,13 +975,13 @@ def _definite_candidates(a: IntersectionForm, target: list, budget: _Budget):
                 memo = [a.unit_vectors, None]
             else:
                 nodes = [0]
-                memo = [[], _definite_walk(rtri, value, (), nodes), nodes, [0]]
+                memo = [[], _definite_walk(a.tri, value, (), nodes), nodes, [0]]
             memos[value] = memo
         if memo[1] is not None and 2 * len(lin) >= m:
             while memo[2][0] < memo[3][0] and pull(memo):
                 pass
             if memo[1] is not None:
-                for cand in _definite_walk(rtri, value, lin, memo[3]):
+                for cand in _definite_walk(a.tri, value, lin, memo[3]):
                     budget.spend()
                     yield cand
                 return

@@ -229,7 +229,8 @@ def test_form_keeps_its_pivots_outside_equality(rng):
         m = random_symmetric_form(rng, rng.randrange(1, 4)).matrix
         m = block_diagonal(m, SWAP_SEED).transform_by(random_unimodular(rng, m.rows + 2))
         f = make_form(m, SYMMETRIC)
-        tri = symmetric_elimination(m.to_rows())
+        # the elimination of the reversed coordinates, which the definite walk reads
+        tri = symmetric_elimination([row[::-1] for row in m.to_rows()[::-1]])
         assert f.pivots == tuple(tri[i][i] for i in range(m.rows))
         assert f.determinant == m.det()
         assert f.tri == tuple(map(tuple, tri))

@@ -22,6 +22,7 @@ from degmap.catalog import (
 )
 from degmap.cli import _verdict_text, main
 from degmap.errors import (
+    DegmapError,
     ShapeMismatch,
     SymmetryMismatch,
     WitnessRejected,
@@ -1146,8 +1147,9 @@ def test_definite_solutions_match_box_enumeration(rng):
         rank = rng.randrange(1, 4)
         gram = random_posdef(rng, rank)
         value = rng.randrange(0, 12)
-        tri = symmetric_elimination(gram.to_rows())
-        got = set(_definite_solutions(tri, value))
+        listed = _definite_solutions(symmetric_elimination(_reversed_rows(gram)), value)
+        assert listed == _reference(gram, value)
+        got = set(listed)
         for x in got:
             q = sum(x[i] * gram[i, j] * x[j] for i in range(rank) for j in range(rank))
             assert q == value
@@ -1206,6 +1208,19 @@ def _definite_solutions_reference(tri: list, value: int) -> list:
     return out
 
 
+def _reversed_rows(gram) -> list:
+    """The rows of gram with its coordinates reversed, which the walk eliminates."""
+    return [row[::-1] for row in gram.to_rows()[::-1]]
+
+
+def _reference(gram, value: int) -> list:
+    """The reference on the forward elimination of a definite gram, a
+    negative one taken as -gram at -value."""
+    if gram[0, 0] < 0:
+        gram, value = -gram, -value
+    return _definite_solutions_reference(symmetric_elimination(gram.to_rows()), value)
+
+
 def test_definite_solutions_match_the_reference_in_order():
     # the same lists, in the same order, on scrambles of I_n, E8 and E8 + I_k
     rng = random.Random(17)
@@ -1214,29 +1229,31 @@ def test_definite_solutions_match_the_reference_in_order():
     bases += [block_diagonal(IntMatrix.from_rows(E8_CARTAN), IntMatrix.identity(k)) for k in (1, 2)]
     for base in bases:
         for gram in (base, base.transform_by(random_unimodular(rng, base.rows, steps=2, cap=3))):
-            tri = symmetric_elimination(gram.to_rows())
+            tri = make_form(gram, SYMMETRIC).tri
             for value in range(7):
-                assert _definite_solutions(tri, value) == _definite_solutions_reference(tri, value)
+                assert _definite_solutions(tri, value) == _reference(gram, value)
 
 
 def test_definite_solutions_match_the_reference_where_the_closed_form_level_leads(rng):
     # rank 1: x_0 is the only level; rank 2: it is the first level below the top
-    for rows in ([[1]], [[2]], [[3]], [[7]], [[1, 0], [0, 1]], [[2, 1], [1, 2]], [[2, -1], [-1, 5]]):
-        tri = symmetric_elimination(rows)
+    grams = [IntMatrix.from_rows(rows) for rows in ([[1]], [[2]], [[3]], [[7]])]
+    grams += [IntMatrix.from_rows(rows) for rows in ([[1, 0], [0, 1]], [[2, 1], [1, 2]], [[2, -1], [-1, 5]])]
+    for gram in grams:
+        tri = symmetric_elimination(_reversed_rows(gram))
         for value in range(-1, 30):
-            assert _definite_solutions(tri, value) == _definite_solutions_reference(tri, value)
+            assert _definite_solutions(tri, value) == _reference(gram, value)
     for _ in range(20):
-        rank = rng.randrange(1, 3)
-        tri = symmetric_elimination(random_posdef(rng, rank).to_rows())
+        gram = random_posdef(rng, rng.randrange(1, 3))
+        tri = symmetric_elimination(_reversed_rows(gram))
         for value in range(15):
-            assert _definite_solutions(tri, value) == _definite_solutions_reference(tri, value)
+            assert _definite_solutions(tri, value) == _reference(gram, value)
 
 
 def test_definite_solutions_give_the_e8_theta_series():
     # theta_E8 = 1 + 240 q + 2160 q^2 + 6720 q^3 + 17520 q^4 + ..., q counting x.T A x / 2
-    tri = symmetric_elimination(E8_CARTAN)
-    counts = [len(_definite_solutions(tri, value)) for value in range(9)]
-    assert counts == [1, 0, 240, 0, 2160, 0, 6720, 0, 17520]
+    lists = [_definite_solutions(E8.tri, value) for value in range(9)]
+    assert [len(vectors) for vectors in lists] == [1, 0, 240, 0, 2160, 0, 6720, 0, 17520]
+    assert lists == [_reference(E8.matrix, value) for value in range(9)]
 
 
 def test_negative_definite_solutions_are_those_of_the_negation():
@@ -1250,10 +1267,16 @@ def test_negative_definite_solutions_are_those_of_the_negation():
         tri, negated = make_form(gram, SYMMETRIC).tri, make_form(-gram, SYMMETRIC).tri
         for v in range(1, 7):
             expected = _definite_solutions(tri, v)
+            # the reference scans the last coordinate too, too slow at rank 10 and 12
+            if base.rows <= 8:
+                assert expected == _reference(gram, v), (gram, v)
             assert _definite_solutions(negated, -v) == expected, (gram, v)
             assert _definite_solutions(negated, v) == []
+    # an indefinite elimination raises before the walk yields anything
     with pytest.raises(ShapeMismatch):
         _definite_solutions(D.tri, 1)
+    with pytest.raises(ShapeMismatch):
+        next(solver._definite_walk(D.tri, 1))
 
 
 def _centered_rank(vec):
@@ -1280,24 +1303,23 @@ def test_definite_solutions_of_scrambled_unit_forms_match_brute_force(n, sign, v
 
 def test_definite_search_reuses_the_elimination_of_make_form(monkeypatch):
     # a definite matrix never pivots, so the elimination make_form kept is
-    # the fresh one; that of -A is A's with row i times (-1)^(i+1), so a
-    # negative definite source is not eliminated again either
+    # the fresh one of the reversed coordinates; that of -A is A's with row
+    # i times (-1)^(i+1), so a negative definite source is not eliminated
+    # again either
     rng = random.Random(18)
     bases = [IntMatrix.identity(n) for n in range(1, 9)] + [IntMatrix.from_rows(E8_CARTAN)]
     forms = []
     for base in bases:
         for gram in (base, base.transform_by(random_unimodular(rng, base.rows, steps=2, cap=3))):
             f = make_form(gram, SYMMETRIC)
-            assert f.tri == tuple(map(tuple, symmetric_elimination(gram.to_rows())))
+            assert f.tri == tuple(map(tuple, symmetric_elimination(_reversed_rows(gram))))
             negated = make_form(-gram, SYMMETRIC)
             flipped = tuple(tuple((-1) ** (i + 1) * x for x in row) for i, row in enumerate(f.tri))
             assert negated.tri == flipped
             forms.append((f, negated))
     # f onto <a_00> is found by the definite column search on the scrambled
     # grams and E8 (+-I_n would take the fixed block e_0 instead); the
-    # search walks the elimination of the matrix with its coordinates
-    # reversed, made once per form object and kept on it, so a second
-    # search eliminates nothing
+    # search walks the elimination make_form kept and eliminates nothing
     searched = [pair for pair in forms if pair[0].matrix != IntMatrix.identity(pair[0].rank)]
     assert len(searched) == 8  # the scrambles of I_1 and I_2 are the identity
     minus_one = make_form(IntMatrix.identity(1).scaled(-1), SYMMETRIC)
@@ -1307,22 +1329,23 @@ def test_definite_search_reuses_the_elimination_of_make_form(monkeypatch):
         calls.append([list(row) for row in rows])
         return symmetric_elimination(rows)
 
-    def reversed_rows(g):
-        return [row[::-1] for row in g.matrix.to_rows()[::-1]]
+    walked = []
+    walk = solver._definite_walk
+
+    def counted_walk(tri, *args):
+        walked.append(tri)
+        return walk(tri, *args)
 
     assert not hasattr(solver, "symmetric_elimination")
     monkeypatch.setattr(intform, "symmetric_elimination", counted)
+    monkeypatch.setattr(solver, "_definite_walk", counted_walk)
     for f, negated in searched:
         for g, target in ((f, I1), (negated, minus_one)):
-            assert g.reversed_tri is intform.NOT_COMPUTED
-            calls.clear()
             for _ in range(2):
+                walked.clear()
                 assert congruence_solve(g, target, f.matrix[0, 0]).is_yes
-                assert calls == [reversed_rows(g)]
-            assert g.reversed_tri == tuple(map(tuple, symmetric_elimination(reversed_rows(g))))
-        flipped = tuple(tuple((-1) ** (i + 1) * x for x in row) for i, row in enumerate(f.reversed_tri))
-        assert negated.reversed_tri == flipped
-    calls.clear()
+                assert walked and all(tri is g.tri for tri in walked)
+            assert calls == []
     # the count of vectors of norm -1 reads the kept elimination too
     for f, negated in forms:
         assert solver._unit_vector_count(negated) == solver._unit_vector_count(f)
@@ -1336,7 +1359,7 @@ def _dot(c, x):
 def test_constrained_walk_is_the_filtered_enumeration_in_order():
     # on scrambles of +-I_n (n <= 8) and +-E8, at |value| <= 6, the walk
     # with the placed columns' pivots forced gives exactly the vectors of
-    # _definite_solutions that meet the constraints, in the same order;
+    # the reference that meet the constraints, in the same order;
     # rows are vectors of the norm or their pairing rows, targets are met
     # by some vector of the norm or missed by one, and repeated or
     # dependent rows exercise the echelon form's zero rows
@@ -1347,12 +1370,11 @@ def test_constrained_walk_is_the_filtered_enumeration_in_order():
         for sign in (1, -1):
             gram = base.scaled(sign).transform_by(random_unimodular(rng, base.rows, steps=2, cap=3))
             f = make_form(gram, SYMMETRIC)
-            rtri = solver._reversed_elimination(f)
             for v in range(7):
                 value = sign * v
-                vectors = _definite_solutions(f.tri, value)
-                assert list(solver._definite_walk(rtri, value)) == vectors
-                assert list(solver._definite_walk(rtri, -value)) == ([] if v else vectors)
+                vectors = _reference(gram, value)
+                assert list(solver._definite_walk(f.tri, value)) == vectors
+                assert list(solver._definite_walk(f.tri, -value)) == ([] if v else vectors)
                 for _ in range(6 if vectors else 0):
                     lin = []
                     for _ in range(rng.randrange(1, f.rank + 1)):
@@ -1362,7 +1384,7 @@ def test_constrained_walk_is_the_filtered_enumeration_in_order():
                             row = tuple(a + b for a, b in zip(row, lin[-1][0]))
                         lin.append((row, _dot(row, rng.choice(vectors)) + (rng.random() < 0.2)))
                     expected = [x for x in vectors if all(_dot(c, x) == t for c, t in lin)]
-                    assert list(solver._definite_walk(rtri, value, lin)) == expected, (gram, value, lin)
+                    assert list(solver._definite_walk(f.tri, value, lin)) == expected, (gram, value, lin)
                     walks[bool(expected)] += 1
     assert walks[True] >= 200 and walks[False] >= 100
 
@@ -1387,7 +1409,7 @@ def _scan_candidates(a, target, budget):
     def candidates(col, lin):
         value = target[col][col]
         if value not in lists:
-            lists[value] = _definite_solutions(a.tri, value)
+            lists[value] = _reference(a.matrix, value)
         for cand in lists[value]:
             budget.spend()
             if all(_dot(crow, cand) == t for crow, t in lin):
@@ -1491,8 +1513,47 @@ def test_forced_walks_pass_about_one_whole_walk(source, target, k, monkeypatch):
     assert forced
     for value in forced:
         whole = [0]
-        assert list(walk(solver._reversed_elimination(a), value, (), whole))
+        assert list(walk(a.tri, value, (), whole))
         assert nodes[True, value][0] <= 2 * whole[0], value
+
+
+# +-I_n and +-(E8 + I_j) of rank <= 12, and the indefinite I(p, q)
+_FUZZ_FORMS = st.one_of(
+    st.builds(IntMatrix.identity, st.integers(1, 12)),
+    st.builds(lambda j: block_diagonal(E8.matrix, IntMatrix.identity(j)), st.integers(0, 4)),
+    st.builds(lambda p, q: IntMatrix.diagonal([1] * p + [-1] * q), st.integers(1, 3), st.integers(1, 3)),
+)
+
+
+@settings(max_examples=120, derandomize=True, deadline=None)
+@given(
+    _FUZZ_FORMS,
+    _FUZZ_FORMS,
+    st.sampled_from([1, -1]),
+    st.sampled_from([1, -1, 2, -2, 3, 4, 5, 9]),
+    st.sampled_from([1, 37, 1000]),
+    st.integers(0, 2**32),
+)
+def test_fuzz_solve_and_isomorphic_raise_only_degmap_errors(source, target, sign, k, budget, seed):
+    # scrambles of the forms above, the target of at most the source's rank
+    # and of the same sign: congruence_solve and isomorphic at small budgets
+    # raise nothing but DegmapError, and every Yes carries a witness that
+    # passes verify_witness
+    rng = random.Random(seed)
+    if target.rows > source.rows:
+        target = source
+    a, b = (
+        make_form(m.scaled(sign).transform_by(random_unimodular(rng, m.rows, steps=2, cap=4)), SYMMETRIC)
+        for m in (source, target)
+    )
+    cfg = SearchConfig(node_budget=budget)
+    for degree, query in ((k, lambda: congruence_solve(a, b, k, cfg)), (1, lambda: isomorphic(a, b, cfg))):
+        try:
+            verdict = query()
+        except DegmapError:
+            continue
+        if verdict.is_yes and verdict.witness is not None:
+            verify_witness(a, b, degree, verdict.witness)
 
 
 # ---------------------------------------------------------------------------
